@@ -26,7 +26,6 @@ from .targets import PathKind
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="JSON simulator config")
     p.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
 
 
 def _load_sim(args: argparse.Namespace) -> SimConfig:
@@ -67,12 +66,12 @@ def cmd_trial(args: argparse.Namespace) -> int:
     trace_path = os.path.join(args.out, "trial_trace.csv")
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write("t,uav_x,uav_y,uav_z,target_x,target_y,target_z,surface_dist,detected,phi_dot\n")
-        for row in res.extended_trace or []:
-            u, g = row["uav"], row["target"]
+        for p in res.trace:
+            u, g = p.uav_pos, p.target_pos
             fh.write(
-                f"{row['t']:.4f},{u.x:.4f},{u.y:.4f},{u.z:.4f},"
-                f"{g.x:.4f},{g.y:.4f},{g.z:.4f},{row['surface_dist']:.4f},"
-                f"{int(row['detected'])},{row['phi_dot']:.6f}\n"
+                f"{p.t:.4f},{u.x:.4f},{u.y:.4f},{u.z:.4f},"
+                f"{g.x:.4f},{g.y:.4f},{g.z:.4f},{p.surface_dist:.4f},"
+                f"{int(p.detected)},{p.phi_dot:.6f}\n"
             )
     outcome = "HIT" if trial.hit else f"MISS ({trial.failure_reason.value})"
     print(f"{cfg.label()} seed={seed}: {outcome}")
@@ -141,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trial = sub.add_parser("trial", help="run one engagement with a verbose trace")
     _add_common(p_trial)
+    p_trial.add_argument("--seed", type=int, default=0, help="master seed")
     p_trial.add_argument("--method", default="tpn")
     p_trial.add_argument("--uav-speed", type=float, default=3.0)
     p_trial.add_argument("--path", default="straight")
@@ -151,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_matrix = sub.add_parser("matrix", help="run a full or partial experiment sweep")
     _add_common(p_matrix)
+    p_matrix.add_argument("--seed", type=int, default=0, help="master seed")
     p_matrix.add_argument("--method", action="append", help="repeatable; default all")
     p_matrix.add_argument("--path", action="append", help="repeatable; default all")
     p_matrix.add_argument("--uav-speed", type=float, action="append")

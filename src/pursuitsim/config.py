@@ -1,8 +1,11 @@
-"""Configuration tree for the simulator.
+"""Configuration tree for the simulator, and the typed JSON loader.
 
-Every tunable named across the modules lives here with its default, and the
-whole tree round-trips through JSON so experiment configs are a single file.
-Unknown keys are rejected rather than silently ignored.
+Every tunable named across the modules lives in exactly one dataclass with
+its default; the guidance and vehicle sections are the runtime parameter
+types themselves. `from_dict` builds any of these dataclasses, and the
+mission scenario, from parsed JSON by the field annotations: unknown keys
+and wrongly typed values are rejected at any depth, and the result is
+validated before a run can start.
 """
 
 from __future__ import annotations
@@ -10,12 +13,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import types
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
-from .geometry import CameraIntrinsics
+from .geometry import CameraIntrinsics, Vec3
 from .guidance import GuidanceParams
-from .vehicle import ControllerGains, PidGains, VehicleParams
+from .vehicle import MAX_DYNAMICS_DT, VehicleParams, mount_pitch_for_speed
 
 
 @dataclass
@@ -29,40 +33,20 @@ class CameraConfig:
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics.from_hfov(math.radians(self.hfov_deg), self.width, self.height)
 
+    def mount_pitch(self, speed: float, vehicle: VehicleParams) -> float:
+        """Camera mount tilt up, rad, for a UAV cruising at `speed`."""
+        if self.mount_pitch_deg is not None:
+            return math.radians(self.mount_pitch_deg)
+        return mount_pitch_for_speed(speed, vehicle)
+
 
 @dataclass
 class PerceptionConfig:
     filter_window: int = 5       # flat moving-average length, frames
-    min_blob_pixels: int = 3
 
-
-@dataclass
-class GuidanceConfig:
-    pn_gain: float = 3.0
-    kp_yaw: float = 1.2
-    k_heading: float = 0.35      # rad
-    suppression: float = 0.2
-    init_duration: float = 2.0   # s
-    max_accel: float = 8.0       # m/s^2
-    max_yaw_rate: float = 1.5    # rad/s
-    dropout_hold: float = 0.2    # s
-    dropout_decay: float = 0.2   # s
-
-    def params(self, mount_pitch: float) -> GuidanceParams:
-        p = GuidanceParams(
-            pn_gain=self.pn_gain,
-            kp_yaw=self.kp_yaw,
-            k_heading=self.k_heading,
-            suppression=self.suppression,
-            init_duration=self.init_duration,
-            max_accel=self.max_accel,
-            max_yaw_rate=self.max_yaw_rate,
-            mount_pitch=mount_pitch,
-            dropout_hold=self.dropout_hold,
-            dropout_decay=self.dropout_decay,
-        )
-        p.validate()
-        return p
+    def validate(self) -> None:
+        if self.filter_window < 1:
+            raise ValueError("perception.filter_window must be >= 1")
 
 
 @dataclass
@@ -74,53 +58,16 @@ class TrajectoryConfig:
 
 
 @dataclass
-class GainsConfig:
-    pos_kp: float = 1.2
-    pos_ki: float = 0.0
-    pos_kd: float = 0.0
-    vel_kp: float = 5.0
-    vel_ki: float = 0.3
-    vel_kd: float = 0.0
-    ff_weight: float = 1.0
-    yaw_kp: float = 1.5
-    integrator_limit: float = 2.0
-
-    def controller_gains(self) -> ControllerGains:
-        g = ControllerGains(
-            position=PidGains(self.pos_kp, self.pos_ki, self.pos_kd),
-            velocity=PidGains(self.vel_kp, self.vel_ki, self.vel_kd),
-            ff_weight=self.ff_weight,
-            yaw_kp=self.yaw_kp,
-            integrator_limit=self.integrator_limit,
-        )
-        g.validate()
-        return g
-
-
-@dataclass
-class VehicleConfig:
-    tau_attitude: float = 0.15
-    drag: float = 0.3
-    tilt_limit_deg: float = 35.0
-    hover_thrust: float = 0.5
-    max_yaw_rate: float = 2.0
-    gains: GainsConfig = field(default_factory=GainsConfig)
-
-    def params(self) -> VehicleParams:
-        return VehicleParams(
-            tau_attitude=self.tau_attitude,
-            drag=self.drag,
-            tilt_limit=math.radians(self.tilt_limit_deg),
-            hover_thrust=self.hover_thrust,
-            max_yaw_rate=self.max_yaw_rate,
-        )
-
-
-@dataclass
 class RatesConfig:
     dynamics_hz: int = 200
     control_hz: int = 50
     perception_hz: int = 30
+
+    def validate(self) -> None:
+        if not self.dynamics_hz >= 1.0 / MAX_DYNAMICS_DT:  # the dynamics step's dt bound
+            raise ValueError(f"rates.dynamics_hz must be >= {1.0 / MAX_DYNAMICS_DT:g}")
+        if not (0 < self.control_hz <= self.dynamics_hz and 0 < self.perception_hz <= self.dynamics_hz):
+            raise ValueError("rates.control_hz and rates.perception_hz must be in (0, dynamics_hz]")
 
 
 @dataclass
@@ -140,50 +87,75 @@ class RulesConfig:
 class SimConfig:
     camera: CameraConfig = field(default_factory=CameraConfig)
     perception: PerceptionConfig = field(default_factory=PerceptionConfig)
-    guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
+    guidance: GuidanceParams = field(default_factory=GuidanceParams)
     trajectory: TrajectoryConfig = field(default_factory=TrajectoryConfig)
-    vehicle: VehicleConfig = field(default_factory=VehicleConfig)
+    vehicle: VehicleParams = field(default_factory=VehicleParams)
     rates: RatesConfig = field(default_factory=RatesConfig)
     rules: RulesConfig = field(default_factory=RulesConfig)
 
+    def validate(self) -> None:
+        self.perception.validate()
+        self.guidance.validate()
+        self.vehicle.gains.validate()
+        self.rates.validate()
 
-def _from_dict(cls: type, data: dict[str, Any]) -> Any:
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
+
+def from_dict(cls: type, data: Any) -> Any:
+    """Build dataclass `cls` from parsed JSON and run its `validate()`.
+
+    Nested objects become nested dataclasses, overriding only the keys they
+    name on top of the field's default; `[x, y, z]` becomes a Vec3. Unknown
+    keys, missing required keys and wrongly typed values raise ValueError.
+    """
+    obj = _convert(cls, data, cls.__name__)
+    obj.validate()
+    return obj
+
+
+def _convert(tp: Any, value: Any, where: str, base: Any = None) -> Any:
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, types.UnionType):  # Optional[X]
+        inner = next(a for a in args if a is not type(None))
+        return None if value is None else _convert(inner, value, where)
+    if tp is Vec3:
+        if not (isinstance(value, list) and len(value) == 3):
+            raise ValueError(f"{where}: expected [x, y, z], got {value!r}")
+        return Vec3(*(_convert(float, v, where) for v in value))
+    if origin is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        return [_convert(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if not dataclasses.is_dataclass(tp):
+        if tp is float and type(value) is int:
+            return float(value)
+        if type(value) is not tp:
+            raise ValueError(f"{where}: expected {tp.__name__}, got {value!r}")
+        return value
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected an object, got {value!r}")
+    hints = get_type_hints(tp)
+    fields = {f.name: f for f in dataclasses.fields(tp)}
+    kwargs = {}
+    for key, v in value.items():
         if key not in fields:
-            raise ValueError(f"unknown config key {cls.__name__}.{key}")
-        ftype = fields[key].type
-        if isinstance(value, dict):
-            subcls = {
-                "camera": CameraConfig,
-                "perception": PerceptionConfig,
-                "guidance": GuidanceConfig,
-                "trajectory": TrajectoryConfig,
-                "vehicle": VehicleConfig,
-                "rates": RatesConfig,
-                "rules": RulesConfig,
-                "gains": GainsConfig,
-            }.get(key)
-            if subcls is None:
-                raise ValueError(f"unexpected nested config at {cls.__name__}.{key}")
-            kwargs[key] = _from_dict(subcls, value)
-        else:
-            kwargs[key] = value
-    return cls(**kwargs)
+            raise ValueError(f"unknown config key {where}.{key}")
+        factory = fields[key].default_factory
+        default = None if factory is dataclasses.MISSING else factory()
+        kwargs[key] = _convert(hints[key], v, f"{where}.{key}", default)
+    if base is not None:
+        return dataclasses.replace(base, **kwargs)
+    try:
+        return tp(**kwargs)
+    except TypeError as exc:  # a required key is missing
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def load_config(path: str) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return _from_dict(SimConfig, data)
-
-
-def config_to_dict(cfg: SimConfig) -> dict[str, Any]:
-    return dataclasses.asdict(cfg)
+        return from_dict(SimConfig, json.load(fh))
 
 
 def dump_config(cfg: SimConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2)
         fh.write("\n")

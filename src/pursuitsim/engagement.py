@@ -2,7 +2,7 @@
 
 One engagement couples the target path, the synthetic perception pipeline,
 the selected guidance method, the cascaded controllers, and the vehicle
-dynamics at their own rates (dynamics fastest,控 controllers next, perception
+dynamics at their own rates (dynamics fastest, controllers next, perception
 slowest), then judges the run against the first-pass hit conditions.
 """
 
@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .guidance import (
     GuidanceMethod,
-    GuidanceParams,
     GuidanceState,
     closing_velocity,
     dropout_scale,
@@ -64,7 +63,6 @@ from .vehicle import (
     VelocityController,
     dynamics_step,
     ideal_dynamics_step,
-    mount_pitch_for_speed,
 )
 
 
@@ -81,6 +79,12 @@ class TracePoint(NamedTuple):
     target_pos: Vec3
     target_radius: float
     detected: bool
+    phi_dot: float = 0.0  # latest valid LOS rate, rad/s
+
+    @property
+    def surface_dist(self) -> float:
+        """UAV center to target surface, m."""
+        return (self.uav_pos - self.target_pos).norm() - self.target_radius
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,6 @@ class EngagementResult:
     phi_dot_final: float      # mean |LOS rate| over the last 0.5 s before the end
     end_time: float
     trace: Optional[list[TracePoint]] = None
-    extended_trace: Optional[list[dict]] = None
 
 
 _FINAL_PHI_WINDOW = 0.5  # s
@@ -243,14 +246,12 @@ def run_engagement(
     ideal_dynamics: bool = False,
     record_trace: bool = False,
 ) -> EngagementResult:
+    cfg.validate()
     rules = cfg.rules
-    vparams = cfg.vehicle.params()
-    gains = cfg.vehicle.gains.controller_gains()
-    if cfg.camera.mount_pitch_deg is not None:
-        mount_pitch = math.radians(cfg.camera.mount_pitch_deg)
-    else:
-        mount_pitch = mount_pitch_for_speed(uav_speed, vparams)
-    gp = cfg.guidance.params(mount_pitch)
+    vparams = cfg.vehicle
+    gains = vparams.gains
+    gp = cfg.guidance
+    mount_pitch = cfg.camera.mount_pitch(uav_speed, vparams)
 
     target0 = path.sample(0.0)
     pipeline = PerceptionPipeline(cfg, mount_pitch, 2.0 * target0.radius)
@@ -284,11 +285,7 @@ def run_engagement(
 
     phi_handoff: Optional[float] = None
     phi_log: list[tuple[float, float]] = []
-    trace: Optional[list[TracePoint]] = None
-    ext: Optional[list[dict]] = None
-    if record_trace:
-        trace = []
-        ext = []
+    trace: Optional[list[TracePoint]] = [] if record_trace else None
 
     crash_time = 0.0
     verdict: Optional[Verdict] = None
@@ -304,7 +301,6 @@ def run_engagement(
         pm = (k * percep_hz) // dyn_hz
         if pm != percep_mark:
             percep_mark = pm
-            gstate.elapsed = t
             target = path.sample(t)
             frame = pipeline.observe(t, target, uav.pose)
             if frame.detected:
@@ -320,13 +316,13 @@ def run_engagement(
                     init_cmd_vel = init_velocity(los_world, uav_speed)
                 elif not method.is_trajectory:
                     v_c = closing_velocity(uav.pose.velocity, los_world)
-                    a_body = los_accel(sample, v_c, gp)
+                    a_body = los_accel(sample, v_c, gp, mount_pitch)
                     if method == GuidanceMethod.TPN:
-                        gstate.last_command = tpn_command(sample, v_c, gp)
+                        gstate.last_command = tpn_command(sample, v_c, gp, mount_pitch)
                     elif method == GuidanceMethod.PN_HEADING:
-                        gstate.last_command = pn_heading_command(sample, a_body, gp)
+                        gstate.last_command = pn_heading_command(sample, a_body, gp, mount_pitch)
                     else:
-                        gstate.last_command = hybrid_command(sample, a_body, gp)
+                        gstate.last_command = hybrid_command(sample, a_body, gp, mount_pitch)
                     gstate.last_mode = gstate.last_command.mode
             else:
                 gstate.time_since_detection = t - (gstate.prev_los.t if gstate.prev_los else -math.inf)
@@ -338,8 +334,7 @@ def run_engagement(
             if rm != replan_mark:
                 replan_mark = rm
                 traj, traj_start, cursor_min, last_fix = _replan(
-                    method, traj, traj_start, cursor_min, last_fix,
-                    t, uav, pipeline, cfg, gp, mount_pitch,
+                    method, traj, traj_start, cursor_min, last_fix, t, uav, pipeline, cfg,
                     fresh=gstate.time_since_detection <= gp.dropout_hold,
                 )
 
@@ -415,18 +410,8 @@ def run_engagement(
         last_seen = gstate.prev_los.t if gstate.prev_los is not None else -math.inf
         detected_now = (t_next - last_seen) < (2.0 / percep_hz)
         if trace is not None:
-            trace.append(TracePoint(t_next, pos, target.position, target.radius, detected_now))
-            ext.append(
-                {
-                    "t": t_next,
-                    "uav": pos,
-                    "target": target.position,
-                    "surface_dist": surface_dist,
-                    "detected": detected_now,
-                    "phi_dot": phi_log[-1][1] if phi_log else 0.0,
-                    "v_ref": v_ref,
-                }
-            )
+            phi_dot = phi_log[-1][1] if phi_log else 0.0
+            trace.append(TracePoint(t_next, pos, target.position, target.radius, detected_now, phi_dot))
         verdict = monitor.update(t_next, pos, surface_dist, detected_now)
         if verdict is not None:
             break
@@ -448,7 +433,6 @@ def run_engagement(
         phi_dot_final=phi_final,
         end_time=verdict.time,
         trace=trace,
-        extended_trace=ext,
     )
 
 
@@ -499,8 +483,6 @@ def _replan(
     uav: UavState,
     pipeline: PerceptionPipeline,
     cfg: SimConfig,
-    gp: GuidanceParams,
-    mount_pitch: float,
     fresh: bool,
 ) -> tuple[Optional[Trajectory], float, int, Optional[tuple[float, float, Vec3]]]:
     """Generate the next trajectory segment from the lookahead point and
@@ -520,13 +502,14 @@ def _replan(
         stitch_idx = cur.lookahead_index
 
     if method == GuidanceMethod.LOS_TRAJ:
-        a_cam = pipeline.n_f.scale(gp.pn_gain * max(0.0, _closing_along_filtered(pipeline, uav)) * pipeline.phi_f)
-        a_world = camera_to_world(a_cam, uav.pose, mount_pitch)
+        v_c = max(0.0, _closing_along_filtered(pipeline, uav))
+        a_cam = pipeline.n_f.scale(cfg.guidance.pn_gain * v_c * pipeline.phi_f)
+        a_world = camera_to_world(a_cam, uav.pose, pipeline.mount_pitch)
         seg = gen_los_accel_trajectory(start, v0, a_world, tcfg.horizon, tcfg.dt)
     else:
         if pipeline.d_f <= 0.0 or pipeline.ray_f.norm() == 0.0:
             return traj, traj_start, cursor_min, last_fix
-        los_world = camera_to_world(pipeline.ray_f, uav.pose, mount_pitch).unit()
+        los_world = camera_to_world(pipeline.ray_f, uav.pose, pipeline.mount_pitch).unit()
         fix = (t, pipeline.d_f, los_world)
         if last_fix is None or t - last_fix[0] <= 1e-9:
             return traj, traj_start, cursor_min, fix

@@ -288,7 +288,3 @@ def world_point_to_camera(p_world: Vec3, pose: Pose, mount_pitch: float = 0.0) -
     """World point -> camera-frame point (rotation + translation)."""
     p_body = world_to_body(p_world - pose.position, pose)
     return body_to_camera(p_body, mount_pitch)
-
-
-def camera_point_to_world(p_cam: Vec3, pose: Pose, mount_pitch: float = 0.0) -> Vec3:
-    return pose.position + camera_to_world(p_cam, pose, mount_pitch)

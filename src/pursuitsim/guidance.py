@@ -44,7 +44,6 @@ class GuidanceParams:
     init_duration: float = 2.0      # s of straight LOS velocity guidance
     max_accel: float = 8.0          # m/s^2 command clamp
     max_yaw_rate: float = 1.5       # rad/s command clamp
-    mount_pitch: float = 0.0        # rad, camera mount tilt (positive = up)
     dropout_hold: float = 0.2       # s to hold the last command after losing sight
     dropout_decay: float = 0.2      # s of linear decay to zero after the hold
 
@@ -71,7 +70,6 @@ class GuidanceCommand:
 @dataclass
 class GuidanceState:
     prev_los: Optional[LosSample] = None
-    elapsed: float = 0.0
     last_mode: GuidanceMode = GuidanceMode.INIT
     last_command: GuidanceCommand = field(default_factory=GuidanceCommand.zero)
     time_since_detection: float = math.inf
@@ -91,43 +89,49 @@ def _clamp_command(accel: Vec3, yaw_rate: float, p: GuidanceParams) -> tuple[Vec
     return accel, yaw_rate
 
 
-def los_accel(los: LosSample, v_closing: float, p: GuidanceParams) -> Vec3:
+def los_accel(los: LosSample, v_closing: float, p: GuidanceParams, mount_pitch: float = 0.0) -> Vec3:
     """Desired acceleration N * Vc * phi_dot along the LOS rotation direction,
-    expressed in body axes. Zero when the sample has no valid rate or the
-    closing velocity is not positive (the intercept conditions assume Vc > 0;
-    a sign-flipped command would diverge)."""
+    in body axes for a camera tilted up by `mount_pitch` rad. Zero when the
+    sample has no valid rate or the closing velocity is not positive (the
+    intercept conditions assume Vc > 0; a sign-flipped command would diverge)."""
     if not los.valid_rate:
         return ZERO3
     vc = max(v_closing, 0.0)
     if vc == 0.0 or los.phi_dot == 0.0:
         return ZERO3
     a_cam = los.n_unit.scale(p.pn_gain * vc * los.phi_dot)
-    return camera_to_body(a_cam, p.mount_pitch)
+    return camera_to_body(a_cam, mount_pitch)
 
 
-def tpn_command(los: LosSample, v_closing: float, p: GuidanceParams) -> GuidanceCommand:
+def tpn_command(
+    los: LosSample, v_closing: float, p: GuidanceParams, mount_pitch: float = 0.0
+) -> GuidanceCommand:
     """True PN: the full lateral acceleration is flown via roll/thrust; yaw
     is left alone."""
-    accel = los_accel(los, v_closing, p)
+    accel = los_accel(los, v_closing, p, mount_pitch)
     accel, yaw_rate = _clamp_command(accel, 0.0, p)
     return GuidanceCommand(accel, yaw_rate, GuidanceMode.PN)
 
 
-def pn_heading_command(los: LosSample, a_los_body: Vec3, p: GuidanceParams) -> GuidanceCommand:
+def pn_heading_command(
+    los: LosSample, a_los_body: Vec3, p: GuidanceParams, mount_pitch: float = 0.0
+) -> GuidanceCommand:
     """PN on the forward/vertical axes; the lateral axis is flown by yawing
     toward the target."""
-    r_body = camera_to_body(los.r, p.mount_pitch)
+    r_body = camera_to_body(los.r, mount_pitch)
     heading = body_heading(r_body)
     accel = Vec3(a_los_body.x, 0.0, a_los_body.z)
     accel, yaw_rate = _clamp_command(accel, p.kp_yaw * heading, p)
     return GuidanceCommand(accel, yaw_rate, GuidanceMode.HEADING_CONTROL)
 
 
-def hybrid_command(los: LosSample, a_los_body: Vec3, p: GuidanceParams) -> GuidanceCommand:
+def hybrid_command(
+    los: LosSample, a_los_body: Vec3, p: GuidanceParams, mount_pitch: float = 0.0
+) -> GuidanceCommand:
     """Blend of the two: full PN with a suppressed yaw trim while the target
     is near the image center, heading control with suppressed lateral
     acceleration once it drifts past k_heading."""
-    r_body = camera_to_body(los.r, p.mount_pitch)
+    r_body = camera_to_body(los.r, mount_pitch)
     heading = body_heading(r_body)
     if abs(heading) < p.k_heading:
         accel = a_los_body

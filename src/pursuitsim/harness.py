@@ -125,8 +125,7 @@ def classify_hit(
     center = Vec3((lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2, (lo[2] + hi[2]) / 2)
     monitor = HitMonitor(rules, center, handoff_time)
     for p in trace:
-        dist = (p.uav_pos - p.target_pos).norm() - p.target_radius
-        verdict = monitor.update(p.t, p.uav_pos, dist, p.detected)
+        verdict = monitor.update(p.t, p.uav_pos, p.surface_dist, p.detected)
         if verdict is not None:
             return verdict
     end = trace[-1].t

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
-from .config import SimConfig
+from .config import SimConfig, from_dict
 from .geometry import (
     Pose,
     Vec3,
@@ -34,7 +34,6 @@ from .vehicle import (
     UavState,
     VelocityController,
     dynamics_step,
-    mount_pitch_for_speed,
 )
 
 
@@ -43,7 +42,6 @@ class Arena:
     length: float = 100.0  # x extent, m
     width: float = 40.0    # y extent, m
     ceiling: float = 5.0   # Task 1 altitude cap, m
-    dropoff: Optional[Vec3] = None  # unused: ball return is out of scope
 
     def validate(self) -> None:
         if self.length <= 0.0 or self.width <= 0.0:
@@ -348,7 +346,7 @@ class BallSpec:
     slow_speed: float = 3.0
     slow_after: float = 480.0  # s into the mission
     radius: float = 0.075      # 15 cm ball
-    plane_yaw: float = 0.0     # orientation of the figure-8 plane
+    plane_yaw_deg: float = 0.0  # orientation of the figure-8 plane
     width: float = 10.0
     height: float = 6.0
     phase: float = 0.0
@@ -383,78 +381,32 @@ class Scenario:
     square_side: float = 12.0
     start: Vec3 = Vec3(2.0, 2.0, 0.0)
 
+    def validate(self) -> None:
+        self.arena.validate()
+        self.gate.validate()
+
+
+# scenario-file "search" group key -> Scenario field
+_SEARCH_KEYS = {
+    "sweep_width": "sweep_width", "altitude": "search_altitude", "speed": "search_speed",
+    "square_altitude": "square_altitude", "square_speed": "square_speed", "square_side": "square_side",
+}
+
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return scenario_from_dict(data)
-
-
-def _vec(v) -> Vec3:
-    return Vec3(float(v[0]), float(v[1]), float(v[2]))
+        return scenario_from_dict(json.load(fh))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    arena_d = data.get("arena", {})
-    arena = Arena(
-        length=arena_d.get("length", 100.0),
-        width=arena_d.get("width", 40.0),
-        ceiling=arena_d.get("ceiling", 5.0),
-        dropoff=_vec(arena_d["dropoff"]) if "dropoff" in arena_d else None,
-    )
-    balloons = [
-        BalloonSpec(anchor=_vec(b["anchor"]), radius=b.get("radius", 0.3))
-        for b in data.get("balloons", [])
-    ]
-    ball = None
-    if "ball" in data:
-        b = data["ball"]
-        ball = BallSpec(
-            center=_vec(b["center"]),
-            speed=b.get("speed", 8.0),
-            slow_speed=b.get("slow_speed", 3.0),
-            slow_after=b.get("slow_after", 480.0),
-            radius=b.get("radius", 0.075),
-            plane_yaw=math.radians(b.get("plane_yaw_deg", 0.0)),
-            width=b.get("width", 10.0),
-            height=b.get("height", 6.0),
-            phase=b.get("phase", 0.0),
-        )
-    faults = [
-        FaultSpec(
-            kind=f["kind"],
-            pitch_deg=f.get("pitch_deg", 0.0),
-            yaw_deg=f.get("yaw_deg", 0.0),
-            delay=f.get("delay", 0.1),
-            impulse=f.get("impulse", 1.5),
-            clear_on_recover=f.get("clear_on_recover", True),
-        )
-        for f in data.get("faults", [])
-    ]
-    gate_d = data.get("gate", {})
-    gate = ValidityGate(
-        min_bbox_area_fraction=gate_d.get("min_bbox_area_fraction", 0.004),
-        bottom_exclusion_fraction=gate_d.get("bottom_exclusion_fraction", 0.30),
-    )
-    params = MissionParams(**{k: v for k, v in data.get("params", {}).items()})
-    search = data.get("search", {})
-    return Scenario(
-        task=int(data["task"]),
-        arena=arena,
-        balloons=balloons,
-        ball=ball,
-        faults=faults,
-        gate=gate,
-        params=params,
-        duration=data.get("duration", 120.0),
-        sweep_width=search.get("sweep_width", 6.0),
-        search_altitude=search.get("altitude", 2.4),
-        search_speed=search.get("speed", 2.0),
-        square_altitude=search.get("square_altitude", 11.0),
-        square_speed=search.get("square_speed", 1.0),
-        square_side=search.get("square_side", 12.0),
-        start=_vec(data["start"]) if "start" in data else Vec3(2.0, 2.0, 0.0),
-    )
+    """Scenario file -> Scenario, with the "search" group mapped onto its fields."""
+    data = dict(data)
+    search = data.pop("search", {})
+    if not isinstance(search, dict):
+        raise ValueError(f"Scenario.search: expected an object, got {search!r}")
+    for key, value in search.items():
+        data[_SEARCH_KEYS.get(key, f"search.{key}")] = value  # from_dict rejects unknown keys
+    return from_dict(Scenario, data)
 
 
 class BallPath:
@@ -465,7 +417,7 @@ class BallPath:
         from .geometry import rot_z
 
         self._path = PeriodicCurvePath(
-            curve, point, tangent, rot_z(spec.plane_yaw), spec.center,
+            curve, point, tangent, rot_z(math.radians(spec.plane_yaw_deg)), spec.center,
             spec.speed, spec.radius, spec.phase, 1.0,
         )
         self.spec = spec
@@ -520,8 +472,8 @@ class MissionSimulator:
     """Closed-loop Challenge-1 mission run."""
 
     def __init__(self, scenario: Scenario, sim: SimConfig):
-        scenario.arena.validate()
-        scenario.gate.validate()
+        scenario.validate()
+        sim.validate()
         self.sc = scenario
         self.sim = sim
         self.events: list[MissionEvent] = []
@@ -536,8 +488,8 @@ class MissionSimulator:
         sc = self.sc
         sim = self.sim
         params = sc.params
-        vparams = sim.vehicle.params()
-        gains = sim.vehicle.gains.controller_gains()
+        vparams = sim.vehicle
+        gains = vparams.gains
         task = sc.task
 
         if task == 1:
@@ -546,11 +498,7 @@ class MissionSimulator:
         else:
             plan = square_search_plan(sc.arena, sc.square_altitude, sc.square_speed, sc.square_side)
             cruise = sc.square_speed
-        mount_pitch = (
-            math.radians(sim.camera.mount_pitch_deg)
-            if sim.camera.mount_pitch_deg is not None
-            else mount_pitch_for_speed(cruise, vparams)
-        )
+        mount_pitch = sim.camera.mount_pitch(cruise, vparams)
 
         gimbal = next((f for f in sc.faults if f.kind == "gimbal_offset"), None)
         latency = next((f for f in sc.faults if f.kind == "camera_latency"), None)

@@ -249,10 +249,6 @@ class MovingAverageFilter:
         self._buf.clear()
 
 
-def filter_step(f: MovingAverageFilter, sample: Union[float, Vec3]) -> Union[float, Vec3]:
-    return f.step(sample)
-
-
 def write_pgm(seg: SegmentationImage, path: str) -> None:
     """Debug dump as binary PGM (P5), one byte per pixel, 0/255."""
     data = np.where(seg.mask, 255, 0).astype(np.uint8)

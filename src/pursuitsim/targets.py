@@ -306,12 +306,6 @@ def build_path(spec: TargetPathSpec) -> TargetPath:
     raise ValueError(f"unknown path kind {spec.kind}")
 
 
-def sample(path: TargetPath, t: float) -> TargetState:
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    return path.sample(t)
-
-
 def dump_path_csv(path: TargetPath, fh: IO[str], duration: float, dt: float = 0.05) -> None:
     fh.write("t,x,y,z\n")
     t = 0.0

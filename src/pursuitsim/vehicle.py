@@ -61,9 +61,14 @@ class ControllerGains:
 class VehicleParams:
     tau_attitude: float = 0.15   # s, first-order roll/pitch lag
     drag: float = 0.3            # 1/s linear drag coefficient
-    tilt_limit: float = math.radians(35.0)
+    tilt_limit_deg: float = 35.0
     hover_thrust: float = 0.5    # normalized thrust that balances gravity
     max_yaw_rate: float = 2.0    # rad/s actuation limit
+    gains: ControllerGains = field(default_factory=ControllerGains)
+
+    @property
+    def tilt_limit(self) -> float:
+        return math.radians(self.tilt_limit_deg)
 
     @property
     def thrust_scale(self) -> float:

@@ -360,8 +360,8 @@ def test_criterion_9_matrix_determinism(tmp_path):
 
 
 def test_criterion_10_controller_sanity():
-    params = SIM.vehicle.params()
-    gains = SIM.vehicle.gains.controller_gains()
+    params = SIM.vehicle
+    gains = SIM.vehicle.gains
 
     # hover convergence from a 1 m offset
     pose_ctl = PoseController(gains)

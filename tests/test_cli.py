@@ -83,3 +83,9 @@ def test_unknown_config_key_rejected(tmp_path):
     bad.write_text(json.dumps({"guidance": {"not_a_knob": 1.0}}))
     with pytest.raises(ValueError):
         main(["trial", "--config", str(bad), "--out", str(tmp_path)])
+
+
+def test_mission_has_no_seed_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["mission", "--scenario", "s.json", "--seed", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2

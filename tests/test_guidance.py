@@ -159,13 +159,13 @@ class TestHybridCommand:
 
 class TestTpnOrthogonality:
     def test_command_orthogonal_to_previous_los(self):
-        p = params(mount_pitch=0.15)
+        mount_pitch = 0.15
         r_prev = Vec3(0.1, -0.2, 1.0)
         r_curr = Vec3(0.13, -0.17, 1.0)
         phi_dot, n_unit, valid = los_rate(r_prev, r_curr, 1.0 / 30.0)
         s = LosSample(r_curr, 0.0, phi_dot, n_unit, valid)
-        cmd = tpn_command(s, 3.0, p)
-        a_cam = body_to_camera(cmd.accel_body, p.mount_pitch)
+        cmd = tpn_command(s, 3.0, params(), mount_pitch)
+        a_cam = body_to_camera(cmd.accel_body, mount_pitch)
         assert abs(a_cam.dot(r_prev)) / (a_cam.norm() * r_prev.norm()) < 1e-9
 
 

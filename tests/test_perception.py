@@ -10,7 +10,6 @@ from pursuitsim.perception import (
     centroid,
     depth_from_subtended_angle,
     estimate_depth,
-    filter_step,
     render_sphere,
     write_pgm,
 )
@@ -179,22 +178,22 @@ class TestMovingAverageFilter:
     def test_constant_signal_fixed_point(self):
         f = MovingAverageFilter(4)
         for _ in range(10):
-            assert filter_step(f, 2.0) == 2.0
+            assert f.step(2.0) == 2.0
 
     def test_two_sample_window(self):
         f = MovingAverageFilter(2)
-        assert filter_step(f, 0.0) == 0.0
-        assert filter_step(f, 1.0) == 0.5
+        assert f.step(0.0) == 0.0
+        assert f.step(1.0) == 0.5
 
     def test_warmup_then_sliding(self):
         f = MovingAverageFilter(3)
-        outs = [filter_step(f, x) for x in (1.0, 2.0, 3.0, 4.0)]
+        outs = [f.step(x) for x in (1.0, 2.0, 3.0, 4.0)]
         assert outs == [1.0, 1.5, 2.0, 3.0]
 
     def test_vector_samples(self):
         f = MovingAverageFilter(2)
-        filter_step(f, Vec3(0, 0, 0))
-        out = filter_step(f, Vec3(2, -2, 4))
+        f.step(Vec3(0, 0, 0))
+        out = f.step(Vec3(2, -2, 4))
         assert out == Vec3(1.0, -1.0, 2.0)
 
     def test_output_within_window_bounds(self):
@@ -204,7 +203,7 @@ class TestMovingAverageFilter:
         for s in samples:
             window.append(s)
             window = window[-5:]
-            out = filter_step(f, s)
+            out = f.step(s)
             assert min(window) <= out <= max(window)
 
     def test_rejects_bad_window(self):

@@ -11,7 +11,6 @@ from pursuitsim.targets import (
     TargetPathSpec,
     build_path,
     dump_path_csv,
-    sample,
 )
 
 
@@ -173,11 +172,6 @@ class TestDeterminism:
 
 
 class TestApi:
-    def test_sample_rejects_negative_time(self):
-        path = build_path(spec(PathKind.STRAIGHT))
-        with pytest.raises(ValueError):
-            sample(path, -0.1)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             build_path(TargetPathSpec(PathKind.STRAIGHT, speed=-1.0, seed=0))

@@ -22,11 +22,11 @@ from pursuitsim.vehicle import (
 
 
 def default_gains() -> ControllerGains:
-    return SimConfig().vehicle.gains.controller_gains()
+    return SimConfig().vehicle.gains
 
 
 def default_params() -> VehicleParams:
-    return SimConfig().vehicle.params()
+    return SimConfig().vehicle
 
 
 def hover_cmd(params: VehicleParams) -> AttitudeCommand:
@@ -182,8 +182,8 @@ class TestDynamics:
 class TestClosedLoop:
     def run_hover_loop(self, offset: Vec3, seconds: float):
         sim = SimConfig()
-        params = sim.vehicle.params()
-        gains = sim.vehicle.gains.controller_gains()
+        params = sim.vehicle
+        gains = sim.vehicle.gains
         pose_ctl = PoseController(gains)
         vel_ctl = VelocityController(gains, params)
         target = Waypoint(Vec3(0, 0, 5.0), 0.0, 0.0)
@@ -206,8 +206,8 @@ class TestClosedLoop:
 
     def test_velocity_step_response(self):
         sim = SimConfig()
-        params = sim.vehicle.params()
-        gains = sim.vehicle.gains.controller_gains()
+        params = sim.vehicle
+        gains = sim.vehicle.gains
         vel_ctl = VelocityController(gains, params)
         state = UavState.at_rest(Vec3(0, 0, 5.0))
         dt = 1.0 / sim.rates.dynamics_hz
