@@ -15,7 +15,7 @@ import json
 import math
 import types
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 from .geometry import CameraIntrinsics, Vec3
 from .guidance import GuidanceParams
@@ -29,6 +29,11 @@ class CameraConfig:
     hfov_deg: float = 105.0
     # None -> tilt up by the steady-state pitch-down at the trial's UAV speed
     mount_pitch_deg: Optional[float] = None
+
+    def validate(self) -> None:
+        if not 0.0 < self.hfov_deg < 180.0:
+            raise ValueError("camera.hfov_deg must be in (0, 180)")
+        self.intrinsics().validate()
 
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics.from_hfov(math.radians(self.hfov_deg), self.width, self.height)
@@ -56,6 +61,10 @@ class TrajectoryConfig:
     replan_hz: float = 10.0
     lookahead_buffer: float = 0.05  # s on top of one replan period
 
+    def validate(self) -> None:
+        if not (self.horizon > 0.0 and self.dt > 0.0 and self.replan_hz > 0.0):
+            raise ValueError("trajectory.horizon, trajectory.dt and trajectory.replan_hz must be positive")
+
 
 @dataclass
 class RatesConfig:
@@ -68,6 +77,32 @@ class RatesConfig:
             raise ValueError(f"rates.dynamics_hz must be >= {1.0 / MAX_DYNAMICS_DT:g}")
         if not (0 < self.control_hz <= self.dynamics_hz and 0 < self.perception_hz <= self.dynamics_hz):
             raise ValueError("rates.control_hz and rates.perception_hz must be in (0, dynamics_hz]")
+
+    @property
+    def dt(self) -> float:
+        """Dynamics step, s."""
+        return 1.0 / self.dynamics_hz
+
+    @property
+    def control_every(self) -> int:
+        """Dynamics steps per control tick."""
+        return max(1, round(self.dynamics_hz / self.control_hz))
+
+    @property
+    def control_dt(self) -> float:
+        return self.control_every * self.dt
+
+    def ticks(self, duration: float) -> Iterator[tuple[int, float, bool, bool]]:
+        """The one multi-rate schedule: `(k, t, perception_due, control_due)`
+        for each dynamics step k at t = k * dt. Perception and control run
+        before step k's dynamics when due; step 0 is due for both."""
+        dt = self.dt
+        every = self.control_every
+        mark = -1
+        for k in range(int(round(duration / dt))):
+            frame = (k * self.perception_hz) // self.dynamics_hz
+            yield k, k * dt, frame != mark, k % every == 0
+            mark = frame
 
 
 @dataclass
@@ -94,9 +129,11 @@ class SimConfig:
     rules: RulesConfig = field(default_factory=RulesConfig)
 
     def validate(self) -> None:
+        self.camera.validate()
         self.perception.validate()
         self.guidance.validate()
-        self.vehicle.gains.validate()
+        self.trajectory.validate()
+        self.vehicle.validate()
         self.rates.validate()
 
 

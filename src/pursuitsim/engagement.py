@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional
 
 from .config import RulesConfig, SimConfig
 from .geometry import (
+    CameraIntrinsics,
     LosSample,
     Pose,
     Vec3,
@@ -40,6 +41,7 @@ from .guidance import (
 from .perception import (
     Detection,
     MovingAverageFilter,
+    SegmentationImage,
     centroid,
     estimate_depth,
     render_sphere,
@@ -140,14 +142,31 @@ class PerceptionFrame:
     sample: Optional[LosSample] = None
     d_center: float = 0.0
     depth_valid: bool = False
-    phi_dot_f: float = 0.0
-    n_unit_f: Vec3 = ZERO3
-    ray_f: Vec3 = ZERO3
-    d_center_f: float = 0.0
+
+
+def camera_view(
+    target: TargetState,
+    pose: Pose,
+    mount_pitch: float,
+    k: CameraIntrinsics,
+    bias_pitch: float = 0.0,
+    bias_yaw: float = 0.0,
+) -> tuple[SegmentationImage, Optional[Detection]]:
+    """Render one target as the camera sees it and find its blob.
+
+    The bias angles are a fault on the true camera orientation that the
+    estimator does not know about: the estimate keeps using `mount_pitch`.
+    """
+    p_cam = world_point_to_camera(target.position, pose, mount_pitch + bias_pitch)
+    if bias_yaw != 0.0:
+        cy, sy = math.cos(bias_yaw), math.sin(bias_yaw)
+        p_cam = Vec3(cy * p_cam.x - sy * p_cam.z, p_cam.y, sy * p_cam.x + cy * p_cam.z)
+    seg = render_sphere(p_cam, target.radius, k)
+    return seg, centroid(seg)
 
 
 class PerceptionPipeline:
-    """Render -> segment -> centroid -> LOS/rate -> depth, plus the flat
+    """Camera view -> LOS/rate -> depth for one target, plus the flat
     moving-average smoothing whose outputs feed trajectory-based guidance."""
 
     def __init__(self, cfg: SimConfig, mount_pitch: float, target_diameter: float):
@@ -166,32 +185,10 @@ class PerceptionPipeline:
         self.ray_f: Vec3 = ZERO3
         self.d_f: float = 0.0
 
-    def observe(
-        self,
-        t: float,
-        target: TargetState,
-        uav_pose: Pose,
-        mount_bias_pitch: float = 0.0,
-        mount_bias_yaw: float = 0.0,
-    ) -> PerceptionFrame:
-        # the true camera orientation may carry a fault bias the estimator
-        # does not know about
-        true_mount = self.mount_pitch + mount_bias_pitch
-        p_cam = world_point_to_camera(target.position, uav_pose, true_mount)
-        if mount_bias_yaw != 0.0:
-            cy, sy = math.cos(mount_bias_yaw), math.sin(mount_bias_yaw)
-            p_cam = Vec3(cy * p_cam.x - sy * p_cam.z, p_cam.y, sy * p_cam.x + cy * p_cam.z)
-        seg = render_sphere(p_cam, target.radius, self.k)
-        det = centroid(seg)
+    def observe(self, t: float, target: TargetState, uav_pose: Pose) -> PerceptionFrame:
+        seg, det = camera_view(target, uav_pose, self.mount_pitch, self.k)
         if det is None:
-            return PerceptionFrame(
-                t,
-                False,
-                phi_dot_f=self.phi_f,
-                n_unit_f=self.n_f,
-                ray_f=self.ray_f,
-                d_center_f=self.d_f,
-            )
+            return PerceptionFrame(t, False)
         ray = pixel_to_los(det.centroid[0], det.centroid[1], self.k)
         if self._prev_ray is not None and t > self._prev_t:
             phi_dot, n_unit, valid = los_rate(self._prev_ray, ray, t - self._prev_t)
@@ -208,18 +205,7 @@ class PerceptionPipeline:
             self.d_f = self._f_depth.step(depth.d_center)
         self._prev_ray = ray
         self._prev_t = t
-        return PerceptionFrame(
-            t,
-            True,
-            detection=det,
-            sample=sample,
-            d_center=depth.d_center,
-            depth_valid=depth.valid,
-            phi_dot_f=self.phi_f,
-            n_unit_f=self.n_f,
-            ray_f=self.ray_f,
-            d_center_f=self.d_f,
-        )
+        return PerceptionFrame(t, True, det, sample, depth.d_center, depth.valid)
 
 
 @dataclass
@@ -258,11 +244,9 @@ def run_engagement(
     pose_ctl = PoseController(gains)
     vel_ctl = VelocityController(gains, vparams)
 
-    dyn_hz = cfg.rates.dynamics_hz
-    dt = 1.0 / dyn_hz
-    ctrl_every = max(1, round(dyn_hz / cfg.rates.control_hz))
-    dt_ctrl = ctrl_every * dt
-    percep_hz = cfg.rates.perception_hz
+    rates = cfg.rates
+    dt = rates.dt
+    dt_ctrl = rates.control_dt
     replan_hz = cfg.trajectory.replan_hz
 
     handoff = gp.init_duration
@@ -289,18 +273,14 @@ def run_engagement(
 
     crash_time = 0.0
     verdict: Optional[Verdict] = None
-    n_steps = int(round(horizon / dt))
-    percep_mark = -1
+    t_next = 0.0
     replan_mark = -1
 
-    for k in range(n_steps):
-        t = k * dt
+    for k, t, perception_due, control_due in rates.ticks(horizon):
         pursuing = t >= handoff
 
         # ---- perception + guidance tick -------------------------------
-        pm = (k * percep_hz) // dyn_hz
-        if pm != percep_mark:
-            percep_mark = pm
+        if perception_due:
             target = path.sample(t)
             frame = pipeline.observe(t, target, uav.pose)
             if frame.detected:
@@ -330,7 +310,7 @@ def run_engagement(
 
         # ---- trajectory replanning ------------------------------------
         if method.is_trajectory and pursuing:
-            rm = int((k * replan_hz) // dyn_hz)
+            rm = int((k * replan_hz) // rates.dynamics_hz)
             if rm != replan_mark:
                 replan_mark = rm
                 traj, traj_start, cursor_min, last_fix = _replan(
@@ -339,7 +319,7 @@ def run_engagement(
                 )
 
         # ---- control tick ----------------------------------------------
-        if k % ctrl_every == 0:
+        if control_due:
             if not pursuing:
                 stale = gstate.time_since_detection > gp.dropout_hold
                 v_cmd = ZERO3 if stale else init_cmd_vel
@@ -408,7 +388,7 @@ def run_engagement(
         target = path.sample(t_next)
         surface_dist = (pos - target.position).norm() - target.radius
         last_seen = gstate.prev_los.t if gstate.prev_los is not None else -math.inf
-        detected_now = (t_next - last_seen) < (2.0 / percep_hz)
+        detected_now = (t_next - last_seen) < (2.0 / rates.perception_hz)
         if trace is not None:
             phi_dot = phi_log[-1][1] if phi_log else 0.0
             trace.append(TracePoint(t_next, pos, target.position, target.radius, detected_now, phi_dot))
@@ -418,8 +398,7 @@ def run_engagement(
 
     if verdict is None:
         # ran off the end of the horizon without any terminal event
-        end = n_steps * dt
-        verdict = Verdict(False, FailureReason.TIMEOUT, end, end - handoff)
+        verdict = Verdict(False, FailureReason.TIMEOUT, t_next, t_next - handoff)
 
     final_phis = [abs(p) for (tt, p) in phi_log if tt >= verdict.time - _FINAL_PHI_WINDOW]
     phi_final = sum(final_phis) / len(final_phis) if final_phis else 0.0

@@ -97,33 +97,8 @@ class Rot3(NamedTuple):
             self.m02 * v.x + self.m12 * v.y + self.m22 * v.z,
         )
 
-    def compose(self, other: "Rot3") -> "Rot3":
-        """self @ other (apply other first, then self)."""
-        a, b = self, other
-        return Rot3(
-            a.m00 * b.m00 + a.m01 * b.m10 + a.m02 * b.m20,
-            a.m00 * b.m01 + a.m01 * b.m11 + a.m02 * b.m21,
-            a.m00 * b.m02 + a.m01 * b.m12 + a.m02 * b.m22,
-            a.m10 * b.m00 + a.m11 * b.m10 + a.m12 * b.m20,
-            a.m10 * b.m01 + a.m11 * b.m11 + a.m12 * b.m21,
-            a.m10 * b.m02 + a.m11 * b.m12 + a.m12 * b.m22,
-            a.m20 * b.m00 + a.m21 * b.m10 + a.m22 * b.m20,
-            a.m20 * b.m01 + a.m21 * b.m11 + a.m22 * b.m21,
-            a.m20 * b.m02 + a.m21 * b.m12 + a.m22 * b.m22,
-        )
-
 
 IDENTITY_ROT = Rot3(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-
-
-def rot_x(a: float) -> Rot3:
-    c, s = math.cos(a), math.sin(a)
-    return Rot3(1.0, 0.0, 0.0, 0.0, c, -s, 0.0, s, c)
-
-
-def rot_y(a: float) -> Rot3:
-    c, s = math.cos(a), math.sin(a)
-    return Rot3(c, 0.0, s, 0.0, 1.0, 0.0, -s, 0.0, c)
 
 
 def rot_z(a: float) -> Rot3:
@@ -240,23 +215,16 @@ def body_heading(r_body: Vec3) -> float:
     return math.atan2(r_body.y, r_body.x)
 
 
-# Camera axes expressed in body axes (zero mount pitch):
-# cam x (image right) -> body -y, cam y (image down) -> body -z,
-# cam z (optical axis) -> body +x.
-_CAM_TO_BODY_AXES = Rot3(
-    0.0, 0.0, 1.0,
-    -1.0, 0.0, 0.0,
-    0.0, -1.0, 0.0,
-)
-
-
 def mount_rotation(mount_pitch: float) -> Rot3:
     """Camera-to-body rotation for a rigid mount.
 
-    Positive mount_pitch tilts the optical axis up relative to body x;
-    negative tilts it down.
+    At zero mount pitch camera x (image right) is body -y, camera y (image
+    down) is body -z and camera z (optical axis) is body +x. Positive
+    mount_pitch tilts the optical axis up relative to body x; negative tilts
+    it down.
     """
-    return rot_y(-mount_pitch).compose(_CAM_TO_BODY_AXES)
+    c, s = math.cos(mount_pitch), math.sin(mount_pitch)
+    return Rot3(0.0, s, c, -1.0, 0.0, 0.0, 0.0, -c, s)
 
 
 def camera_to_body(v_cam: Vec3, mount_pitch: float = 0.0) -> Vec3:
@@ -267,8 +235,20 @@ def body_to_camera(v_body: Vec3, mount_pitch: float = 0.0) -> Vec3:
     return mount_rotation(mount_pitch).apply_inverse(v_body)
 
 
+def attitude_rotation(roll: float, pitch: float, yaw: float) -> Rot3:
+    """Body-to-world rotation Rz(yaw) * Ry(-pitch) * Rx(roll), written out."""
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    return Rot3(
+        cy * cp, -sy * cr - cy * sp * sr, -cy * sp * cr + sy * sr,
+        sy * cp, cy * cr - sy * sp * sr, -sy * sp * cr - cy * sr,
+        sp, cp * sr, cp * cr,
+    )
+
+
 def body_to_world_rotation(pose: Pose) -> Rot3:
-    return rot_z(pose.yaw).compose(rot_y(-pose.pitch)).compose(rot_x(pose.roll))
+    return attitude_rotation(pose.roll, pose.pitch, pose.yaw)
 
 
 def body_to_world(v_body: Vec3, pose: Pose) -> Vec3:

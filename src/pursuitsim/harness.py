@@ -12,6 +12,8 @@ import hashlib
 import json
 import math
 import os
+import sys
+import traceback
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
@@ -175,10 +177,21 @@ def full_matrix(
 
 
 def _run_config(args: tuple[ExperimentConfig, int, SimConfig]) -> list[TrialResult]:
+    """One configuration's trials. A trial that raises is recorded as a
+    crash (not completed), so it counts against the completion rate instead
+    of aborting the sweep; its seed and traceback go to stderr."""
     cfg, master_seed, sim = args
     out = []
     for i in range(cfg.trials):
-        trial, _ = run_trial(cfg, trial_seed(master_seed, cfg, i), sim)
+        seed = trial_seed(master_seed, cfg, i)
+        try:
+            trial, _ = run_trial(cfg, seed, sim)
+        except Exception:
+            sys.stderr.write(f"{cfg.label()} trial {i} seed={seed} crashed:\n{traceback.format_exc()}")
+            trial = TrialResult(
+                hit=False, duration=math.nan, failure_reason=FailureReason.CRASH, min_miss_distance=math.nan,
+                seed=seed, completed=False, phi_dot_handoff=math.nan, phi_dot_final=math.nan,
+            )
         out.append(trial)
     return out
 

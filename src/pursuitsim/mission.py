@@ -23,10 +23,12 @@ from .geometry import (
     ZERO3,
     body_heading,
     camera_to_world,
+    pixel_to_los,
+    rot_z,
     wrap_angle,
 )
 from .perception import Detection
-from .engagement import PerceptionFrame, PerceptionPipeline
+from .engagement import camera_view
 from .targets import PeriodicCurvePath, TargetState, fig8_curve
 from .trajectory import Trajectory, Waypoint, cursor_step
 from .vehicle import (
@@ -313,9 +315,7 @@ def task2_step(
             return VelocityCommand(ZERO3, 0.0)
         u = los_level.unit()
         v_level = Vec3(0.0, params.task2_gain * u.y, params.task2_gain * u.z)
-        cy, sy = math.cos(uav.pose.yaw), math.sin(uav.pose.yaw)
-        v_world = Vec3(cy * v_level.x - sy * v_level.y, sy * v_level.x + cy * v_level.y, v_level.z)
-        return VelocityCommand(v_world, 0.0)
+        return VelocityCommand(rot_z(uav.pose.yaw).apply(v_level), 0.0)
 
     if state.mode == MissionMode.WAIT:
         if los_level is not None:
@@ -414,8 +414,6 @@ class BallPath:
 
     def __init__(self, spec: BallSpec):
         curve, point, tangent = fig8_curve(spec.width / 2.0, spec.height)
-        from .geometry import rot_z
-
         self._path = PeriodicCurvePath(
             curve, point, tangent, rot_z(math.radians(spec.plane_yaw_deg)), spec.center,
             spec.speed, spec.radius, spec.phase, 1.0,
@@ -508,12 +506,10 @@ class MissionSimulator:
         balloons = [_Balloon(spec=b) for b in sc.balloons]
         ball = BallPath(sc.ball) if sc.ball is not None else None
 
-        diameter = 2.0 * (sc.balloons[0].radius if task == 1 and sc.balloons else (sc.ball.radius if sc.ball else 0.3))
-        pipeline = PerceptionPipeline(sim, mount_pitch, diameter)
         pose_ctl = PoseController(gains)
         vel_ctl = VelocityController(gains, vparams)
 
-        k_cam = pipeline.k
+        k_cam = sim.camera.intrinsics()
         state = MissionState()
         uav = UavState(
             Pose(sc.start if task == 1 else plan.waypoints[0].position, ZERO3, 0.0, 0.0, 0.0),
@@ -521,11 +517,9 @@ class MissionSimulator:
             0.0,
         )
 
-        dyn_hz = sim.rates.dynamics_hz
-        dt = 1.0 / dyn_hz
-        ctrl_every = max(1, round(dyn_hz / sim.rates.control_hz))
-        dt_ctrl = ctrl_every * dt
-        percep_hz = sim.rates.perception_hz
+        rates = sim.rates
+        dt = rates.dt
+        dt_ctrl = rates.control_dt
 
         active_traj = plan
         traj_start = 0.0
@@ -539,21 +533,15 @@ class MissionSimulator:
         frame_queue: list[tuple[float, Optional[Vec3], Optional[Vec3], bool]] = []
         min_ball_dist = math.inf
         attack_saw_pop = False
-        n_steps = int(round(sc.duration / dt))
-        percep_mark = -1
         att_cmd = None
         v_cmd = VelocityCommand(ZERO3, 0.0)
         logged_mode = state.mode
 
-        for k in range(n_steps):
-            t = k * dt
-
-            pm = (k * percep_hz) // dyn_hz
-            if pm != percep_mark:
-                percep_mark = pm
+        for k, t, perception_due, control_due in rates.ticks(sc.duration):
+            if perception_due:
                 bias_p = math.radians(gimbal.pitch_deg) if (gimbal and gimbal_active) else 0.0
                 bias_y = math.radians(gimbal.yaw_deg) if (gimbal and gimbal_active) else 0.0
-                obs = self._observe(t, uav, balloons, ball, pipeline, k_cam, bias_p, bias_y, task)
+                obs = self._observe(t, uav, balloons, ball, mount_pitch, k_cam, bias_p, bias_y, task)
                 if latency is not None:
                     frame_queue.append((t, obs[0], obs[1], obs[2]))
                     los_level, los_world, los_valid = None, None, False
@@ -571,7 +559,7 @@ class MissionSimulator:
                         state.transition(MissionMode.ADJUST, t)
                         self._emit(t, "registered", task=task, position=_vec_list(uav.pose.position))
 
-            if k % ctrl_every == 0:
+            if control_due:
                 if state.mode in (MissionMode.GLOBAL_PLAN, MissionMode.RECOVER):
                     cur = cursor_step(
                         active_traj, t - traj_start,
@@ -590,7 +578,7 @@ class MissionSimulator:
                         state.transition(MissionMode.GLOBAL_PLAN, t)
                         recover_until_index = None
                 else:
-                    stale = (t - state.last_seen) > (2.5 / percep_hz)
+                    stale = (t - state.last_seen) > (2.5 / rates.perception_hz)
                     seen = None if stale else los_level
                     if task == 1:
                         v_cmd = task1_step(state, seen, uav, params, t)
@@ -679,49 +667,33 @@ class MissionSimulator:
         uav: UavState,
         balloons: list[_Balloon],
         ball: Optional[BallPath],
-        pipeline: PerceptionPipeline,
+        mount_pitch: float,
         k_cam,
         bias_pitch: float,
         bias_yaw: float,
         task: int,
     ) -> tuple[Optional[Vec3], Optional[Vec3], bool]:
-        """Best detection this frame -> (LOS level dir, LOS world unit, gate-valid).
+        """Largest blob this frame -> (LOS level dir, LOS world unit, gate-valid).
 
-        The validity gate qualifies a detection for *registration*; once the
-        terminal guidance owns the vehicle, raw detections keep feeding it."""
-        best: Optional[PerceptionFrame] = None
-        best_det = None
+        Every live target is rendered on its own; nothing carries over
+        between frames or targets. The validity gate qualifies a detection
+        for *registration*; once the terminal guidance owns the vehicle, raw
+        detections keep feeding it."""
         if task == 1:
-            for b in balloons:
-                if not b.alive:
-                    continue
-                frame = pipeline.observe(
-                    t, TargetState(b.position, ZERO3, b.spec.radius), uav.pose,
-                    mount_bias_pitch=bias_pitch, mount_bias_yaw=bias_yaw,
-                )
-                if not frame.detected:
-                    continue
-                det = frame.detection
-                if best_det is None or det.pixel_count > best_det.pixel_count:
-                    best, best_det = frame, det
-        elif ball is not None:
-            st = ball.sample(t)
-            frame = pipeline.observe(
-                t, st, uav.pose, mount_bias_pitch=bias_pitch, mount_bias_yaw=bias_yaw
-            )
-            if frame.detected:
-                best = frame
+            targets = [TargetState(b.position, ZERO3, b.spec.radius) for b in balloons if b.alive]
+        else:
+            targets = [ball.sample(t)] if ball is not None else []
+        best: Optional[Detection] = None
+        for target in targets:
+            _, det = camera_view(target, uav.pose, mount_pitch, k_cam, bias_pitch, bias_yaw)
+            if det is not None and (best is None or det.pixel_count > best.pixel_count):
+                best = det
         if best is None:
             return None, None, False
-        valid = validate_detection(
-            best.detection, self.sc.gate, k_cam.width, k_cam.height, task
-        )
-        ray = best.sample.r
-        los_world = camera_to_world(ray, uav.pose, pipeline.mount_pitch).unit()
-        cy, sy = math.cos(uav.pose.yaw), math.sin(uav.pose.yaw)
-        los_level = Vec3(cy * los_world.x + sy * los_world.y,
-                         -sy * los_world.x + cy * los_world.y, los_world.z)
-        return los_level, los_world, valid
+        valid = validate_detection(best, self.sc.gate, k_cam.width, k_cam.height, task)
+        ray = pixel_to_los(best.centroid[0], best.centroid[1], k_cam)
+        los_world = camera_to_world(ray, uav.pose, mount_pitch).unit()
+        return rot_z(uav.pose.yaw).apply_inverse(los_world), los_world, valid
 
 
 def _vec_list(v: Vec3) -> list[float]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geometry import Pose, Vec3, ZERO3, wrap_angle
+from .geometry import Pose, Vec3, ZERO3, attitude_rotation, rot_z, wrap_angle
 from .trajectory import Waypoint
 
 GRAVITY = 9.81
@@ -74,6 +74,15 @@ class VehicleParams:
     def thrust_scale(self) -> float:
         """Mass-normalized thrust acceleration per unit of normalized thrust."""
         return GRAVITY / self.hover_thrust
+
+    def validate(self) -> None:
+        if not self.tau_attitude > 0.0:
+            raise ValueError("vehicle.tau_attitude must be positive")
+        if not 0.0 < self.hover_thrust <= 1.0:
+            raise ValueError("vehicle.hover_thrust must be in (0, 1]")
+        if not 0.0 < self.tilt_limit_deg < 90.0:
+            raise ValueError("vehicle.tilt_limit_deg must be in (0, 90)")
+        self.gains.validate()
 
 
 def mount_pitch_for_speed(speed: float, params: VehicleParams) -> float:
@@ -152,10 +161,7 @@ class VelocityController:
         a_des = self.pid.step(error, dt) + a_ff.scale(self.gains.ff_weight)
         a_total = Vec3(a_des.x, a_des.y, a_des.z + GRAVITY)
 
-        yaw = state.pose.yaw
-        cy, sy = math.cos(yaw), math.sin(yaw)
-        ax = cy * a_total.x + sy * a_total.y
-        ay = -sy * a_total.x + cy * a_total.y
+        ax, ay, _ = rot_z(state.pose.yaw).apply_inverse(a_total)
         az = max(a_total.z, 0.5)  # thrust cannot pull down
 
         mag = math.sqrt(ax * ax + ay * ay + az * az)
@@ -186,14 +192,10 @@ def dynamics_step(
     yaw_rate = min(rate_lim, max(-rate_lim, cmd.yaw_rate))
     yaw = wrap_angle(pose.yaw + yaw_rate * dt)
 
-    # body z axis in world coordinates for the new attitude
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cy, sy = math.cos(yaw), math.sin(yaw)
+    # thrust along the body z axis, in world coordinates for the new attitude
+    rot = attitude_rotation(roll, pitch, yaw)
     t = cmd.thrust * params.thrust_scale
-    tx = t * (-cy * sp * cr + sy * sr)
-    ty = t * (-sy * sp * cr - cy * sr)
-    tz = t * (cp * cr)
+    tx, ty, tz = t * rot.m02, t * rot.m12, t * rot.m22
 
     vel = pose.velocity
     k = params.drag

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pursuitsim.config import SimConfig, dump_config, load_config
+from pursuitsim.config import RatesConfig, SimConfig, dump_config, load_config
 from pursuitsim.mission import load_scenario
 
 SCENARIO = {"task": 1, "balloons": [{"anchor": [25.0, 3.0, 2.2]}], "duration": 30.0}
@@ -22,8 +22,14 @@ SCENARIO = {"task": 1, "balloons": [{"anchor": [25.0, 3.0, 2.2]}], "duration": 3
         (load_config, {"vehicle": {"gains": {"pos_kp": 1.2}}}),
         (load_scenario, {"task": 1, "balloon": [{"anchor": [25.0, 3.0, 2.2]}]}),
         (load_scenario, {**SCENARIO, "balloons": [{"anchor": [25.0, 3.0]}]}),
+        (load_config, {"vehicle": {"hover_thrust": 0}}),
+        (load_config, {"vehicle": {"tau_attitude": 0}}),
+        (load_config, {"trajectory": {"dt": 0}}),
+        (load_config, {"trajectory": {"replan_hz": 0}}),
+        (load_config, {"camera": {"width": 0}}),
     ],
-    ids=["string-gain", "slow-dynamics", "zero-window", "flat-gain-key", "misspelt-key", "short-anchor"],
+    ids=["string-gain", "slow-dynamics", "zero-window", "flat-gain-key", "misspelt-key", "short-anchor",
+         "zero-hover-thrust", "zero-attitude-lag", "zero-trajectory-dt", "zero-replan-rate", "zero-width"],
 )
 def test_bad_file_rejected_at_load(tmp_path, loader, data):
     path = tmp_path / "bad.json"
@@ -79,3 +85,28 @@ def test_dump_then_load_round_trips(cfg):
         path = os.path.join(tmp, "config.json")
         dump_config(cfg, path)
         assert load_config(path) == cfg
+
+
+@st.composite
+def _rates_and_duration(draw):
+    dynamics = draw(st.integers(50, 1000))
+    rates = RatesConfig(dynamics, draw(st.integers(1, dynamics)), draw(st.integers(1, dynamics)))
+    # step counts away from the half-step rounding boundary
+    steps = draw(st.integers(0, 3000)) + draw(st.floats(-0.4, 0.4))
+    return rates, max(0.0, steps) / dynamics
+
+
+@given(_rates_and_duration())
+def test_ticks_schedule(case):
+    rates, duration = case
+    ticks = list(rates.ticks(duration))
+    assert [k for k, *_ in ticks] == list(range(round(duration * rates.dynamics_hz)))
+    assert all(t == k * rates.dt for k, t, _, _ in ticks)
+    if ticks:
+        assert ticks[0][2:] == (True, True)
+    frames = [k * rates.perception_hz // rates.dynamics_hz for k, *_ in ticks]
+    perception = [k for k, _, due, _ in ticks if due]
+    assert len(perception) == len(set(frames))
+    assert perception == [k for k in range(len(ticks)) if k == 0 or frames[k] != frames[k - 1]]
+    every = round(rates.dynamics_hz / rates.control_hz)
+    assert [k for k, _, _, due in ticks if due] == list(range(0, len(ticks), every))

@@ -2,21 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pursuitsim.geometry import (
     BehindCameraError,
     CameraIntrinsics,
     Pose,
+    Rot3,
     Vec3,
     ZERO3,
+    attitude_rotation,
     body_heading,
     body_to_world,
     camera_to_body,
     body_to_camera,
     camera_to_world,
     los_rate,
+    mount_rotation,
     pixel_to_los,
     project_to_pixel,
+    world_point_to_camera,
     world_to_body,
     wrap_angle,
 )
@@ -199,3 +205,40 @@ class TestIntrinsics:
             CameraIntrinsics(-1.0, 1.0, 10.0, 10.0, 100, 100).validate()
         with pytest.raises(ValueError):
             CameraIntrinsics(100.0, 100.0, 200.0, 10.0, 100, 100).validate()
+
+
+angles = st.floats(-math.pi, math.pi)
+vectors = st.builds(Vec3, *(st.floats(-50.0, 50.0),) * 3)
+
+
+def _matrix(rot: Rot3) -> np.ndarray:
+    return np.array(rot).reshape(3, 3)
+
+
+class TestRotationProperties:
+    @given(angles, angles, angles)
+    def test_attitude_rotation_is_the_elementary_product(self, roll, pitch, yaw):
+        c, s = math.cos, math.sin
+        rz = np.array([[c(yaw), -s(yaw), 0], [s(yaw), c(yaw), 0], [0, 0, 1]])
+        ry = np.array([[c(-pitch), 0, s(-pitch)], [0, 1, 0], [-s(-pitch), 0, c(-pitch)]])
+        rx = np.array([[1, 0, 0], [0, c(roll), -s(roll)], [0, s(roll), c(roll)]])
+        m = _matrix(attitude_rotation(roll, pitch, yaw))
+        assert np.allclose(m, rz @ ry @ rx, rtol=0.0, atol=1e-12)
+        assert np.allclose(m @ m.T, np.eye(3), rtol=0.0, atol=1e-12)
+        assert abs(np.linalg.det(m) - 1.0) < 1e-12
+
+    @given(angles)
+    def test_mount_rotation_maps_optical_axis(self, mount):
+        m = _matrix(mount_rotation(mount))
+        assert np.allclose(m @ [0.0, 0.0, 1.0], [math.cos(mount), 0.0, math.sin(mount)], rtol=0.0, atol=1e-12)
+        assert np.allclose(m @ m.T, np.eye(3), rtol=0.0, atol=1e-12)
+        assert abs(np.linalg.det(m) - 1.0) < 1e-12
+
+    @given(vectors, vectors, angles, angles, angles, st.floats(-1.0, 1.0))
+    def test_frame_round_trips(self, v, position, roll, pitch, yaw, mount):
+        pose = Pose(position, ZERO3, roll, pitch, yaw)
+        assert vec_close(world_to_body(body_to_world(v, pose), pose), v, 1e-10)
+        assert vec_close(body_to_camera(camera_to_body(v, mount), mount), v, 1e-10)
+        # a world point seen from the camera, carried back by the inverse path
+        back = camera_to_world(world_point_to_camera(v, pose, mount), pose, mount) + position
+        assert vec_close(back, v, 1e-10)

@@ -1,5 +1,6 @@
 import pytest
 
+from pursuitsim import harness
 from pursuitsim.config import SimConfig
 from pursuitsim.engagement import FailureReason, TracePoint, run_engagement
 from pursuitsim.geometry import Vec3
@@ -15,7 +16,7 @@ from pursuitsim.harness import (
     trial_seed,
     write_matrix_outputs,
 )
-from pursuitsim.targets import PathKind, StationaryPath
+from pursuitsim.targets import PathKind, StationaryPath, TargetPathSpec, build_path
 
 SIM = SimConfig()
 RULES = SIM.rules
@@ -227,6 +228,38 @@ class TestMatrix:
             write_matrix_outputs(results, str(tmp_path / name), 31)
         for fname in ("trials.csv", "heatmap_tpn_straight.csv", "heatmap_pn_heading_straight.csv"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+
+class TestCrashIsolation:
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_raising_trial_is_recorded_as_crash(self, monkeypatch, capsys, parallelism):
+        configs = full_matrix(
+            trials=2, methods=[GuidanceMethod.TPN], speeds=[3.0],
+            paths=[PathKind.STRAIGHT], fractions=[0.25, 0.5],
+        )
+        clean = run_matrix(configs, 3, SIM)
+        bad_cfg = configs[1]
+        bad_seed = trial_seed(3, bad_cfg, 0)
+        bad_spec = TargetPathSpec(PathKind.STRAIGHT, bad_cfg.target_fraction * bad_cfg.uav_speed, seed=bad_seed)
+        bad_start = build_path(bad_spec).sample(0.0)
+        real = harness.run_engagement
+
+        def flaky(method, uav_speed, path, cfg, **kwargs):
+            if path.sample(0.0) == bad_start:
+                raise RuntimeError("injected failure")
+            return real(method, uav_speed, path, cfg, **kwargs)
+
+        monkeypatch.setattr(harness, "run_engagement", flaky)
+        results = run_matrix(configs, 3, SIM, parallelism=parallelism)
+        crashed = results[bad_cfg][0]
+        assert crashed.failure_reason == FailureReason.CRASH
+        assert (crashed.completed, crashed.hit, crashed.seed) == (False, False, bad_seed)
+        assert results[configs[0]] == clean[configs[0]]
+        assert results[bad_cfg][1] == clean[bad_cfg][1]
+        assert aggregate(results[bad_cfg]).completion_rate == 0.5
+        if parallelism == 1:  # forked workers write to their own stderr
+            err = capsys.readouterr().err
+            assert f"seed={bad_seed}" in err and "RuntimeError: injected failure" in err
 
 
 class TestConfigValidation:
