@@ -117,6 +117,14 @@ class RulesConfig:
     crash_sustain: float = 0.5       # s above the limit before declaring a crash
     ideal_velocity_tau: float = 0.3  # s, velocity-command tracking in ideal mode
 
+    def validate(self) -> None:
+        for name in ("hit_radius", "pursuit_timeout", "bounds_x", "bounds_y", "bounds_z",
+                     "fov_loss_timeout", "crash_accel_g", "ideal_velocity_tau"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"rules.{name} must be positive")
+        if not self.crash_sustain >= 0.0:
+            raise ValueError("rules.crash_sustain must be >= 0")
+
 
 @dataclass
 class SimConfig:
@@ -129,12 +137,8 @@ class SimConfig:
     rules: RulesConfig = field(default_factory=RulesConfig)
 
     def validate(self) -> None:
-        self.camera.validate()
-        self.perception.validate()
-        self.guidance.validate()
-        self.trajectory.validate()
-        self.vehicle.validate()
-        self.rates.validate()
+        for section in dataclasses.fields(self):
+            getattr(self, section.name).validate()
 
 
 def from_dict(cls: type, data: Any) -> Any:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -21,24 +21,37 @@ from .geometry import CameraIntrinsics, Vec3, pixel_to_los
 
 @dataclass
 class SegmentationImage:
+    """Binary image of one frame, stored as the sub-mask of a window (u0, v0,
+    u1, v1), end-exclusive, that holds every set pixel. `render_sphere` uses
+    the closed-form box of the silhouette's image conic; a hand-built image
+    passes the full-frame mask and no window, and its window is the frame."""
+
     width: int
     height: int
-    mask: np.ndarray  # bool, shape (height, width)
-    # Tight-enough scan window (u0, v0, u1, v1), end-exclusive, guaranteed to
-    # contain every set pixel. Defaults to the full image for hand-built masks.
+    window_mask: np.ndarray  # bool, shape (v1 - v0, u1 - u0)
     window: Optional[tuple[int, int, int, int]] = None
+    _coords: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.mask.shape != (self.height, self.width):
-            raise ValueError("mask shape must be (height, width)")
-        if self.window is None:
-            self.window = (0, 0, self.width, self.height)
+        self.window = self.window or (0, 0, self.width, self.height)
+        u0, v0, u1, v1 = self.window
+        if self.window_mask.shape != (v1 - v0, u1 - u0):
+            raise ValueError("mask shape must be the window's (height, width)")
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The full (height, width) frame, built on demand."""
+        u0, v0, u1, v1 = self.window
+        full = np.zeros((self.height, self.width), dtype=bool)
+        full[v0:v1, u0:u1] = self.window_mask
+        return full
 
     def pixel_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (us, vs) of set-pixel coordinates, scanning only the window."""
-        u0, v0, u1, v1 = self.window
-        vs, us = np.nonzero(self.mask[v0:v1, u0:u1])
-        return us + u0, vs + v0
+        """Set-pixel coordinates (us, vs) from one window scan, shared: read only."""
+        if self._coords is None:
+            vs, us = np.nonzero(self.window_mask)
+            self._coords = (us + self.window[0], vs + self.window[1])
+        return self._coords
 
 
 @dataclass(frozen=True)
@@ -60,45 +73,36 @@ class DepthEstimate:
         return DepthEstimate(0.0, 0.0, 0.0, False)
 
 
-_CONE_BOUNDARY_SAMPLES = 48
+_WINDOW_PAD = 2  # px around the conic's bounding box, against rounding
+_NO_PIXELS = np.zeros((0, 0), dtype=bool)
 
 
 def _silhouette_window(
     center_cam: Vec3, beta: float, k: CameraIntrinsics
 ) -> Optional[tuple[int, int, int, int]]:
-    """Conservative pixel window containing the silhouette cone's image.
+    """Padded pixel bounding box of the silhouette cone's image, clipped.
 
-    Samples the boundary circle of the cone and takes the pixel bounding box
-    with padding. Returns None when any boundary direction fails to project
-    (extreme wide-angle geometry); callers then scan the full frame.
+    In normalized coordinates d = (x, y, 1) the image is the conic
+    (c.d)^2 - cos^2(beta) |d|^2 = 0, c the unit center direction. Its u
+    extremes solve dQ/dy = 0 and its v extremes dQ/dx = 0, which leaves
+    (c_z^2 - sin^2 beta) x^2 - 2 c_x c_z x + c_x^2 - sin^2 beta = 0 (and
+    the same in c_y for y). None when c_z <= sin(beta): the cone reaches
+    the horizon, its image is unbounded and callers scan the full frame.
     """
     c = center_cam.unit()
-    # orthonormal pair spanning the plane normal to c
-    ref = Vec3(0.0, 1.0, 0.0) if abs(c.x) > 0.9 else Vec3(1.0, 0.0, 0.0)
-    e1 = (ref - c.scale(ref.dot(c))).unit()
-    e2 = c.cross(e1)
-    cb, sb = math.cos(beta), math.sin(beta)
-    umin = vmin = math.inf
-    umax = vmax = -math.inf
-    for i in range(_CONE_BOUNDARY_SAMPLES):
-        phi = 2.0 * math.pi * i / _CONE_BOUNDARY_SAMPLES
-        cp, sp = math.cos(phi), math.sin(phi)
-        dx = cb * c.x + sb * (cp * e1.x + sp * e2.x)
-        dy = cb * c.y + sb * (cp * e1.y + sp * e2.y)
-        dz = cb * c.z + sb * (cp * e1.z + sp * e2.z)
-        if dz <= 1e-9:
-            return None
-        u = k.fx * dx / dz + k.cx
-        v = k.fy * dy / dz + k.cy
-        umin = min(umin, u)
-        umax = max(umax, u)
-        vmin = min(vmin, v)
-        vmax = max(vmax, v)
-    pad = 2
-    u0 = max(0, int(math.floor(umin)) - pad)
-    v0 = max(0, int(math.floor(vmin)) - pad)
-    u1 = min(k.width, int(math.ceil(umax)) + pad + 1)
-    v1 = min(k.height, int(math.ceil(vmax)) + pad + 1)
+    sb = math.sin(beta)
+    if c.z <= sb:
+        return None
+    lead = (c.z - sb) * (c.z + sb)
+
+    def span(a: float, f: float, c0: float, n: int) -> tuple[int, int]:
+        # the root pair as q / lead and (a^2 - sin^2 beta) / q, free of cancellation
+        q = a * c.z + math.copysign(sb * math.sqrt(a * a + lead), a)
+        lo, hi = sorted((f * (q / lead) + c0, f * ((a - sb) * (a + sb) / q) + c0))
+        return max(0, math.floor(lo) - _WINDOW_PAD), min(n, math.ceil(hi) + _WINDOW_PAD + 1)
+
+    u0, u1 = span(c.x, k.fx, k.cx, k.width)
+    v0, v1 = span(c.y, k.fy, k.cy, k.height)
     return (u0, v0, u1, v1)
 
 
@@ -107,37 +111,29 @@ def render_sphere(center_cam: Vec3, radius: float, k: CameraIntrinsics) -> Segme
 
     A pixel is set iff the angle between its back-projected ray and the ray
     to the sphere center is at most asin(radius / range). Off-frame and
-    behind-camera spheres yield an empty (or partial) mask.
+    behind-camera spheres yield an empty (or partial) mask. Only the
+    silhouette window's pixels are evaluated and stored.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    mask = np.zeros((k.height, k.width), dtype=bool)
     if center_cam.z <= 0.0:
-        return SegmentationImage(k.width, k.height, mask, (0, 0, 0, 0))
+        return SegmentationImage(k.width, k.height, _NO_PIXELS, (0, 0, 0, 0))
     dist = center_cam.norm()
     if dist <= radius:
         # camera inside the target: everything is target
-        mask[:, :] = True
-        return SegmentationImage(k.width, k.height, mask)
+        return SegmentationImage(k.width, k.height, np.ones((k.height, k.width), dtype=bool))
 
     beta = math.asin(radius / dist)
-    window = _silhouette_window(center_cam, beta, k)
-    if window is None:
-        window = (0, 0, k.width, k.height)
-    u0, v0, u1, v1 = window
+    u0, v0, u1, v1 = _silhouette_window(center_cam, beta, k) or (0, 0, k.width, k.height)
     if u0 >= u1 or v0 >= v1:
-        return SegmentationImage(k.width, k.height, mask, (0, 0, 0, 0))
+        return SegmentationImage(k.width, k.height, _NO_PIXELS, (0, 0, 0, 0))
 
-    us = (np.arange(u0, u1, dtype=np.float64) - k.cx) / k.fx
-    vs = (np.arange(v0, v1, dtype=np.float64) - k.cy) / k.fy
-    ray_x = us[np.newaxis, :]
-    ray_y = vs[:, np.newaxis]
+    ray_x = ((np.arange(u0, u1, dtype=np.float64) - k.cx) / k.fx)[np.newaxis, :]
+    ray_y = ((np.arange(v0, v1, dtype=np.float64) - k.cy) / k.fy)[:, np.newaxis]
     # cos(angle) >= cos(beta), with ray z == 1
     lhs = (ray_x * center_cam.x + ray_y * center_cam.y + center_cam.z)
     rhs = math.cos(beta) * dist * np.sqrt(ray_x * ray_x + ray_y * ray_y + 1.0)
-    sub = lhs >= rhs
-    mask[v0:v1, u0:u1] = sub
-    return SegmentationImage(k.width, k.height, mask, window)
+    return SegmentationImage(k.width, k.height, lhs >= rhs, (u0, v0, u1, v1))
 
 
 def centroid(seg: SegmentationImage) -> Optional[Detection]:

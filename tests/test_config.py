@@ -27,9 +27,13 @@ SCENARIO = {"task": 1, "balloons": [{"anchor": [25.0, 3.0, 2.2]}], "duration": 3
         (load_config, {"trajectory": {"dt": 0}}),
         (load_config, {"trajectory": {"replan_hz": 0}}),
         (load_config, {"camera": {"width": 0}}),
+        (load_config, {"rules": {"pursuit_timeout": -5}}),
+        (load_config, {"rules": {"hit_radius": -1}}),
+        (load_config, {"rules": {"fov_loss_timeout": 0}}),
     ],
     ids=["string-gain", "slow-dynamics", "zero-window", "flat-gain-key", "misspelt-key", "short-anchor",
-         "zero-hover-thrust", "zero-attitude-lag", "zero-trajectory-dt", "zero-replan-rate", "zero-width"],
+         "zero-hover-thrust", "zero-attitude-lag", "zero-trajectory-dt", "zero-replan-rate", "zero-width",
+         "negative-timeout", "negative-hit-radius", "zero-fov-loss-timeout"],
 )
 def test_bad_file_rejected_at_load(tmp_path, loader, data):
     path = tmp_path / "bad.json"

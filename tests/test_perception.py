@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pursuitsim.geometry import CameraIntrinsics, Vec3, los_rate, pixel_to_los
 from pursuitsim.perception import (
@@ -211,7 +214,119 @@ class TestMovingAverageFilter:
             MovingAverageFilter(0)
 
 
+# A 150-degree lens puts the horizon close to the frame edge, where the
+# closed-form window falls back to scanning the full frame.
+WIDE = CameraIntrinsics.from_hfov(math.radians(150.0), 96, 72)
+
+
+def full_frame_predicate(center, radius, k):
+    """The silhouette rule evaluated at every pixel with render_sphere's own
+    expression, without any window."""
+    if center.z <= 0.0:
+        return np.zeros((k.height, k.width), dtype=bool)
+    dist = center.norm()
+    if dist <= radius:
+        return np.ones((k.height, k.width), dtype=bool)
+    beta = math.asin(radius / dist)
+    ray_x = ((np.arange(k.width, dtype=np.float64) - k.cx) / k.fx)[np.newaxis, :]
+    ray_y = ((np.arange(k.height, dtype=np.float64) - k.cy) / k.fy)[:, np.newaxis]
+    lhs = (ray_x * center.x + ray_y * center.y + center.z)
+    rhs = math.cos(beta) * dist * np.sqrt(ray_x * ray_x + ray_y * ray_y + 1.0)
+    return lhs >= rhs
+
+
+@st.composite
+def sphere_views(draw):
+    """(center, radius, camera) over the cases the window must handle."""
+    k = draw(st.sampled_from([K, WIDE]))
+    kind = draw(st.sampled_from(["any", "behind", "off-frame", "edge", "horizon", "inside"]))
+    radius = draw(st.floats(0.05, 3.0))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "inside":
+        dist = radius * draw(st.floats(0.0, 1.0))
+        x, y, z = draw(unit), draw(unit), draw(unit)
+        n = math.sqrt(x * x + y * y + z * z) or 1.0
+        return Vec3(dist * x / n, dist * y / n, dist * z / n), radius, k
+    if kind == "behind":
+        return Vec3(draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 0.0))), radius, k
+    if kind == "horizon":
+        # center raised about beta above the camera's z = 0 plane, where the
+        # cone's image stops being bounded
+        dist = draw(st.floats(radius * 1.01, 40.0))
+        elev = math.asin(radius / dist) * draw(st.floats(0.8, 1.2))
+        az = draw(st.floats(-math.pi, math.pi))
+        rho = dist * math.cos(elev)
+        return Vec3(rho * math.cos(az), rho * math.sin(az), dist * math.sin(elev)), radius, k
+    z = draw(st.floats(0.05, 60.0))
+    if kind == "any":
+        return Vec3(draw(st.floats(-30.0, 30.0)), draw(st.floats(-30.0, 30.0)), z), radius, k
+    # image position relative to the frame: an edge is at +-1, off-frame beyond it
+    spread = st.floats(0.85, 1.15) if kind == "edge" else st.floats(1.3, 6.0)
+    fu = draw(spread) * draw(st.sampled_from([-1.0, 1.0]))
+    fv = draw(st.floats(-1.2, 1.2))
+    if draw(st.booleans()):
+        fu, fv = fv, fu
+    x = fu * (k.width / 2.0) / k.fx * z
+    y = fv * (k.height / 2.0) / k.fy * z
+    return Vec3(x, y, z), radius, k
+
+
+class TestRenderProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(sphere_views())
+    def test_mask_is_full_frame_predicate(self, view):
+        center, radius, k = view
+        seg = render_sphere(center, radius, k)
+        assert np.array_equal(seg.mask, full_frame_predicate(center, radius, k))
+        u0, v0, u1, v1 = seg.window
+        assert 0 <= u0 and 0 <= v0 and u1 <= k.width and v1 <= k.height
+        vs, us = np.nonzero(seg.mask)
+        assert ((us >= u0) & (us < u1) & (vs >= v0) & (vs < v1)).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(sphere_views())
+    def test_moments_equal_hand_built_full_frame(self, view):
+        center, radius, k = view
+        seg = render_sphere(center, radius, k)
+        hand = SegmentationImage(k.width, k.height, seg.mask)
+        det = centroid(seg)
+        assert det == centroid(hand)
+        if det is not None:
+            assert estimate_depth(seg, det, k, 2.0 * radius) == estimate_depth(hand, det, k, 2.0 * radius)
+
+    def test_pixel_coords_scan_once(self):
+        seg = render_sphere(Vec3(0.3, -0.2, 6.0), 0.5, K)
+        assert seg.pixel_coords() is seg.pixel_coords()
+
+    def test_window_bounds_the_blob_tightly(self):
+        seg = render_sphere(Vec3(1.0, 0.5, 8.0), 0.5, K)
+        det = centroid(seg)
+        u0, v0, u1, v1 = seg.window
+        # the 2-px pad plus under two pixels between the conic and its pixels
+        assert det.bbox[0] - u0 <= 4 and u1 - 1 - det.bbox[2] <= 4
+        assert det.bbox[1] - v0 <= 4 and v1 - 1 - det.bbox[3] <= 4
+
+
 class TestPgmDump:
+    # reference digests of write_pgm output: a renderer change that moves one
+    # pixel of these frames (edge-clipped, full-frame fallback, camera inside
+    # the sphere among them) changes them
+    GOLDEN = [
+        (Vec3(0.0, 0.0, 10.0), "ef1034b4f15aefbdbc157c9579f38e6a3ea8ece65a12e7dd631635446a0b3eb3"),
+        (Vec3(3.0, 2.0, 15.0), "72b14cb1a7d9d400498f93f7a0ba0f0fd4a3523529cd80bba239bae6073ff415"),
+        (Vec3(-4.3, 1.1, 3.0), "608cdda5c95a6c607db4f39fa83960d19101981b56f3c3bcf39d0d03d7315a1c"),
+        (Vec3(0.0, 0.0, -5.0), "d22ab682cf7a7a23efcb1a8971d324ef57336cf3b19f5566f0500c43e52ccad5"),
+        (Vec3(0.1, 0.2, 0.3), "e347d95d7afa7cc7b8b29c98f489c0a50897858915a94b7ba585a98d92d78d60"),
+        (Vec3(1.2, 0.3, 0.4), "d7080e52cf54a3e3fd4a34ee00d0e08f58f613c726bb123d7290729a25b56bcf"),
+        (Vec3(0.6, 0.3, 0.45), "188e970a78f34ae1a6f5dcbf12903f8b9be8bb595370d32bdd33b253a521823c"),
+    ]
+
+    @pytest.mark.parametrize("center, digest", GOLDEN)
+    def test_rendered_frames_byte_identical(self, tmp_path, center, digest):
+        path = tmp_path / "mask.pgm"
+        write_pgm(render_sphere(center, 0.5, K), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_header_and_payload(self, tmp_path):
         seg = render_sphere(Vec3(0, 0, 10.0), 0.5, K)
         path = tmp_path / "mask.pgm"
