@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Optional
@@ -11,7 +12,9 @@ from .config import SimConfig, dump_config, load_config
 from .guidance import GuidanceMethod
 from .harness import (
     ExperimentConfig,
+    TARGET_FRACTIONS,
     TRIALS_PER_CONFIG,
+    UAV_SPEEDS,
     aggregate,
     full_matrix,
     run_matrix,
@@ -85,16 +88,13 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     sim = _load_sim(args)
     methods = [_parse_method(m) for m in args.method] if args.method else list(GuidanceMethod)
     paths = [_parse_path(p) for p in args.path] if args.path else list(PathKind)
-    speeds = args.uav_speed or list((2.0, 3.0, 4.0, 5.0))
-    fractions = args.target_fraction or list((0.25, 0.50, 0.75, 1.00))
+    speeds = args.uav_speed or UAV_SPEEDS
+    fractions = args.target_fraction or TARGET_FRACTIONS
     configs = full_matrix(
         trials=args.trials, methods=methods, speeds=speeds, paths=paths, fractions=fractions
     )
     if args.ideal_dynamics:
-        configs = [
-            ExperimentConfig(c.method, c.uav_speed, c.path_kind, c.target_fraction, c.trials, True)
-            for c in configs
-        ]
+        configs = [dataclasses.replace(c, ideal_dynamics=True) for c in configs]
     print(f"running {len(configs)} configurations x {args.trials} trials "
           f"(parallel={args.parallel}, master seed={args.seed})")
     results = run_matrix(configs, args.seed, sim, parallelism=args.parallel)

@@ -60,6 +60,8 @@ from .trajectory import (
 )
 from .vehicle import (
     GRAVITY,
+    AttitudeCommand,
+    ControllerGains,
     PoseController,
     UavState,
     VelocityController,
@@ -165,6 +167,81 @@ def camera_view(
     return seg, centroid(seg)
 
 
+def _yaw_rate_toward(wp: Waypoint, uav: UavState, gains: ControllerGains) -> float:
+    return gains.yaw_kp * wrap_angle(wp.yaw - uav.pose.yaw)
+
+
+class Pilot:
+    """The vehicle front end: one setpoint per control tick, flown through
+    the cascaded pose/velocity PID loops into `dynamics_step`.
+
+    Setpoints are a world velocity, a tracked waypoint with its feedforward
+    velocity, or a world acceleration. The velocity reference carries over
+    between setpoints, so an acceleration keeps integrating from whatever
+    the last velocity or waypoint setpoint left.
+    """
+
+    def __init__(self, cfg: SimConfig):
+        self.params = cfg.vehicle
+        self.dt = cfg.rates.dt
+        self.dt_ctrl = cfg.rates.control_dt
+        self.pose_ctl = PoseController(self.params.gains)
+        self.vel_ctl = VelocityController(self.params.gains, self.params)
+        self.v_ref = ZERO3
+        self.cmd = AttitudeCommand(0.0, 0.0, 0.0, self.params.hover_thrust)
+
+    def velocity(self, v: Vec3, yaw_rate: float, uav: UavState) -> None:
+        self.v_ref = v
+        self.cmd = self.vel_ctl.step(v, ZERO3, yaw_rate, uav, self.dt_ctrl)
+
+    def waypoint(self, wp: Waypoint, v_ff: Vec3, uav: UavState) -> None:
+        yaw_rate = _yaw_rate_toward(wp, uav, self.params.gains)
+        self.v_ref = self.pose_ctl.step(wp, v_ff, uav, self.dt_ctrl)
+        self.cmd = self.vel_ctl.step(self.v_ref, ZERO3, yaw_rate, uav, self.dt_ctrl)
+
+    def accel(self, a_world: Vec3, yaw_rate: float, v_limit: float, uav: UavState) -> None:
+        # integrated into the velocity reference, plus a feedforward term
+        self.v_ref = (self.v_ref + a_world.scale(self.dt_ctrl)).clamp_norm(v_limit)
+        self.cmd = self.vel_ctl.step(self.v_ref, a_world, yaw_rate, uav, self.dt_ctrl)
+
+    def fly(self, uav: UavState) -> UavState:
+        return dynamics_step(uav, self.cmd, self.dt, self.params)
+
+
+class IdealPilot:
+    """Perfect acceleration tracking (`ideal_dynamics_step`) behind the same
+    setpoints as `Pilot`: velocities and waypoints become a world acceleration
+    bounded by the guidance `max_accel`; accelerations pass straight through."""
+
+    WAYPOINT_KP = 2.5
+    WAYPOINT_KV = 3.0
+
+    def __init__(self, cfg: SimConfig):
+        self.params = cfg.vehicle
+        self.dt = cfg.rates.dt
+        self.tau = cfg.rules.ideal_velocity_tau
+        self.max_accel = cfg.guidance.max_accel
+        self.a_world = ZERO3
+        self.yaw_rate = 0.0
+
+    def velocity(self, v: Vec3, yaw_rate: float, uav: UavState) -> None:
+        self.a_world = (v - uav.pose.velocity).scale(1.0 / self.tau).clamp_norm(self.max_accel)
+        self.yaw_rate = yaw_rate
+
+    def waypoint(self, wp: Waypoint, v_ff: Vec3, uav: UavState) -> None:
+        pose = uav.pose
+        a = (wp.position - pose.position).scale(self.WAYPOINT_KP) + (v_ff - pose.velocity).scale(self.WAYPOINT_KV)
+        self.a_world = a.clamp_norm(self.max_accel)
+        self.yaw_rate = _yaw_rate_toward(wp, uav, self.params.gains)
+
+    def accel(self, a_world: Vec3, yaw_rate: float, v_limit: float, uav: UavState) -> None:
+        self.a_world = a_world
+        self.yaw_rate = yaw_rate
+
+    def fly(self, uav: UavState) -> UavState:
+        return ideal_dynamics_step(uav, self.a_world, self.yaw_rate, self.dt, self.params)
+
+
 class PerceptionPipeline:
     """Camera view -> LOS/rate -> depth for one target, plus the flat
     moving-average smoothing whose outputs feed trajectory-based guidance."""
@@ -234,19 +311,15 @@ def run_engagement(
 ) -> EngagementResult:
     cfg.validate()
     rules = cfg.rules
-    vparams = cfg.vehicle
-    gains = vparams.gains
     gp = cfg.guidance
-    mount_pitch = cfg.camera.mount_pitch(uav_speed, vparams)
+    mount_pitch = cfg.camera.mount_pitch(uav_speed, cfg.vehicle)
 
     target0 = path.sample(0.0)
     pipeline = PerceptionPipeline(cfg, mount_pitch, 2.0 * target0.radius)
-    pose_ctl = PoseController(gains)
-    vel_ctl = VelocityController(gains, vparams)
+    pilot = IdealPilot(cfg) if ideal_dynamics else Pilot(cfg)
 
     rates = cfg.rates
     dt = rates.dt
-    dt_ctrl = rates.control_dt
     replan_hz = cfg.trajectory.replan_hz
 
     handoff = gp.init_duration
@@ -254,13 +327,10 @@ def run_engagement(
     monitor = HitMonitor(rules, _path_bounds_center(path, horizon), handoff)
 
     uav = UavState.at_rest(ZERO3, yaw=0.0)
-    v_ref = ZERO3
     v_ref_limit = max(2.0 * uav_speed, 6.0)
     init_cmd_vel = ZERO3
     gstate = GuidanceState()
     cmd_scale = 0.0
-    a_world_cmd = ZERO3  # control-rate world acceleration (ideal mode)
-    yaw_rate_cmd = 0.0
 
     traj: Optional[Trajectory] = None
     traj_start = 0.0
@@ -322,52 +392,21 @@ def run_engagement(
         if control_due:
             if not pursuing:
                 stale = gstate.time_since_detection > gp.dropout_hold
-                v_cmd = ZERO3 if stale else init_cmd_vel
-                if ideal_dynamics:
-                    a_world_cmd = _vel_track_accel(v_cmd, uav.pose.velocity, rules.ideal_velocity_tau, gp.max_accel)
-                    yaw_rate_cmd = 0.0
-                else:
-                    v_ref = v_cmd
-                    att_cmd = vel_ctl.step(v_ref, ZERO3, 0.0, uav, dt_ctrl)
-            elif method.is_trajectory:
-                if traj is not None:
-                    cur = cursor_step(traj, t - traj_start, replan_hz, cfg.trajectory.lookahead_buffer, cursor_min)
-                    cursor_min = cur.tracking_index
-                    wp = cur.tracking_point
-                    yaw_rate_cmd = gains.yaw_kp * wrap_angle(wp.yaw - uav.pose.yaw)
-                    if ideal_dynamics:
-                        a_world_cmd = _waypoint_track_accel(wp, cur.tracking_velocity, uav.pose, gp.max_accel)
-                    else:
-                        v_ref = pose_ctl.step(wp, cur.tracking_velocity, uav, dt_ctrl)
-                        att_cmd = vel_ctl.step(v_ref, ZERO3, yaw_rate_cmd, uav, dt_ctrl)
-                else:
-                    if ideal_dynamics:
-                        a_world_cmd = _vel_track_accel(ZERO3, uav.pose.velocity, rules.ideal_velocity_tau, gp.max_accel)
-                        yaw_rate_cmd = 0.0
-                    else:
-                        v_ref = ZERO3
-                        att_cmd = vel_ctl.step(v_ref, ZERO3, 0.0, uav, dt_ctrl)
+                pilot.velocity(ZERO3 if stale else init_cmd_vel, 0.0, uav)
+            elif not method.is_trajectory:
+                cmd = gstate.last_command
+                a_world = body_to_world(cmd.accel_body.scale(cmd_scale), uav.pose)
+                pilot.accel(a_world, cmd.yaw_rate * cmd_scale, v_ref_limit, uav)
+            elif traj is not None:
+                cur = cursor_step(traj, t - traj_start, replan_hz, cfg.trajectory.lookahead_buffer, cursor_min)
+                cursor_min = cur.tracking_index
+                pilot.waypoint(cur.tracking_point, cur.tracking_velocity, uav)
             else:
-                a_body = gstate.last_command.accel_body.scale(cmd_scale)
-                a_world = body_to_world(a_body, uav.pose)
-                yaw_rate_cmd = gstate.last_command.yaw_rate * cmd_scale
-                if ideal_dynamics:
-                    a_world_cmd = a_world
-                else:
-                    # acceleration commands are satisfied by integrating them
-                    # into the velocity reference, plus a feedforward term
-                    v_ref = v_ref + a_world.scale(dt_ctrl)
-                    vn = v_ref.norm()
-                    if vn > v_ref_limit:
-                        v_ref = v_ref.scale(v_ref_limit / vn)
-                    att_cmd = vel_ctl.step(v_ref, a_world, yaw_rate_cmd, uav, dt_ctrl)
+                pilot.velocity(ZERO3, 0.0, uav)
 
         # ---- dynamics ---------------------------------------------------
         v_before = uav.pose.velocity
-        if ideal_dynamics:
-            uav = ideal_dynamics_step(uav, a_world_cmd, yaw_rate_cmd, dt, vparams)
-        else:
-            uav = dynamics_step(uav, att_cmd, dt, vparams)
+        uav = pilot.fly(uav)
         t_next = (k + 1) * dt
 
         # ---- safety + outcome checks -----------------------------------
@@ -413,26 +452,6 @@ def run_engagement(
         end_time=verdict.time,
         trace=trace,
     )
-
-
-def _vel_track_accel(v_cmd: Vec3, v: Vec3, tau: float, max_accel: float) -> Vec3:
-    a = (v_cmd - v).scale(1.0 / tau)
-    mag = a.norm()
-    if mag > max_accel:
-        a = a.scale(max_accel / mag)
-    return a
-
-
-_IDEAL_WP_KP = 2.5
-_IDEAL_WP_KV = 3.0
-
-
-def _waypoint_track_accel(wp: Waypoint, v_ff: Vec3, pose: Pose, max_accel: float) -> Vec3:
-    a = (wp.position - pose.position).scale(_IDEAL_WP_KP) + (v_ff - pose.velocity).scale(_IDEAL_WP_KV)
-    mag = a.norm()
-    if mag > max_accel:
-        a = a.scale(max_accel / mag)
-    return a
 
 
 def _path_bounds_center(path: TargetPath, horizon: float) -> Vec3:

@@ -52,6 +52,11 @@ class Vec3(NamedTuple):
             raise ValueError("cannot normalize zero vector")
         return Vec3(self.x / n, self.y / n, self.z / n)
 
+    def clamp_norm(self, limit: float) -> "Vec3":
+        """Scaled down to length `limit` when longer; unchanged otherwise."""
+        n = self.norm()
+        return self.scale(limit / n) if n > limit else self
+
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 

@@ -82,11 +82,8 @@ def closing_velocity(uav_vel_world: Vec3, los_world_unit: Vec3) -> float:
 
 
 def _clamp_command(accel: Vec3, yaw_rate: float, p: GuidanceParams) -> tuple[Vec3, float]:
-    mag = accel.norm()
-    if mag > p.max_accel:
-        accel = accel.scale(p.max_accel / mag)
     yaw_rate = min(p.max_yaw_rate, max(-p.max_yaw_rate, yaw_rate))
-    return accel, yaw_rate
+    return accel.clamp_norm(p.max_accel), yaw_rate
 
 
 def los_accel(los: LosSample, v_closing: float, p: GuidanceParams, mount_pitch: float = 0.0) -> Vec3:

@@ -25,18 +25,13 @@ from .geometry import (
     camera_to_world,
     pixel_to_los,
     rot_z,
-    wrap_angle,
 )
 from .perception import Detection
-from .engagement import camera_view
+from .engagement import Pilot, camera_view
 from .targets import PeriodicCurvePath, TargetState, fig8_curve
 from .trajectory import Trajectory, Waypoint, cursor_step
-from .vehicle import (
-    PoseController,
-    UavState,
-    VelocityController,
-    dynamics_step,
-)
+from .vehicle import UavState
+from .vehicle import dynamics_step  # noqa: F401  unused here; perfbench/tracer.py still wraps it by this name
 
 
 @dataclass
@@ -140,15 +135,7 @@ def lawnmower_plan(
 
     x_near, x_far = 0.0, arena.length
     x = x_near
-    for y in legs_fwd:
-        yaw = 0.0 if x == x_near else math.pi
-        entry = Vec3(x, y, altitude)
-        points.append((entry, yaw))
-        x_end = x_far if x == x_near else x_near
-        for p in _leg_points(entry, Vec3(x_end, y, altitude), waypoint_spacing):
-            points.append((p, yaw))
-        x = x_end
-    for y in reversed(legs_rev):
+    for y in legs_fwd + legs_rev[::-1]:
         yaw = 0.0 if x == x_near else math.pi
         entry = Vec3(x, y, altitude)
         points.append((entry, yaw))
@@ -486,8 +473,6 @@ class MissionSimulator:
         sc = self.sc
         sim = self.sim
         params = sc.params
-        vparams = sim.vehicle
-        gains = vparams.gains
         task = sc.task
 
         if task == 1:
@@ -496,7 +481,7 @@ class MissionSimulator:
         else:
             plan = square_search_plan(sc.arena, sc.square_altitude, sc.square_speed, sc.square_side)
             cruise = sc.square_speed
-        mount_pitch = sim.camera.mount_pitch(cruise, vparams)
+        mount_pitch = sim.camera.mount_pitch(cruise, sim.vehicle)
 
         gimbal = next((f for f in sc.faults if f.kind == "gimbal_offset"), None)
         latency = next((f for f in sc.faults if f.kind == "camera_latency"), None)
@@ -506,9 +491,7 @@ class MissionSimulator:
         balloons = [_Balloon(spec=b) for b in sc.balloons]
         ball = BallPath(sc.ball) if sc.ball is not None else None
 
-        pose_ctl = PoseController(gains)
-        vel_ctl = VelocityController(gains, vparams)
-
+        pilot = Pilot(sim)
         k_cam = sim.camera.intrinsics()
         state = MissionState()
         uav = UavState(
@@ -519,7 +502,6 @@ class MissionSimulator:
 
         rates = sim.rates
         dt = rates.dt
-        dt_ctrl = rates.control_dt
 
         active_traj = plan
         traj_start = 0.0
@@ -533,8 +515,6 @@ class MissionSimulator:
         frame_queue: list[tuple[float, Optional[Vec3], Optional[Vec3], bool]] = []
         min_ball_dist = math.inf
         attack_saw_pop = False
-        att_cmd = None
-        v_cmd = VelocityCommand(ZERO3, 0.0)
         logged_mode = state.mode
 
         for k, t, perception_due, control_due in rates.ticks(sc.duration):
@@ -566,10 +546,7 @@ class MissionSimulator:
                         sim.trajectory.replan_hz, sim.trajectory.lookahead_buffer, cursor_min,
                     )
                     cursor_min = cur.tracking_index
-                    wp = cur.tracking_point
-                    yaw_rate = gains.yaw_kp * wrap_angle(wp.yaw - uav.pose.yaw)
-                    v_ref = pose_ctl.step(wp, cur.tracking_velocity, uav, dt_ctrl)
-                    att_cmd = vel_ctl.step(v_ref, ZERO3, yaw_rate, uav, dt_ctrl)
+                    pilot.waypoint(cur.tracking_point, cur.tracking_velocity, uav)
                     if (
                         state.mode == MissionMode.RECOVER
                         and recover_until_index is not None
@@ -585,10 +562,9 @@ class MissionSimulator:
                     else:
                         v_cmd = task2_step(state, seen, uav, params, t)
                     self.command_log.append((t, state.mode.value, v_cmd.velocity_world, uav.pose.position.z))
-                    v_ref = v_cmd.velocity_world
-                    att_cmd = vel_ctl.step(v_ref, ZERO3, v_cmd.yaw_rate, uav, dt_ctrl)
+                    pilot.velocity(v_cmd.velocity_world, v_cmd.yaw_rate, uav)
 
-            uav = dynamics_step(uav, att_cmd, dt, vparams)
+            uav = pilot.fly(uav)
             t_next = (k + 1) * dt
 
             # balloon tether dynamics and pop/downdraft checks
@@ -608,8 +584,7 @@ class MissionSimulator:
                     acc = b.offset.scale(-4.0) + b.offset_vel.scale(-1.5)
                     b.offset_vel = b.offset_vel + acc.scale(dt)
                     b.offset = b.offset + b.offset_vel.scale(dt)
-                    if b.offset.norm() > 0.5:
-                        b.offset = b.offset.scale(0.5 / b.offset.norm())
+                    b.offset = b.offset.clamp_norm(0.5)
                     if (uav.pose.position - b.position).norm() <= params.pop_contact:
                         b.alive = False
                         self.pops += 1

@@ -241,9 +241,6 @@ class MovingAverageFilter:
             return Vec3(sx / n, sy / n, sz / n)
         return sum(self._buf) / n
 
-    def reset(self) -> None:
-        self._buf.clear()
-
 
 def write_pgm(seg: SegmentationImage, path: str) -> None:
     """Debug dump as binary PGM (P5), one byte per pixel, 0/255."""

@@ -100,10 +100,6 @@ class VectorPid:
         self._integral = [0.0, 0.0, 0.0]
         self._prev_error: Vec3 | None = None
 
-    def reset(self) -> None:
-        self._integral = [0.0, 0.0, 0.0]
-        self._prev_error = None
-
     def step(self, error: Vec3, dt: float) -> Vec3:
         g = self.gains
         out = [0.0, 0.0, 0.0]
@@ -129,9 +125,6 @@ class PoseController:
         self.gains = gains
         self.pid = VectorPid(gains.position, gains.integrator_limit)
 
-    def reset(self) -> None:
-        self.pid.reset()
-
     def step(self, tracking: Waypoint, ff_vel: Vec3, state: UavState, dt: float) -> Vec3:
         error = tracking.position - state.pose.position
         return self.pid.step(error, dt) + ff_vel.scale(self.gains.ff_weight)
@@ -150,9 +143,6 @@ class VelocityController:
         self.gains = gains
         self.params = params
         self.pid = VectorPid(gains.velocity, gains.integrator_limit)
-
-    def reset(self) -> None:
-        self.pid.reset()
 
     def step(
         self, v_ref: Vec3, a_ff: Vec3, yaw_rate: float, state: UavState, dt: float

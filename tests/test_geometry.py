@@ -242,3 +242,16 @@ class TestRotationProperties:
         # a world point seen from the camera, carried back by the inverse path
         back = camera_to_world(world_point_to_camera(v, pose, mount), pose, mount) + position
         assert vec_close(back, v, 1e-10)
+
+
+class TestClampNorm:
+    @given(vectors, st.floats(0.01, 100.0))
+    def test_within_limit_unchanged_else_limit_along_same_direction(self, v, limit):
+        out = v.clamp_norm(limit)
+        n = v.norm()
+        if n <= limit:
+            assert out == v
+        else:
+            assert abs(out.norm() - limit) <= 1e-12 * limit
+            assert out.dot(v) > 0.0
+            assert out.cross(v).norm() <= 1e-12 * limit * n

@@ -3,11 +3,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pursuitsim.geometry import Vec3, ZERO3
 from pursuitsim.trajectory import (
     ForecastInputs,
     NoClosingVelocityError,
+    STITCH_TOL,
     Trajectory,
     Waypoint,
     cursor_step,
@@ -227,6 +230,48 @@ class TestStitch:
         new = self.line(Vec3(5.0, 0, 0), Vec3(0, 1, 0), 4, 0.1)
         with pytest.raises(ValueError):
             stitch(old, new, 2)
+
+
+coords = st.floats(-50.0, 50.0)
+points = st.builds(Vec3, coords, coords, coords)
+steps = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12)
+later_points = st.lists(points, min_size=12, max_size=12)
+
+
+def _random_trajectory(t0: float, start: Vec3, dts: list[float], rest: list[Vec3]) -> Trajectory:
+    times = [t0]
+    for dt in dts:
+        times.append(times[-1] + dt)
+    positions = [start] + rest[: len(dts)]
+    return Trajectory(times, [Waypoint(p, 0.0, 1.0) for p in positions])
+
+
+class TestStitchProperties:
+    @given(
+        steps, later_points, points,
+        st.floats(0.0, 30.0), steps, later_points,
+        st.data(),
+    )
+    def test_prefix_kept_timeline_increasing_no_jump(self, old_dts, old_rest, start, new_t0, new_dts, new_rest, data):
+        old = _random_trajectory(0.0, start, old_dts, old_rest)
+        i = data.draw(st.integers(0, len(old) - 1))
+        seam = old.waypoints[i].position
+        nudge = Vec3(0.4 * STITCH_TOL, 0.0, 0.0)  # inside the stitch tolerance
+        new = _random_trajectory(new_t0, seam + nudge, new_dts, new_rest)
+        out = stitch(old, new, i)
+
+        assert out.times[: i + 1] == old.times[: i + 1]
+        assert out.waypoints[: i + 1] == old.waypoints[: i + 1]
+        assert out.waypoints[i + 1:] == new.waypoints[1:]
+        assert all(b > a for a, b in zip(out.times, out.times[1:]))
+        # the new segment's spacing in time is kept after re-basing
+        for j in range(1, len(new)):
+            got = out.times[i + j] - out.times[i]
+            assert abs(got - (new.times[j] - new.times[0])) <= 1e-9
+        # no position jump: the seam step is the new segment's first step
+        seam_step = out.waypoints[i + 1].position - out.waypoints[i].position
+        first_step = new.waypoints[1].position - new.waypoints[0].position
+        assert (seam_step - first_step).norm() <= STITCH_TOL
 
 
 class TestTrajectoryType:

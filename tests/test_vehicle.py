@@ -3,6 +3,7 @@ import math
 import pytest
 
 from pursuitsim.config import SimConfig
+from pursuitsim.engagement import IdealPilot, Pilot
 from pursuitsim.geometry import Pose, Vec3, ZERO3
 from pursuitsim.trajectory import Waypoint
 from pursuitsim.vehicle import (
@@ -179,54 +180,137 @@ class TestDynamics:
         assert runs[0] == runs[1]
 
 
+HOVER = Waypoint(Vec3(0, 0, 5.0), 0.0, 0.0)
+
+
 class TestClosedLoop:
-    def run_hover_loop(self, offset: Vec3, seconds: float):
+    def hover_states(self, offset: Vec3, seconds: float) -> list[UavState]:
         sim = SimConfig()
         params = sim.vehicle
         gains = sim.vehicle.gains
         pose_ctl = PoseController(gains)
         vel_ctl = VelocityController(gains, params)
-        target = Waypoint(Vec3(0, 0, 5.0), 0.0, 0.0)
-        state = UavState.at_rest(Vec3(0, 0, 5.0) + offset)
+        state = UavState.at_rest(HOVER.position + offset)
         dt = 1.0 / sim.rates.dynamics_hz
         ctrl_every = sim.rates.dynamics_hz // sim.rates.control_hz
         att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
         n = int(seconds / dt)
+        states = []
         for k in range(n):
             if k % ctrl_every == 0:
-                v_ref = pose_ctl.step(target, ZERO3, state, ctrl_every * dt)
+                v_ref = pose_ctl.step(HOVER, ZERO3, state, ctrl_every * dt)
                 att = vel_ctl.step(v_ref, ZERO3, 0.0, state, ctrl_every * dt)
             state = dynamics_step(state, att, dt, params)
-        return state
+            states.append(state)
+        return states
 
-    def test_hover_converges_within_three_seconds(self):
-        state = self.run_hover_loop(Vec3(1.0, 0.0, -0.5), 3.0)
-        err = (state.pose.position - Vec3(0, 0, 5.0)).norm()
-        assert err < 0.05
-
-    def test_velocity_step_response(self):
+    def velocity_step_states(self, target: Vec3, seconds: float) -> list[UavState]:
         sim = SimConfig()
         params = sim.vehicle
-        gains = sim.vehicle.gains
-        vel_ctl = VelocityController(gains, params)
+        vel_ctl = VelocityController(params.gains, params)
         state = UavState.at_rest(Vec3(0, 0, 5.0))
         dt = 1.0 / sim.rates.dynamics_hz
         ctrl_every = sim.rates.dynamics_hz // sim.rates.control_hz
         att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
-        target = Vec3(2.0, 0, 0)
-        reached = None
-        peak = 0.0
-        n = int(4.0 / dt)
-        for k in range(n):
+        states = []
+        for k in range(int(seconds / dt)):
             if k % ctrl_every == 0:
                 att = vel_ctl.step(target, ZERO3, 0.0, state, ctrl_every * dt)
             state = dynamics_step(state, att, dt, params)
+            states.append(state)
+        return states
+
+    def test_hover_converges_within_three_seconds(self):
+        state = self.hover_states(Vec3(1.0, 0.0, -0.5), 3.0)[-1]
+        err = (state.pose.position - Vec3(0, 0, 5.0)).norm()
+        assert err < 0.05
+
+    def test_velocity_step_response(self):
+        dt = 1.0 / SimConfig().rates.dynamics_hz
+        reached = None
+        peak = 0.0
+        for k, state in enumerate(self.velocity_step_states(Vec3(2.0, 0, 0), 4.0)):
             vx = state.pose.velocity.x
             peak = max(peak, vx)
             if reached is None and abs(vx - 2.0) <= 0.2:
                 reached = (k + 1) * dt
         assert reached is not None and reached < 2.0
         assert peak <= 2.0 * 1.2
+
+
+def fly_pilot(pilot, state: UavState, n: int, setpoint) -> list[UavState]:
+    """`n` dynamics steps, giving `setpoint(pilot, state)` on each control tick."""
+    every = SimConfig().rates.control_every
+    states = []
+    for k in range(n):
+        if k % every == 0:
+            setpoint(pilot, state)
+        state = pilot.fly(state)
+        states.append(state)
+    return states
+
+
+class TestPilot:
+    def test_waypoint_reproduces_the_hand_written_cascade(self):
+        offset = Vec3(1.0, 0.0, -0.5)
+        expected = TestClosedLoop().hover_states(offset, 3.0)
+        got = fly_pilot(Pilot(SimConfig()), UavState.at_rest(HOVER.position + offset), len(expected),
+                        lambda p, s: p.waypoint(HOVER, ZERO3, s))
+        assert got == expected
+
+    def test_velocity_reproduces_the_hand_written_loop(self):
+        target = Vec3(2.0, 0, 0)
+        expected = TestClosedLoop().velocity_step_states(target, 4.0)
+        got = fly_pilot(Pilot(SimConfig()), UavState.at_rest(Vec3(0, 0, 5.0)), len(expected),
+                        lambda p, s: p.velocity(target, 0.0, s))
+        assert got == expected
+
+    def test_accel_integrates_into_the_velocity_reference(self):
+        sim = SimConfig()
+        dt_ctrl = sim.rates.control_dt
+        pilot = Pilot(sim)
+        vel_ctl = VelocityController(sim.vehicle.gains, sim.vehicle)
+        state = UavState.at_rest(ZERO3)
+        pilot.velocity(Vec3(1.0, 0.0, 0.0), 0.0, state)
+        vel_ctl.step(Vec3(1.0, 0.0, 0.0), ZERO3, 0.0, state, dt_ctrl)
+        a = Vec3(0.0, 2.0, 0.0)
+        pilot.accel(a, 0.3, 10.0, state)
+        # the velocity reference starts from the last velocity setpoint, and
+        # the acceleration is also fed forward
+        assert pilot.v_ref == Vec3(1.0, 2.0 * dt_ctrl, 0.0)
+        assert pilot.cmd == vel_ctl.step(pilot.v_ref, a, 0.3, state, dt_ctrl)
+
+    def test_accel_reference_clamped_at_v_limit(self):
+        pilot = Pilot(SimConfig())
+        state = UavState.at_rest(ZERO3)
+        for _ in range(200):
+            pilot.accel(Vec3(3.0, -4.0, 0.0), 0.0, 6.0, state)
+            assert pilot.v_ref.norm() <= 6.0 + 1e-12
+        assert abs(pilot.v_ref.norm() - 6.0) < 1e-12
+        assert (pilot.v_ref.unit() - Vec3(0.6, -0.8, 0.0)).norm() < 1e-12
+
+
+class TestIdealPilot:
+    def test_velocity_and_waypoint_clamped_at_max_accel(self):
+        sim = SimConfig()
+        max_accel = sim.guidance.max_accel
+        pilot = IdealPilot(sim)
+        state = UavState.at_rest(ZERO3)
+        pilot.velocity(Vec3(100.0, 0.0, 0.0), 0.0, state)
+        assert abs(pilot.a_world.norm() - max_accel) < 1e-12 and pilot.a_world.x > 0.0
+        pilot.waypoint(Waypoint(Vec3(0.0, -100.0, 0.0), 0.0, 0.0), ZERO3, state)
+        assert abs(pilot.a_world.norm() - max_accel) < 1e-12 and pilot.a_world.y < 0.0
+        # a small velocity error is tracked with the first-order time constant
+        pilot.velocity(Vec3(0.01, 0.0, 0.0), 0.0, state)
+        assert pilot.a_world == Vec3(0.01, 0.0, 0.0).scale(1.0 / sim.rules.ideal_velocity_tau)
+
+    def test_fly_is_ideal_dynamics_step(self):
+        sim = SimConfig()
+        pilot = IdealPilot(sim)
+        state = UavState(Pose(Vec3(1, 2, 3), Vec3(0.5, 0, 0), 0.0, 0.0, 0.2), ZERO3, 0.0)
+        a = Vec3(30.0, 0.0, 0.0)  # accelerations pass through unclamped
+        pilot.accel(a, 0.4, 6.0, state)
+        assert pilot.fly(state) == ideal_dynamics_step(state, a, 0.4, sim.rates.dt, sim.vehicle)
 
 
 class TestIdealDynamics:
