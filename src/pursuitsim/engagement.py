@@ -11,7 +11,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Union
 
 from .config import RulesConfig, SimConfig
 from .geometry import (
@@ -39,6 +40,7 @@ from .guidance import (
     tpn_command,
 )
 from .perception import (
+    DepthEstimate,
     Detection,
     MovingAverageFilter,
     SegmentationImage,
@@ -138,12 +140,28 @@ class HitMonitor:
 
 @dataclass
 class PerceptionFrame:
+    """One perception tick. The depth is the pipeline's estimate, or the call
+    that makes it on the first read of `d_center` or `depth_valid`: a frame
+    holds its tick's pixels until then."""
+
     t: float
     detected: bool
     detection: Optional[Detection] = None
     sample: Optional[LosSample] = None
-    d_center: float = 0.0
-    depth_valid: bool = False
+    _depth: Union[DepthEstimate, Callable[[], DepthEstimate]] = DepthEstimate.invalid()
+
+    def _estimate(self) -> DepthEstimate:
+        if callable(self._depth):
+            self._depth = self._depth()
+        return self._depth
+
+    @property
+    def d_center(self) -> float:
+        return self._estimate().d_center
+
+    @property
+    def depth_valid(self) -> bool:
+        return self._estimate().valid
 
 
 def camera_view(
@@ -244,12 +262,17 @@ class IdealPilot:
 
 class PerceptionPipeline:
     """Camera view -> LOS/rate -> depth for one target, plus the flat
-    moving-average smoothing whose outputs feed trajectory-based guidance."""
+    moving-average smoothing whose outputs feed trajectory-based guidance.
 
-    def __init__(self, cfg: SimConfig, mount_pitch: float, target_diameter: float):
+    Depth is estimated each frame only for `forecast-traj`, the one method
+    that reads `d_f`; otherwise only when a caller reads the frame's depth.
+    """
+
+    def __init__(self, cfg: SimConfig, mount_pitch: float, target_diameter: float, method: GuidanceMethod):
         self.k = cfg.camera.intrinsics()
         self.mount_pitch = mount_pitch
         self.target_diameter = target_diameter
+        self._ranging = method == GuidanceMethod.FORECAST_TRAJ
         window = cfg.perception.filter_window
         self._f_phi = MovingAverageFilter(window)
         self._f_n = MovingAverageFilter(window)
@@ -272,17 +295,18 @@ class PerceptionPipeline:
         else:
             phi_dot, n_unit, valid = 0.0, ZERO3, False
         sample = LosSample(ray, t, phi_dot, n_unit, valid)
-        depth = estimate_depth(seg, det, self.k, self.target_diameter)
+        frame = PerceptionFrame(t, True, det, sample,
+                                partial(estimate_depth, seg, det, self.k, self.target_diameter))
 
         self.ray_f = self._f_ray.step(ray)
         if valid:
             self.phi_f = self._f_phi.step(phi_dot)
             self.n_f = self._f_n.step(n_unit)
-        if depth.valid:
-            self.d_f = self._f_depth.step(depth.d_center)
+        if self._ranging and frame.depth_valid:
+            self.d_f = self._f_depth.step(frame.d_center)
         self._prev_ray = ray
         self._prev_t = t
-        return PerceptionFrame(t, True, det, sample, depth.d_center, depth.valid)
+        return frame
 
 
 @dataclass
@@ -315,7 +339,7 @@ def run_engagement(
     mount_pitch = cfg.camera.mount_pitch(uav_speed, cfg.vehicle)
 
     target0 = path.sample(0.0)
-    pipeline = PerceptionPipeline(cfg, mount_pitch, 2.0 * target0.radius)
+    pipeline = PerceptionPipeline(cfg, mount_pitch, 2.0 * target0.radius, method)
     pilot = IdealPilot(cfg) if ideal_dynamics else Pilot(cfg)
 
     rates = cfg.rates
@@ -352,10 +376,10 @@ def run_engagement(
         # ---- perception + guidance tick -------------------------------
         if perception_due:
             target = path.sample(t)
-            frame = pipeline.observe(t, target, uav.pose)
-            if frame.detected:
+            # the frame, and any pixels it holds, ends with this tick
+            sample = pipeline.observe(t, target, uav.pose).sample
+            if sample is not None:
                 gstate.time_since_detection = 0.0
-                sample = frame.sample
                 gstate.prev_los = sample
                 if sample.valid_rate:
                     phi_log.append((t, sample.phi_dot))

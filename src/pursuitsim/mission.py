@@ -497,7 +497,6 @@ class MissionSimulator:
         uav = UavState(
             Pose(sc.start if task == 1 else plan.waypoints[0].position, ZERO3, 0.0, 0.0, 0.0),
             ZERO3,
-            0.0,
         )
 
         rates = sim.rates

@@ -75,6 +75,26 @@ class DepthEstimate:
 
 _WINDOW_PAD = 2  # px around the conic's bounding box, against rounding
 _NO_PIXELS = np.zeros((0, 0), dtype=bool)
+_EMPTY_WINDOW = (0, 0, 0, 0)
+# A cone must clear a face of the frame's pyramid by this much more than its
+# half-angle to count as missing it. Pixel rays rise at least 90 degrees less
+# the corner angle above the horizon, so a cone that reaches both the horizon
+# and a pixel has a half-angle of several degrees, at which the render
+# predicate's rounding is ~1e-16 rad.
+_MISS_MARGIN = 1e-9  # rad
+
+
+def _cone_misses_frame(c: Vec3, beta: float, k: CameraIntrinsics) -> bool:
+    """Whether the cone of half-angle beta about the unit direction c lies
+    outside one face of the pyramid through the extreme pixel centres
+    (u = 0 and W-1, v = 0 and H-1), so that no pixel ray is inside it."""
+    limit = -math.sin(beta + _MISS_MARGIN)
+    for a, f, c0, n in ((c.x, k.fx, k.cx, k.width), (c.y, k.fy, k.cy, k.height)):
+        lo, hi = -c0 / f, (n - 1 - c0) / f
+        # sine of c's angle inside the faces a = lo z and a = hi z
+        if (a - lo * c.z) / math.hypot(1.0, lo) < limit or (hi * c.z - a) / math.hypot(1.0, hi) < limit:
+            return True
+    return False
 
 
 def _silhouette_window(
@@ -86,13 +106,14 @@ def _silhouette_window(
     (c.d)^2 - cos^2(beta) |d|^2 = 0, c the unit center direction. Its u
     extremes solve dQ/dy = 0 and its v extremes dQ/dx = 0, which leaves
     (c_z^2 - sin^2 beta) x^2 - 2 c_x c_z x + c_x^2 - sin^2 beta = 0 (and
-    the same in c_y for y). None when c_z <= sin(beta): the cone reaches
-    the horizon, its image is unbounded and callers scan the full frame.
+    the same in c_y for y). When c_z <= sin(beta) the cone reaches the
+    horizon and its image is unbounded: the window is empty if the cone
+    misses the frame, else None and callers scan the full frame.
     """
     c = center_cam.unit()
     sb = math.sin(beta)
     if c.z <= sb:
-        return None
+        return _EMPTY_WINDOW if _cone_misses_frame(c, beta, k) else None
     lead = (c.z - sb) * (c.z + sb)
 
     def span(a: float, f: float, c0: float, n: int) -> tuple[int, int]:
@@ -117,7 +138,7 @@ def render_sphere(center_cam: Vec3, radius: float, k: CameraIntrinsics) -> Segme
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if center_cam.z <= 0.0:
-        return SegmentationImage(k.width, k.height, _NO_PIXELS, (0, 0, 0, 0))
+        return SegmentationImage(k.width, k.height, _NO_PIXELS, _EMPTY_WINDOW)
     dist = center_cam.norm()
     if dist <= radius:
         # camera inside the target: everything is target
@@ -126,7 +147,7 @@ def render_sphere(center_cam: Vec3, radius: float, k: CameraIntrinsics) -> Segme
     beta = math.asin(radius / dist)
     u0, v0, u1, v1 = _silhouette_window(center_cam, beta, k) or (0, 0, k.width, k.height)
     if u0 >= u1 or v0 >= v1:
-        return SegmentationImage(k.width, k.height, _NO_PIXELS, (0, 0, 0, 0))
+        return SegmentationImage(k.width, k.height, _NO_PIXELS, _EMPTY_WINDOW)
 
     ray_x = ((np.arange(u0, u1, dtype=np.float64) - k.cx) / k.fx)[np.newaxis, :]
     ray_y = ((np.arange(v0, v1, dtype=np.float64) - k.cy) / k.fy)[:, np.newaxis]

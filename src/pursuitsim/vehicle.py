@@ -22,11 +22,10 @@ GRAVITY = 9.81
 class UavState:
     pose: Pose
     angular_rates: Vec3  # roll/pitch/yaw rates, rad/s
-    clock: float
 
     @staticmethod
     def at_rest(position: Vec3, yaw: float = 0.0) -> "UavState":
-        return UavState(Pose(position, ZERO3, 0.0, 0.0, yaw), ZERO3, 0.0)
+        return UavState(Pose(position, ZERO3, 0.0, 0.0, yaw), ZERO3)
 
 
 @dataclass(frozen=True)
@@ -199,9 +198,7 @@ def dynamics_step(
         pose.position.z + new_vel.z * dt,
     )
     rates = Vec3((roll - pose.roll) / dt, (pitch - pose.pitch) / dt, yaw_rate)
-    return UavState(
-        Pose(new_pos, new_vel, roll, pitch, yaw), rates, state.clock + dt
-    )
+    return UavState(Pose(new_pos, new_vel, roll, pitch, yaw), rates)
 
 
 def ideal_dynamics_step(
@@ -222,6 +219,4 @@ def ideal_dynamics_step(
         pose.position.y + new_vel.y * dt,
         pose.position.z + new_vel.z * dt,
     )
-    return UavState(
-        Pose(new_pos, new_vel, 0.0, 0.0, yaw), Vec3(0.0, 0.0, yaw_rate), state.clock + dt
-    )
+    return UavState(Pose(new_pos, new_vel, 0.0, 0.0, yaw), Vec3(0.0, 0.0, yaw_rate))

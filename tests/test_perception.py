@@ -239,7 +239,7 @@ def full_frame_predicate(center, radius, k):
 def sphere_views(draw):
     """(center, radius, camera) over the cases the window must handle."""
     k = draw(st.sampled_from([K, WIDE]))
-    kind = draw(st.sampled_from(["any", "behind", "off-frame", "edge", "horizon", "inside"]))
+    kind = draw(st.sampled_from(["any", "behind", "off-frame", "edge", "horizon", "beside", "inside"]))
     radius = draw(st.floats(0.05, 3.0))
     unit = st.floats(-1.0, 1.0)
     if kind == "inside":
@@ -257,6 +257,14 @@ def sphere_views(draw):
         az = draw(st.floats(-math.pi, math.pi))
         rho = dist * math.cos(elev)
         return Vec3(rho * math.cos(az), rho * math.sin(az), dist * math.sin(elev)), radius, k
+    if kind == "beside":
+        # center 60-120 degrees off the optical axis: cones that reach the
+        # horizon beside the frame, and miss it or clip its edge
+        dist = draw(st.floats(radius * 1.01, 40.0))
+        off = math.radians(draw(st.floats(60.0, 120.0)))
+        az = draw(st.floats(-math.pi, math.pi))
+        rho = dist * math.sin(off)
+        return Vec3(rho * math.cos(az), rho * math.sin(az), dist * math.cos(off)), radius, k
     z = draw(st.floats(0.05, 60.0))
     if kind == "any":
         return Vec3(draw(st.floats(-30.0, 30.0)), draw(st.floats(-30.0, 30.0)), z), radius, k
@@ -297,6 +305,14 @@ class TestRenderProperties:
     def test_pixel_coords_scan_once(self):
         seg = render_sphere(Vec3(0.3, -0.2, 6.0), 0.5, K)
         assert seg.pixel_coords() is seg.pixel_coords()
+
+    def test_cone_beside_the_frame_scans_no_pixel(self):
+        # the cone reaches the horizon, so its image is unbounded, but its
+        # 5.7 degree half-angle lies 44 degrees outside the frame's top face
+        center = Vec3(0.0, -5.0, 0.3)
+        seg = render_sphere(center, 0.5, K)
+        assert seg.window == (0, 0, 0, 0)
+        assert not full_frame_predicate(center, 0.5, K).any()
 
     def test_window_bounds_the_blob_tightly(self):
         seg = render_sphere(Vec3(1.0, 0.5, 8.0), 0.5, K)

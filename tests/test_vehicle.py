@@ -148,7 +148,7 @@ class TestDynamics:
 
     def test_vertical_velocity_conserved_without_drag(self):
         params = VehicleParams(drag=0.0)
-        state = UavState(Pose(Vec3(0, 0, 5.0), Vec3(0, 0, 1.5), 0.0, 0.0, 0.0), ZERO3, 0.0)
+        state = UavState(Pose(Vec3(0, 0, 5.0), Vec3(0, 0, 1.5), 0.0, 0.0, 0.0), ZERO3)
         cmd = hover_cmd(params)
         for _ in range(400):
             state = dynamics_step(state, cmd, 0.005, params)
@@ -307,7 +307,7 @@ class TestIdealPilot:
     def test_fly_is_ideal_dynamics_step(self):
         sim = SimConfig()
         pilot = IdealPilot(sim)
-        state = UavState(Pose(Vec3(1, 2, 3), Vec3(0.5, 0, 0), 0.0, 0.0, 0.2), ZERO3, 0.0)
+        state = UavState(Pose(Vec3(1, 2, 3), Vec3(0.5, 0, 0), 0.0, 0.0, 0.2), ZERO3)
         a = Vec3(30.0, 0.0, 0.0)  # accelerations pass through unclamped
         pilot.accel(a, 0.4, 6.0, state)
         assert pilot.fly(state) == ideal_dynamics_step(state, a, 0.4, sim.rates.dt, sim.vehicle)
