@@ -29,8 +29,8 @@ from .geometry import (
     world_point_to_camera,
 )
 from .guidance import (
+    GuidanceCommand,
     GuidanceMethod,
-    GuidanceState,
     closing_velocity,
     dropout_scale,
     hybrid_command,
@@ -52,6 +52,7 @@ from .targets import TargetPath, TargetState
 from .trajectory import (
     NoClosingVelocityError,
     Trajectory,
+    TrajectoryCursor,
     Waypoint,
     cursor_step,
     forecast_target,
@@ -140,9 +141,8 @@ class HitMonitor:
 
 @dataclass
 class PerceptionFrame:
-    """One perception tick. The depth is the pipeline's estimate, or the call
-    that makes it on the first read of `d_center` or `depth_valid`: a frame
-    holds its tick's pixels until then."""
+    """One perception tick. A detected frame holds its tick's pixels until the
+    first read of `d_center` or `depth_valid` estimates its depth."""
 
     t: float
     detected: bool
@@ -261,52 +261,162 @@ class IdealPilot:
 
 
 class PerceptionPipeline:
-    """Camera view -> LOS/rate -> depth for one target, plus the flat
-    moving-average smoothing whose outputs feed trajectory-based guidance.
+    """Camera view -> LOS ray and rate for one target; depth waits for a read."""
 
-    Depth is estimated each frame only for `forecast-traj`, the one method
-    that reads `d_f`; otherwise only when a caller reads the frame's depth.
-    """
-
-    def __init__(self, cfg: SimConfig, mount_pitch: float, target_diameter: float, method: GuidanceMethod):
+    def __init__(self, cfg: SimConfig, mount_pitch: float, target_diameter: float):
         self.k = cfg.camera.intrinsics()
         self.mount_pitch = mount_pitch
         self.target_diameter = target_diameter
-        self._ranging = method == GuidanceMethod.FORECAST_TRAJ
-        window = cfg.perception.filter_window
-        self._f_phi = MovingAverageFilter(window)
-        self._f_n = MovingAverageFilter(window)
-        self._f_ray = MovingAverageFilter(window)
-        self._f_depth = MovingAverageFilter(window)
-        self._prev_ray: Optional[Vec3] = None
-        self._prev_t: float = 0.0
-        self.phi_f: float = 0.0
-        self.n_f: Vec3 = ZERO3
-        self.ray_f: Vec3 = ZERO3
-        self.d_f: float = 0.0
+        self._prev: Optional[LosSample] = None  # of the last detected frame
 
     def observe(self, t: float, target: TargetState, uav_pose: Pose) -> PerceptionFrame:
         seg, det = camera_view(target, uav_pose, self.mount_pitch, self.k)
         if det is None:
             return PerceptionFrame(t, False)
         ray = pixel_to_los(det.centroid[0], det.centroid[1], self.k)
-        if self._prev_ray is not None and t > self._prev_t:
-            phi_dot, n_unit, valid = los_rate(self._prev_ray, ray, t - self._prev_t)
+        if self._prev is not None and t > self._prev.t:
+            phi_dot, n_unit, valid = los_rate(self._prev.r, ray, t - self._prev.t)
         else:
             phi_dot, n_unit, valid = 0.0, ZERO3, False
-        sample = LosSample(ray, t, phi_dot, n_unit, valid)
-        frame = PerceptionFrame(t, True, det, sample,
-                                partial(estimate_depth, seg, det, self.k, self.target_diameter))
+        self._prev = LosSample(ray, t, phi_dot, n_unit, valid)
+        return PerceptionFrame(t, True, det, self._prev,
+                               partial(estimate_depth, seg, det, self.k, self.target_diameter))
 
-        self.ray_f = self._f_ray.step(ray)
-        if valid:
-            self.phi_f = self._f_phi.step(phi_dot)
-            self.n_f = self._f_n.step(n_unit)
-        if self._ranging and frame.depth_valid:
+
+class DirectGuide:
+    """TPN, PN with heading control, or hybrid: a body command recomputed on
+    each detected frame after handoff and held, scaled by the dropout policy,
+    between frames."""
+
+    def __init__(self, cfg: SimConfig, method: GuidanceMethod, mount_pitch: float, uav_speed: float):
+        self.method = method
+        self.gp = cfg.guidance
+        self.mount_pitch = mount_pitch
+        self.v_limit = max(2.0 * uav_speed, 6.0)
+        self.command = GuidanceCommand.zero()
+
+    def see(self, frame: PerceptionFrame, los_world: Vec3, uav: UavState, pursuing: bool) -> None:
+        if not pursuing:
+            return
+        los, gp, mp = frame.sample, self.gp, self.mount_pitch
+        v_c = closing_velocity(uav.pose.velocity, los_world)
+        if self.method == GuidanceMethod.TPN:
+            self.command = tpn_command(los, v_c, gp, mp)
+        else:
+            law = pn_heading_command if self.method == GuidanceMethod.PN_HEADING else hybrid_command
+            self.command = law(los, los_accel(los, v_c, gp, mp), gp, mp)
+
+    def replan(self, k: int, t: float, uav: UavState, fresh: bool) -> None:
+        pass
+
+    def steer(self, t: float, uav: UavState, pilot: Union[Pilot, IdealPilot], scale: float) -> None:
+        cmd = self.command
+        a_world = body_to_world(cmd.accel_body.scale(scale), uav.pose)
+        pilot.accel(a_world, cmd.yaw_rate * scale, self.v_limit, uav)
+
+
+class TrajectoryGuide:
+    """LOS-trajectory or forecast-trajectory: smooths the detected frames
+    from t = 0, replans a segment at `replan_hz` from the tracked plan's
+    lookahead point and stitches it on, and tracks the plan's cursor.
+
+    Without a fresh detection the plan is held. A forecast needs two fixes
+    (smoothed range and LOS); every attempt becomes the next reference fix,
+    also one whose forecast is rejected.
+    """
+
+    def __init__(self, cfg: SimConfig, method: GuidanceMethod, mount_pitch: float):
+        self.tcfg = cfg.trajectory
+        self.pn_gain = cfg.guidance.pn_gain
+        self.dynamics_hz = cfg.rates.dynamics_hz
+        self.mount_pitch = mount_pitch
+        self.forecast = method == GuidanceMethod.FORECAST_TRAJ
+        window = cfg.perception.filter_window
+        self._f_ray = MovingAverageFilter(window)
+        self._f_phi = MovingAverageFilter(window)
+        self._f_n = MovingAverageFilter(window)
+        self._f_depth = MovingAverageFilter(window)
+        self.ray_f: Vec3 = ZERO3
+        self.phi_f: float = 0.0
+        self.n_f: Vec3 = ZERO3
+        self.d_f: float = 0.0
+        self.plan: Optional[Trajectory] = None
+        self.plan_start = 0.0
+        self.cursor_min = 0
+        self.mark = -1
+        self.last_fix: Optional[tuple[float, float, Vec3]] = None  # t, d_f, los world
+
+    def see(self, frame: PerceptionFrame, los_world: Vec3, uav: UavState, pursuing: bool) -> None:
+        los = frame.sample
+        self.ray_f = self._f_ray.step(los.r)
+        if los.valid_rate:
+            self.phi_f = self._f_phi.step(los.phi_dot)
+            self.n_f = self._f_n.step(los.n_unit)
+        if self.forecast and frame.depth_valid:
             self.d_f = self._f_depth.step(frame.d_center)
-        self._prev_ray = ray
-        self._prev_t = t
-        return frame
+
+    def _cursor(self, t: float) -> TrajectoryCursor:
+        return cursor_step(self.plan, t - self.plan_start, self.tcfg.replan_hz,
+                           self.tcfg.lookahead_buffer, self.cursor_min)
+
+    def replan(self, k: int, t: float, uav: UavState, fresh: bool) -> None:
+        mark = int((k * self.tcfg.replan_hz) // self.dynamics_hz)
+        if mark == self.mark:
+            return
+        self.mark = mark
+        if not fresh:
+            return
+        pose = uav.pose
+        if self.plan is None:
+            start, v0 = Waypoint(pose.position, pose.yaw, pose.velocity.norm()), pose.velocity
+        else:
+            cur = self._cursor(t)
+            start, v0 = cur.lookahead_point, self.plan.velocity_at(cur.lookahead_index)
+        # None only while no frame was seen, which a hold without limit allows
+        los_world = None if self.ray_f == ZERO3 else camera_to_world(self.ray_f, pose, self.mount_pitch).unit()
+        if self.forecast:
+            seg = self._forecast(t, start, los_world, uav)
+        else:
+            seg = self._los_segment(start, v0, los_world, pose)
+        if seg is None:
+            return
+        if self.plan is None:
+            self.plan, self.plan_start, self.cursor_min = seg, t, 0
+        else:
+            self.plan = stitch(self.plan, seg, cur.lookahead_index)
+
+    def _los_segment(self, start: Waypoint, v0: Vec3, los_world: Optional[Vec3], pose: Pose) -> Trajectory:
+        v_c = 0.0 if los_world is None else max(0.0, closing_velocity(pose.velocity, los_world))
+        a_cam = self.n_f.scale(self.pn_gain * v_c * self.phi_f)
+        a_world = camera_to_world(a_cam, pose, self.mount_pitch)
+        return gen_los_accel_trajectory(start, v0, a_world, self.tcfg.horizon, self.tcfg.dt)
+
+    def _forecast(self, t: float, start: Waypoint, los_world: Vec3, uav: UavState) -> Optional[Trajectory]:
+        if self.d_f <= 0.0:  # no range yet
+            return None
+        last, fix = self.last_fix, (t, self.d_f, los_world)
+        self.last_fix = fix
+        if last is None:
+            return None
+        try:
+            _, t_coll, p_rel = forecast_target(ForecastInputs(
+                d0=last[1], d1=fix[1], los0=last[2], los1=fix[2], t0=last[0], t1=fix[0],
+                uav_vel=uav.pose.velocity,
+            ))
+        except NoClosingVelocityError:
+            return None
+        if t_coll <= self.tcfg.dt:
+            return None
+        # cap far-future collision times so segments stay bounded
+        return gen_forecast_trajectory(start, uav.pose.position + p_rel, min(t_coll, 10.0), self.tcfg.dt)
+
+    def steer(self, t: float, uav: UavState, pilot: Union[Pilot, IdealPilot], scale: float) -> None:
+        if self.plan is None:
+            pilot.velocity(ZERO3, 0.0, uav)
+            return
+        cur = self._cursor(t)
+        self.cursor_min = cur.tracking_index
+        pilot.waypoint(cur.tracking_point, cur.tracking_velocity, uav)
 
 
 @dataclass
@@ -339,27 +449,25 @@ def run_engagement(
     mount_pitch = cfg.camera.mount_pitch(uav_speed, cfg.vehicle)
 
     target0 = path.sample(0.0)
-    pipeline = PerceptionPipeline(cfg, mount_pitch, 2.0 * target0.radius, method)
+    pipeline = PerceptionPipeline(cfg, mount_pitch, 2.0 * target0.radius)
     pilot = IdealPilot(cfg) if ideal_dynamics else Pilot(cfg)
+    if method.is_trajectory:
+        guide: Union[DirectGuide, TrajectoryGuide] = TrajectoryGuide(cfg, method, mount_pitch)
+    else:
+        guide = DirectGuide(cfg, method, mount_pitch, uav_speed)
 
     rates = cfg.rates
     dt = rates.dt
-    replan_hz = cfg.trajectory.replan_hz
 
     handoff = gp.init_duration
     horizon = handoff + rules.pursuit_timeout + 0.25
     monitor = HitMonitor(rules, _path_bounds_center(path, horizon), handoff)
 
     uav = UavState.at_rest(ZERO3, yaw=0.0)
-    v_ref_limit = max(2.0 * uav_speed, 6.0)
     init_cmd_vel = ZERO3
-    gstate = GuidanceState()
+    last_seen = -math.inf
+    since_seen = math.inf
     cmd_scale = 0.0
-
-    traj: Optional[Trajectory] = None
-    traj_start = 0.0
-    cursor_min = 0
-    last_fix: Optional[tuple[float, float, Vec3]] = None  # t, d_center, los world
 
     phi_handoff: Optional[float] = None
     phi_log: list[tuple[float, float]] = []
@@ -368,19 +476,16 @@ def run_engagement(
     crash_time = 0.0
     verdict: Optional[Verdict] = None
     t_next = 0.0
-    replan_mark = -1
 
     for k, t, perception_due, control_due in rates.ticks(horizon):
         pursuing = t >= handoff
 
         # ---- perception + guidance tick -------------------------------
         if perception_due:
-            target = path.sample(t)
-            # the frame, and any pixels it holds, ends with this tick
-            sample = pipeline.observe(t, target, uav.pose).sample
-            if sample is not None:
-                gstate.time_since_detection = 0.0
-                gstate.prev_los = sample
+            frame = pipeline.observe(t, path.sample(t), uav.pose)
+            if frame.detected:
+                last_seen = t
+                sample = frame.sample
                 if sample.valid_rate:
                     phi_log.append((t, sample.phi_dot))
                     if pursuing and phi_handoff is None:
@@ -388,45 +493,21 @@ def run_engagement(
                 los_world = camera_to_world(sample.r, uav.pose, mount_pitch).unit()
                 if not pursuing:
                     init_cmd_vel = init_velocity(los_world, uav_speed)
-                elif not method.is_trajectory:
-                    v_c = closing_velocity(uav.pose.velocity, los_world)
-                    a_body = los_accel(sample, v_c, gp, mount_pitch)
-                    if method == GuidanceMethod.TPN:
-                        gstate.last_command = tpn_command(sample, v_c, gp, mount_pitch)
-                    elif method == GuidanceMethod.PN_HEADING:
-                        gstate.last_command = pn_heading_command(sample, a_body, gp, mount_pitch)
-                    else:
-                        gstate.last_command = hybrid_command(sample, a_body, gp, mount_pitch)
-                    gstate.last_mode = gstate.last_command.mode
-            else:
-                gstate.time_since_detection = t - (gstate.prev_los.t if gstate.prev_los else -math.inf)
-            cmd_scale = dropout_scale(gstate.time_since_detection, gp) if gstate.prev_los else 0.0
+                guide.see(frame, los_world, uav, pursuing)
+            # the frame, and any pixels it holds, ends with this tick
+            del frame
+            since_seen = t - last_seen
+            cmd_scale = dropout_scale(since_seen, gp)
 
-        # ---- trajectory replanning ------------------------------------
-        if method.is_trajectory and pursuing:
-            rm = int((k * replan_hz) // rates.dynamics_hz)
-            if rm != replan_mark:
-                replan_mark = rm
-                traj, traj_start, cursor_min, last_fix = _replan(
-                    method, traj, traj_start, cursor_min, last_fix, t, uav, pipeline, cfg,
-                    fresh=gstate.time_since_detection <= gp.dropout_hold,
-                )
+        if pursuing:
+            guide.replan(k, t, uav, fresh=since_seen <= gp.dropout_hold)
 
         # ---- control tick ----------------------------------------------
         if control_due:
-            if not pursuing:
-                stale = gstate.time_since_detection > gp.dropout_hold
-                pilot.velocity(ZERO3 if stale else init_cmd_vel, 0.0, uav)
-            elif not method.is_trajectory:
-                cmd = gstate.last_command
-                a_world = body_to_world(cmd.accel_body.scale(cmd_scale), uav.pose)
-                pilot.accel(a_world, cmd.yaw_rate * cmd_scale, v_ref_limit, uav)
-            elif traj is not None:
-                cur = cursor_step(traj, t - traj_start, replan_hz, cfg.trajectory.lookahead_buffer, cursor_min)
-                cursor_min = cur.tracking_index
-                pilot.waypoint(cur.tracking_point, cur.tracking_velocity, uav)
+            if pursuing:
+                guide.steer(t, uav, pilot, cmd_scale)
             else:
-                pilot.velocity(ZERO3, 0.0, uav)
+                pilot.velocity(init_cmd_vel if since_seen <= gp.dropout_hold else ZERO3, 0.0, uav)
 
         # ---- dynamics ---------------------------------------------------
         v_before = uav.pose.velocity
@@ -450,7 +531,6 @@ def run_engagement(
 
         target = path.sample(t_next)
         surface_dist = (pos - target.position).norm() - target.radius
-        last_seen = gstate.prev_los.t if gstate.prev_los is not None else -math.inf
         detected_now = (t_next - last_seen) < (2.0 / rates.perception_hz)
         if trace is not None:
             phi_dot = phi_log[-1][1] if phi_log else 0.0
@@ -494,73 +574,3 @@ def _path_bounds_center(path: TargetPath, horizon: float) -> Vec3:
         lo[2] = min(lo[2], p.z); hi[2] = max(hi[2], p.z)
     return Vec3((lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0, (lo[2] + hi[2]) / 2.0)
 
-
-def _replan(
-    method: GuidanceMethod,
-    traj: Optional[Trajectory],
-    traj_start: float,
-    cursor_min: int,
-    last_fix: Optional[tuple[float, float, Vec3]],
-    t: float,
-    uav: UavState,
-    pipeline: PerceptionPipeline,
-    cfg: SimConfig,
-    fresh: bool,
-) -> tuple[Optional[Trajectory], float, int, Optional[tuple[float, float, Vec3]]]:
-    """Generate the next trajectory segment from the lookahead point and
-    stitch it on. Without a fresh detection the previous plan is held."""
-    tcfg = cfg.trajectory
-    if not fresh:
-        return traj, traj_start, cursor_min, last_fix
-
-    if traj is None:
-        start = Waypoint(uav.pose.position, uav.pose.yaw, uav.pose.velocity.norm())
-        v0 = uav.pose.velocity
-        stitch_idx = None
-    else:
-        cur = cursor_step(traj, t - traj_start, tcfg.replan_hz, tcfg.lookahead_buffer, cursor_min)
-        start = cur.lookahead_point
-        v0 = traj.velocity_at(cur.lookahead_index)
-        stitch_idx = cur.lookahead_index
-
-    if method == GuidanceMethod.LOS_TRAJ:
-        v_c = max(0.0, _closing_along_filtered(pipeline, uav))
-        a_cam = pipeline.n_f.scale(cfg.guidance.pn_gain * v_c * pipeline.phi_f)
-        a_world = camera_to_world(a_cam, uav.pose, pipeline.mount_pitch)
-        seg = gen_los_accel_trajectory(start, v0, a_world, tcfg.horizon, tcfg.dt)
-    else:
-        if pipeline.d_f <= 0.0 or pipeline.ray_f.norm() == 0.0:
-            return traj, traj_start, cursor_min, last_fix
-        los_world = camera_to_world(pipeline.ray_f, uav.pose, pipeline.mount_pitch).unit()
-        fix = (t, pipeline.d_f, los_world)
-        if last_fix is None or t - last_fix[0] <= 1e-9:
-            return traj, traj_start, cursor_min, fix
-        try:
-            _, t_coll, p_rel = forecast_target(
-                ForecastInputs(
-                    d0=last_fix[1], d1=fix[1],
-                    los0=last_fix[2], los1=fix[2],
-                    t0=last_fix[0], t1=fix[0],
-                    uav_vel=uav.pose.velocity,
-                )
-            )
-        except NoClosingVelocityError:
-            return traj, traj_start, cursor_min, fix
-        if t_coll <= tcfg.dt:
-            return traj, traj_start, cursor_min, fix
-        p_world = uav.pose.position + p_rel
-        # cap far-future collision times so segments stay bounded
-        seg = gen_forecast_trajectory(start, p_world, min(t_coll, 10.0), tcfg.dt)
-        last_fix = fix
-
-    if traj is None or stitch_idx is None:
-        return seg, t, 0, last_fix
-    return stitch(traj, seg, stitch_idx), traj_start, cursor_min, last_fix
-
-
-def _closing_along_filtered(pipeline: PerceptionPipeline, uav: UavState) -> float:
-    ray = pipeline.ray_f
-    if ray.norm() == 0.0:
-        return 0.0
-    los_world = camera_to_world(ray, uav.pose, pipeline.mount_pitch).unit()
-    return closing_velocity(uav.pose.velocity, los_world)

@@ -167,19 +167,9 @@ class LosSample(NamedTuple):
     valid_rate: bool
 
 
-class BehindCameraError(ValueError):
-    """Point has non-positive z in the camera frame; it cannot be projected."""
-
-
 def pixel_to_los(u: float, v: float, k: CameraIntrinsics) -> Vec3:
     """Back-project a pixel to a camera-frame ray with unit z component."""
     return Vec3((u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0)
-
-
-def project_to_pixel(p_cam: Vec3, k: CameraIntrinsics) -> tuple[float, float]:
-    if p_cam.z <= 0.0:
-        raise BehindCameraError(f"z={p_cam.z} is not in front of the camera")
-    return (k.fx * p_cam.x / p_cam.z + k.cx, k.fy * p_cam.y / p_cam.z + k.cy)
 
 
 PARALLEL_RAY_TOL = 1e-12  # radians

@@ -10,8 +10,7 @@ LOS before the selected law takes over.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import LosSample, Vec3, ZERO3, body_heading, camera_to_body
@@ -30,7 +29,6 @@ class GuidanceMethod(str, enum.Enum):
 
 
 class GuidanceMode(str, enum.Enum):
-    INIT = "init"
     PN = "pn"
     HEADING_CONTROL = "heading-control"
 
@@ -65,14 +63,6 @@ class GuidanceCommand:
     @staticmethod
     def zero(mode: GuidanceMode = GuidanceMode.PN) -> "GuidanceCommand":
         return GuidanceCommand(ZERO3, 0.0, mode)
-
-
-@dataclass
-class GuidanceState:
-    prev_los: Optional[LosSample] = None
-    last_mode: GuidanceMode = GuidanceMode.INIT
-    last_command: GuidanceCommand = field(default_factory=GuidanceCommand.zero)
-    time_since_detection: float = math.inf
 
 
 def closing_velocity(uav_vel_world: Vec3, los_world_unit: Vec3) -> float:

@@ -113,7 +113,9 @@ def classify_hit(
     """Judge a complete trace against the four first-pass hit conditions.
 
     The in-bounds box is anchored on the bounding-box center of the target
-    positions in the trace, matching the live monitor's anchoring.
+    positions in the trace, up to its last point. The live monitor anchors on
+    65 samples of the path over one period (over the horizon for a path
+    without one) instead, so the two verdicts can differ on the same trial.
     """
     if not trace:
         raise ValueError("trace must be non-empty")

@@ -484,7 +484,7 @@ class MissionSimulator:
         mount_pitch = sim.camera.mount_pitch(cruise, sim.vehicle)
 
         gimbal = next((f for f in sc.faults if f.kind == "gimbal_offset"), None)
-        latency = next((f for f in sc.faults if f.kind == "camera_latency"), None)
+        latency = next((f.delay for f in sc.faults if f.kind == "camera_latency"), 0.0)
         downdraft = next((f for f in sc.faults if f.kind == "downdraft"), None)
         gimbal_active = gimbal is not None
 
@@ -494,10 +494,7 @@ class MissionSimulator:
         pilot = Pilot(sim)
         k_cam = sim.camera.intrinsics()
         state = MissionState()
-        uav = UavState(
-            Pose(sc.start if task == 1 else plan.waypoints[0].position, ZERO3, 0.0, 0.0, 0.0),
-            ZERO3,
-        )
+        uav = UavState(Pose(sc.start if task == 1 else plan.waypoints[0].position, ZERO3, 0.0, 0.0, 0.0))
 
         rates = sim.rates
         dt = rates.dt
@@ -518,16 +515,13 @@ class MissionSimulator:
 
         for k, t, perception_due, control_due in rates.ticks(sc.duration):
             if perception_due:
-                bias_p = math.radians(gimbal.pitch_deg) if (gimbal and gimbal_active) else 0.0
-                bias_y = math.radians(gimbal.yaw_deg) if (gimbal and gimbal_active) else 0.0
+                bias_p = math.radians(gimbal.pitch_deg) if gimbal_active else 0.0
+                bias_y = math.radians(gimbal.yaw_deg) if gimbal_active else 0.0
                 obs = self._observe(t, uav, balloons, ball, mount_pitch, k_cam, bias_p, bias_y, task)
-                if latency is not None:
-                    frame_queue.append((t, obs[0], obs[1], obs[2]))
-                    los_level, los_world, los_valid = None, None, False
-                    while frame_queue and frame_queue[0][0] <= t - latency.delay:
-                        _, los_level, los_world, los_valid = frame_queue.pop(0)
-                else:
-                    los_level, los_world, los_valid = obs
+                frame_queue.append((t, *obs))
+                los_level, los_world, los_valid = None, None, False
+                while frame_queue and frame_queue[0][0] <= t - latency:
+                    _, los_level, los_world, los_valid = frame_queue.pop(0)
                 if los_level is not None:
                     state.last_seen = t
                     state.last_los_world = los_world

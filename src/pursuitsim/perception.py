@@ -262,10 +262,3 @@ class MovingAverageFilter:
             return Vec3(sx / n, sy / n, sz / n)
         return sum(self._buf) / n
 
-
-def write_pgm(seg: SegmentationImage, path: str) -> None:
-    """Debug dump as binary PGM (P5), one byte per pixel, 0/255."""
-    data = np.where(seg.mask, 255, 0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{seg.width} {seg.height}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())

@@ -12,7 +12,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -305,11 +305,3 @@ def build_path(spec: TargetPathSpec) -> TargetPath:
         return _build_knot(spec, rng)
     raise ValueError(f"unknown path kind {spec.kind}")
 
-
-def dump_path_csv(path: TargetPath, fh: IO[str], duration: float, dt: float = 0.05) -> None:
-    fh.write("t,x,y,z\n")
-    t = 0.0
-    while t <= duration + 1e-9:
-        st = path.sample(t)
-        fh.write(f"{t:.4f},{st.position.x:.6f},{st.position.y:.6f},{st.position.z:.6f}\n")
-        t += dt

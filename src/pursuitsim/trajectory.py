@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 from .geometry import Vec3, ZERO3
 
@@ -49,14 +49,6 @@ class Trajectory:
         dt = self.times[index + 1] - self.times[index]
         dp = self.waypoints[index + 1].position - self.waypoints[index].position
         return dp.scale(1.0 / dt)
-
-    def dump_csv(self, fh: IO[str]) -> None:
-        fh.write("t,x,y,z,yaw,speed\n")
-        for t, wp in zip(self.times, self.waypoints):
-            fh.write(
-                f"{t:.6f},{wp.position.x:.6f},{wp.position.y:.6f},"
-                f"{wp.position.z:.6f},{wp.yaw:.6f},{wp.speed:.6f}\n"
-            )
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,10 @@ GRAVITY = 9.81
 @dataclass(frozen=True)
 class UavState:
     pose: Pose
-    angular_rates: Vec3  # roll/pitch/yaw rates, rad/s
 
     @staticmethod
     def at_rest(position: Vec3, yaw: float = 0.0) -> "UavState":
-        return UavState(Pose(position, ZERO3, 0.0, 0.0, yaw), ZERO3)
+        return UavState(Pose(position, ZERO3, 0.0, 0.0, yaw))
 
 
 @dataclass(frozen=True)
@@ -197,8 +196,7 @@ def dynamics_step(
         pose.position.y + new_vel.y * dt,
         pose.position.z + new_vel.z * dt,
     )
-    rates = Vec3((roll - pose.roll) / dt, (pitch - pose.pitch) / dt, yaw_rate)
-    return UavState(Pose(new_pos, new_vel, roll, pitch, yaw), rates)
+    return UavState(Pose(new_pos, new_vel, roll, pitch, yaw))
 
 
 def ideal_dynamics_step(
@@ -219,4 +217,4 @@ def ideal_dynamics_step(
         pose.position.y + new_vel.y * dt,
         pose.position.z + new_vel.z * dt,
     )
-    return UavState(Pose(new_pos, new_vel, 0.0, 0.0, yaw), Vec3(0.0, 0.0, yaw_rate))
+    return UavState(Pose(new_pos, new_vel, 0.0, 0.0, yaw))

@@ -4,14 +4,40 @@ import pytest
 
 from pursuitsim import engagement
 from pursuitsim.config import SimConfig
-from pursuitsim.engagement import PerceptionPipeline, camera_view, run_engagement
-from pursuitsim.geometry import Pose, Vec3, ZERO3
-from pursuitsim.guidance import GuidanceMethod
+from pursuitsim.engagement import (
+    DirectGuide,
+    PerceptionPipeline,
+    TrajectoryGuide,
+    camera_view,
+    run_engagement,
+)
+from pursuitsim.geometry import Pose, Vec3, ZERO3, camera_to_world
+from pursuitsim.guidance import GuidanceCommand, GuidanceMethod
 from pursuitsim.perception import estimate_depth
 from pursuitsim.targets import StationaryPath, TargetState
+from pursuitsim.vehicle import UavState
 
 MOUNT_PITCH = 0.1
 POSE = Pose(Vec3(0.0, 0.0, 2.0), Vec3(3.0, 0.0, 0.0), 0.0, 0.05, 0.1)
+UAV = UavState(POSE)
+ON_AXIS = Vec3(0.0, 0.0, 1.0)
+
+
+def make_guide(method: GuidanceMethod):
+    if method.is_trajectory:
+        return TrajectoryGuide(SimConfig(), method, MOUNT_PITCH)
+    return DirectGuide(SimConfig(), method, MOUNT_PITCH, 3.0)
+
+
+def see(guide, frame, pursuing=True):
+    los_world = camera_to_world(frame.sample.r, POSE, MOUNT_PITCH).unit()
+    guide.see(frame, los_world, UAV, pursuing)
+
+
+def crossing_frames(pipeline):
+    """Two frames of a target crossing left to right ahead of the vehicle."""
+    return [pipeline.observe(i / 30.0, TargetState(Vec3(12.0, 1.5 - 0.3 * i, 2.5), ZERO3, 0.5), POSE)
+            for i in range(2)]
 
 
 class TestPerceptionPerMethod:
@@ -36,16 +62,81 @@ class TestPerceptionPerMethod:
 
     @pytest.mark.parametrize("method", list(GuidanceMethod))
     def test_frame_depth_equals_direct_estimate(self, method):
-        pipeline = PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0, method)
+        # whatever the method's guide reads of the frame, its depth is the
+        # direct estimate, and the forecast guide's range filter starts there
+        pipeline = PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0)
         target = TargetState(Vec3(12.0, 1.5, 2.5), ZERO3, 0.5)
         frame = pipeline.observe(0.0, target, POSE)
+        guide = make_guide(method)
+        see(guide, frame)
         seg, det = camera_view(target, POSE, MOUNT_PITCH, pipeline.k)
         direct = estimate_depth(seg, det, pipeline.k, 1.0)
         assert frame.detected and direct.valid
         assert (frame.d_center, frame.depth_valid) == (direct.d_center, direct.valid)
+        if method == GuidanceMethod.FORECAST_TRAJ:
+            assert guide.d_f == direct.d_center
 
     def test_undetected_frame_has_no_depth(self):
-        pipeline = PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0, GuidanceMethod.TPN)
+        pipeline = PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0)
         frame = pipeline.observe(0.0, TargetState(Vec3(-12.0, 0.0, 2.0), ZERO3, 0.5), POSE)
         assert not frame.detected
         assert (frame.d_center, frame.depth_valid) == (0.0, False)
+
+
+class TestDirectGuide:
+    def test_frames_before_handoff_leave_the_command_at_zero(self):
+        frames = crossing_frames(PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0))
+        assert frames[1].sample.valid_rate and frames[1].sample.phi_dot != 0.0
+        guide = make_guide(GuidanceMethod.TPN)
+        for frame in frames:
+            see(guide, frame, pursuing=False)
+        assert guide.command == GuidanceCommand.zero()
+        see(guide, frames[1])
+        assert guide.command.accel_body.norm() > 0.0
+
+
+class TestTrajectoryGuide:
+    def test_smooths_frames_before_handoff(self):
+        frames = crossing_frames(PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0))
+        guide = make_guide(GuidanceMethod.LOS_TRAJ)
+        for frame in frames:
+            see(guide, frame, pursuing=False)
+        r0, r1 = frames[0].sample.r, frames[1].sample.r
+        assert guide.ray_f == Vec3((r0.x + r1.x) / 2.0, (r0.y + r1.y) / 2.0, 1.0)
+        assert guide.phi_f == frames[1].sample.phi_dot
+
+    @pytest.mark.parametrize("cause", ["no-closing-velocity", "collision-within-dt"])
+    def test_rejected_forecast_still_becomes_the_reference_fix(self, monkeypatch, cause):
+        guide = make_guide(GuidanceMethod.FORECAST_TRAJ)
+        guide.ray_f, guide.d_f = ON_AXIS, 10.0
+        guide.replan(0, 0.0, UAV, fresh=True)  # the first fix has nothing to pair with
+        assert guide.plan is None and guide.last_fix[:2] == (0.0, 10.0)
+
+        if cause == "no-closing-velocity":
+            uav, guide.d_f = UavState(POSE._replace(velocity=ZERO3)), 9.0
+        else:  # 1 cm away at about 3 m/s
+            uav, guide.d_f = UAV, 0.01
+        guide.replan(20, 0.1, uav, fresh=True)
+        assert guide.plan is None and guide.last_fix[:2] == (0.1, guide.d_f)
+
+        forecasts = []
+        real = engagement.forecast_target
+        monkeypatch.setattr(engagement, "forecast_target", lambda inputs: forecasts.append(inputs) or real(inputs))
+        rejected_d, guide.d_f = guide.d_f, 9.4
+        guide.replan(40, 0.2, UAV, fresh=True)
+        assert guide.plan is not None
+        assert [(f.t0, f.d0, f.t1, f.d1) for f in forecasts] == [(0.1, rejected_d, 0.2, 9.4)]
+
+    def test_plan_is_held_without_a_fresh_detection_but_the_mark_advances(self):
+        guide = make_guide(GuidanceMethod.LOS_TRAJ)
+        guide.ray_f, guide.n_f, guide.phi_f = ON_AXIS, Vec3(1.0, 0.0, 0.0), 0.2
+        guide.replan(0, 0.0, UAV, fresh=True)
+        plan = guide.plan
+        assert plan is not None and guide.mark == 0
+        guide.replan(20, 0.1, UAV, fresh=False)
+        assert guide.plan is plan and guide.mark == 1
+        # a detection later in the same replan period waits for the next one
+        guide.replan(21, 0.105, UAV, fresh=True)
+        assert guide.plan is plan
+        guide.replan(40, 0.2, UAV, fresh=True)
+        assert guide.plan is not plan and guide.mark == 2

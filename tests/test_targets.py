@@ -1,4 +1,3 @@
-import io
 import math
 
 import pytest
@@ -10,7 +9,6 @@ from pursuitsim.targets import (
     StraightPath,
     TargetPathSpec,
     build_path,
-    dump_path_csv,
 )
 
 
@@ -175,14 +173,6 @@ class TestApi:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_path(TargetPathSpec(PathKind.STRAIGHT, speed=-1.0, seed=0))
-
-    def test_csv_dump(self):
-        path = build_path(spec(PathKind.STRAIGHT))
-        buf = io.StringIO()
-        dump_path_csv(path, buf, duration=1.0, dt=0.25)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,x,y,z"
-        assert len(lines) == 6
 
     def test_arc_schedule_sampling(self):
         path = build_path(spec(PathKind.FIGURE8, speed=2.0, seed=5))

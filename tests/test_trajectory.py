@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -282,11 +281,3 @@ class TestTrajectoryType:
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.0], [ORIGIN_WP, ORIGIN_WP])
-
-    def test_csv_dump(self):
-        traj = gen_los_accel_trajectory(ORIGIN_WP, Vec3(1, 0, 0), ZERO3, 0.2, 0.1)
-        buf = io.StringIO()
-        traj.dump_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,x,y,z,yaw,speed"
-        assert len(lines) == 1 + len(traj)

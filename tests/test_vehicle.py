@@ -4,7 +4,7 @@ import pytest
 
 from pursuitsim.config import SimConfig
 from pursuitsim.engagement import IdealPilot, Pilot
-from pursuitsim.geometry import Pose, Vec3, ZERO3
+from pursuitsim.geometry import Pose, Vec3, ZERO3, wrap_angle
 from pursuitsim.trajectory import Waypoint
 from pursuitsim.vehicle import (
     GRAVITY,
@@ -148,7 +148,7 @@ class TestDynamics:
 
     def test_vertical_velocity_conserved_without_drag(self):
         params = VehicleParams(drag=0.0)
-        state = UavState(Pose(Vec3(0, 0, 5.0), Vec3(0, 0, 1.5), 0.0, 0.0, 0.0), ZERO3)
+        state = UavState(Pose(Vec3(0, 0, 5.0), Vec3(0, 0, 1.5), 0.0, 0.0, 0.0))
         cmd = hover_cmd(params)
         for _ in range(400):
             state = dynamics_step(state, cmd, 0.005, params)
@@ -156,10 +156,14 @@ class TestDynamics:
 
     def test_yaw_rate_limit(self):
         params = default_params()
-        state = UavState.at_rest(ZERO3)
+        # starts next to +pi, so the step wraps round to -pi
+        state = UavState.at_rest(ZERO3, yaw=3.14)
         cmd = AttitudeCommand(0.0, 0.0, 100.0, params.hover_thrust)
-        state = dynamics_step(state, cmd, 0.005, params)
-        assert abs(state.angular_rates.z) <= params.max_yaw_rate + 1e-12
+        dt = 0.005
+        after = dynamics_step(state, cmd, dt, params)
+        assert after.pose.yaw < 0.0
+        step = abs(wrap_angle(after.pose.yaw - state.pose.yaw))
+        assert 0.99 * params.max_yaw_rate * dt < step <= params.max_yaw_rate * dt + 1e-12
 
     def test_dt_bounds(self):
         params = default_params()
@@ -307,7 +311,7 @@ class TestIdealPilot:
     def test_fly_is_ideal_dynamics_step(self):
         sim = SimConfig()
         pilot = IdealPilot(sim)
-        state = UavState(Pose(Vec3(1, 2, 3), Vec3(0.5, 0, 0), 0.0, 0.0, 0.2), ZERO3)
+        state = UavState(Pose(Vec3(1, 2, 3), Vec3(0.5, 0, 0), 0.0, 0.0, 0.2))
         a = Vec3(30.0, 0.0, 0.0)  # accelerations pass through unclamped
         pilot.accel(a, 0.4, 6.0, state)
         assert pilot.fly(state) == ideal_dynamics_step(state, a, 0.4, sim.rates.dt, sim.vehicle)
