@@ -6,7 +6,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Optional
+from typing import Optional, Union
 
 from .config import SimConfig, dump_config, load_config
 from .guidance import GuidanceMethod
@@ -37,28 +37,20 @@ def _load_sim(args: argparse.Namespace) -> SimConfig:
     return SimConfig()
 
 
-def _parse_method(s: str) -> GuidanceMethod:
+def _parse(kind: type, s: str, what: str) -> Union[GuidanceMethod, PathKind]:
     try:
-        return GuidanceMethod(s)
+        return kind(s)
     except ValueError:
-        choices = ", ".join(m.value for m in GuidanceMethod)
-        raise SystemExit(f"unknown method {s!r} (choose from: {choices})")
-
-
-def _parse_path(s: str) -> PathKind:
-    try:
-        return PathKind(s)
-    except ValueError:
-        choices = ", ".join(p.value for p in PathKind)
-        raise SystemExit(f"unknown path {s!r} (choose from: {choices})")
+        choices = ", ".join(m.value for m in kind)
+        raise SystemExit(f"unknown {what} {s!r} (choose from: {choices})")
 
 
 def cmd_trial(args: argparse.Namespace) -> int:
     sim = _load_sim(args)
     cfg = ExperimentConfig(
-        method=_parse_method(args.method),
+        method=_parse(GuidanceMethod, args.method, "method"),
         uav_speed=args.uav_speed,
-        path_kind=_parse_path(args.path),
+        path_kind=_parse(PathKind, args.path, "path"),
         target_fraction=args.target_fraction,
         trials=1,
         ideal_dynamics=args.ideal_dynamics,
@@ -86,8 +78,8 @@ def cmd_trial(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     sim = _load_sim(args)
-    methods = [_parse_method(m) for m in args.method] if args.method else list(GuidanceMethod)
-    paths = [_parse_path(p) for p in args.path] if args.path else list(PathKind)
+    methods = [_parse(GuidanceMethod, m, "method") for m in args.method] if args.method else list(GuidanceMethod)
+    paths = [_parse(PathKind, p, "path") for p in args.path] if args.path else list(PathKind)
     speeds = args.uav_speed or UAV_SPEEDS
     fractions = args.target_fraction or TARGET_FRACTIONS
     configs = full_matrix(

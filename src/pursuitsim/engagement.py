@@ -564,7 +564,6 @@ def _path_bounds_center(path: TargetPath, horizon: float) -> Vec3:
     else:
         span = horizon
     n = 64
-    xs = ys = zs = 0.0
     lo = [math.inf] * 3
     hi = [-math.inf] * 3
     for i in range(n + 1):

@@ -242,17 +242,13 @@ def attitude_rotation(roll: float, pitch: float, yaw: float) -> Rot3:
     )
 
 
-def body_to_world_rotation(pose: Pose) -> Rot3:
-    return attitude_rotation(pose.roll, pose.pitch, pose.yaw)
-
-
 def body_to_world(v_body: Vec3, pose: Pose) -> Vec3:
     """Rotate a direction from body axes into world axes."""
-    return body_to_world_rotation(pose).apply(v_body)
+    return attitude_rotation(pose.roll, pose.pitch, pose.yaw).apply(v_body)
 
 
 def world_to_body(v_world: Vec3, pose: Pose) -> Vec3:
-    return body_to_world_rotation(pose).apply_inverse(v_world)
+    return attitude_rotation(pose.roll, pose.pitch, pose.yaw).apply_inverse(v_world)
 
 
 def camera_to_world(v_cam: Vec3, pose: Pose, mount_pitch: float = 0.0) -> Vec3:

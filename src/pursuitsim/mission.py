@@ -14,11 +14,10 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import IO, Optional, Union
 
 from .config import SimConfig, from_dict
 from .geometry import (
-    Pose,
     Vec3,
     ZERO3,
     body_heading,
@@ -226,6 +225,7 @@ class MissionState:
     mode_entered: float = 0.0
     pause_point: Optional[Vec3] = None
     pause_index: int = 0
+    pause_time: float = 0.0  # search-plan time at the pause
     last_seen: float = -math.inf
     last_los_world: Optional[Vec3] = None
 
@@ -348,6 +348,12 @@ class FaultSpec:
     impulse: float = 1.5           # m/s lateral kick for downdraft
     clear_on_recover: bool = True  # gimbal fault: cleared by the recovery reset
 
+    def validate(self) -> None:
+        if self.kind not in ("gimbal_offset", "camera_latency", "downdraft"):
+            raise ValueError(f"unknown fault kind {self.kind!r}")
+        if not self.delay >= 0.0:
+            raise ValueError("fault delay must be >= 0")
+
 
 @dataclass
 class Scenario:
@@ -371,6 +377,16 @@ class Scenario:
     def validate(self) -> None:
         self.arena.validate()
         self.gate.validate()
+        if self.task not in _TASKS:
+            raise ValueError(f"task must be 1 or 2, got {self.task}")
+        if self.task == 2 and self.ball is None:
+            raise ValueError("a Task 2 scenario needs a ball")
+        for fault in self.faults:
+            fault.validate()
+        if len({f.kind for f in self.faults}) < len(self.faults):
+            raise ValueError("at most one fault of each kind")
+        if not all(v > 0.0 for v in (self.duration, self.search_speed, self.square_speed)):
+            raise ValueError("duration, search speed and square speed must be positive")
 
 
 # scenario-file "search" group key -> Scenario field
@@ -381,13 +397,9 @@ _SEARCH_KEYS = {
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
-
-
-def scenario_from_dict(data: dict) -> Scenario:
     """Scenario file -> Scenario, with the "search" group mapped onto its fields."""
-    data = dict(data)
+    with open(path, "r", encoding="utf-8") as fh:
+        data = dict(json.load(fh))
     search = data.pop("search", {})
     if not isinstance(search, dict):
         raise ValueError(f"Scenario.search: expected an object, got {search!r}")
@@ -436,8 +448,7 @@ class MissionResult:
 
     def write_events_jsonl(self, fh: IO[str]) -> None:
         for ev in self.events:
-            record = {"t": round(ev.t, 4), "event": ev.event}
-            record.update(ev.data)
+            record = {"t": round(ev.t, 4), "event": ev.event, **ev.data}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -453,6 +464,116 @@ class _Balloon:
         return self.spec.anchor + self.offset
 
 
+class BalloonTask:
+    """Task 1: a lawnmower sweep over tethered balloons. After a pop or a
+    miss the vehicle climbs, returns to the registration point and resumes."""
+
+    number = 1
+
+    def __init__(self, mission: MissionSimulator):
+        sc = mission.sc
+        self.mission = mission
+        self.params = sc.params
+        self.dt = mission.sim.rates.dt
+        self.mount_pitch = mission.sim.camera.mount_pitch(sc.search_speed, mission.sim.vehicle)
+        self.plan = lawnmower_plan(sc.arena, sc.sweep_width, sc.search_altitude, sc.search_speed, sc.start)
+        self.plan_start = 0.0
+        self.cursor_min = 0
+        self.rejoin_index = 0  # first resumed-plan waypoint of the recovery plan
+        self.balloons = [_Balloon(spec=b) for b in sc.balloons]
+        self.downdraft = next((f for f in sc.faults if f.kind == "downdraft"), None)
+        self.attack_saw_pop = False
+
+    def targets(self, t: float) -> list[TargetState]:
+        return [TargetState(b.position, ZERO3, b.spec.radius) for b in self.balloons if b.alive]
+
+    def step(self, state: MissionState, seen: Optional[Vec3], uav: UavState, t: float) -> VelocityCommand:
+        return task1_step(state, seen, uav, self.params, t)
+
+    def after_step(self, t: float, uav: UavState, state: MissionState) -> None:
+        """Balloon tethers, the downdraft fault and pops."""
+        for i, b in enumerate(self.balloons):
+            if not b.alive:
+                continue
+            if self.downdraft is not None:
+                d = uav.pose.position - b.position
+                horiz = math.hypot(d.x, d.y)
+                if horiz < 1.0 and 0.0 < d.z < 2.0 and b.offset_vel.norm() < 0.1:
+                    away = Vec3(-d.x, -d.y, 0.0)
+                    away = away.unit() if away.norm() > 1e-6 else Vec3(1.0, 0.0, 0.0)
+                    b.offset_vel = b.offset_vel + away.scale(self.downdraft.impulse)
+                    self.mission._emit(t, "downdraft", balloon=i)
+            # spring-damper back toward the anchor, displacement bounded
+            acc = b.offset.scale(-4.0) + b.offset_vel.scale(-1.5)
+            b.offset_vel = b.offset_vel + acc.scale(self.dt)
+            b.offset = b.offset + b.offset_vel.scale(self.dt)
+            b.offset = b.offset.clamp_norm(0.5)
+            if (uav.pose.position - b.position).norm() <= self.params.pop_contact:
+                b.alive = False
+                self.mission.result.pops += 1
+                self.attack_saw_pop = True
+                self.mission._emit(t, "pop", balloon=i)
+                if state.mode in (MissionMode.ADJUST, MissionMode.ATTACK):
+                    state.transition(MissionMode.RECOVER, t)
+
+    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: UavState) -> None:
+        """An attack that ends without a pop is a miss; a recovery plans the
+        way back to the registration point and clears a gimbal fault."""
+        mission = self.mission
+        if old == MissionMode.ATTACK:
+            if not self.attack_saw_pop:
+                mission.result.misses += 1
+                mission._emit(t, "miss", task=self.number)
+            self.attack_saw_pop = False
+        if state.mode == MissionMode.RECOVER:
+            # later pauses index into the stitched plan
+            self.plan, self.rejoin_index = recovery_stitch(
+                uav.pose.position, state.pause_point or uav.pose.position,
+                self.plan, state.pause_index, mission.sc.search_speed,
+            )
+            self.plan_start = t
+            self.cursor_min = 0
+            if mission.gimbal is not None and mission.gimbal.clear_on_recover:
+                mission.gimbal = None
+
+
+class BallTask:
+    """Task 2: a square loop above the moving ball's figure-8. Alignment
+    ends in Wait, and a Wait that times out resumes the paused loop."""
+
+    number = 2
+
+    def __init__(self, mission: MissionSimulator):
+        sc = mission.sc
+        self.mission = mission
+        self.params = sc.params
+        self.mount_pitch = mission.sim.camera.mount_pitch(sc.square_speed, mission.sim.vehicle)
+        self.plan = square_search_plan(sc.arena, sc.square_altitude, sc.square_speed, sc.square_side)
+        self.plan_start = 0.0
+        self.cursor_min = 0
+        self.ball = BallPath(sc.ball)
+
+    def targets(self, t: float) -> list[TargetState]:
+        return [self.ball.sample(t)]
+
+    def step(self, state: MissionState, seen: Optional[Vec3], uav: UavState, t: float) -> VelocityCommand:
+        return task2_step(state, seen, uav, self.params, t)
+
+    def after_step(self, t: float, uav: UavState, state: MissionState) -> None:
+        result = self.mission.result
+        d = (uav.pose.position - self.ball.sample(t).position).norm()
+        result.min_ball_distance = min(result.min_ball_distance, d)
+
+    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: UavState) -> None:
+        if old == MissionMode.WAIT and state.mode == MissionMode.GLOBAL_PLAN:
+            # resume the paused search plan where it was left
+            self.plan_start = t - state.pause_time
+            self.cursor_min = state.pause_index
+
+
+_TASKS = {1: BalloonTask, 2: BallTask}
+
+
 class MissionSimulator:
     """Closed-loop Challenge-1 mission run."""
 
@@ -461,64 +582,36 @@ class MissionSimulator:
         sim.validate()
         self.sc = scenario
         self.sim = sim
-        self.events: list[MissionEvent] = []
-        self.command_log: list[tuple[float, str, Vec3, float]] = []
-        self.pops = 0
-        self.misses = 0
+        self.k_cam = sim.camera.intrinsics()
+        # filled in as the mission runs
+        self.result = MissionResult(events=[], pops=0, misses=0, command_log=[],
+                                    min_ball_distance=math.inf, final_mode=MissionMode.GLOBAL_PLAN.value)
+        # None once a Task 1 recovery clears it
+        self.gimbal = next((f for f in scenario.faults if f.kind == "gimbal_offset"), None)
 
     def _emit(self, t: float, event: str, **data) -> None:
-        self.events.append(MissionEvent(t, event, data))
+        self.result.events.append(MissionEvent(t, event, data))
 
     def run(self) -> MissionResult:
         sc = self.sc
         sim = self.sim
-        params = sc.params
-        task = sc.task
-
-        if task == 1:
-            plan = lawnmower_plan(sc.arena, sc.sweep_width, sc.search_altitude, sc.search_speed, sc.start)
-            cruise = sc.search_speed
-        else:
-            plan = square_search_plan(sc.arena, sc.square_altitude, sc.square_speed, sc.square_side)
-            cruise = sc.square_speed
-        mount_pitch = sim.camera.mount_pitch(cruise, sim.vehicle)
-
-        gimbal = next((f for f in sc.faults if f.kind == "gimbal_offset"), None)
+        task = _TASKS[sc.task](self)
         latency = next((f.delay for f in sc.faults if f.kind == "camera_latency"), 0.0)
-        downdraft = next((f for f in sc.faults if f.kind == "downdraft"), None)
-        gimbal_active = gimbal is not None
-
-        balloons = [_Balloon(spec=b) for b in sc.balloons]
-        ball = BallPath(sc.ball) if sc.ball is not None else None
 
         pilot = Pilot(sim)
-        k_cam = sim.camera.intrinsics()
         state = MissionState()
-        uav = UavState(Pose(sc.start if task == 1 else plan.waypoints[0].position, ZERO3, 0.0, 0.0, 0.0))
+        uav = UavState.at_rest(task.plan.waypoints[0].position)  # both plans begin at the start pose
 
         rates = sim.rates
         dt = rates.dt
 
-        active_traj = plan
-        traj_start = 0.0
-        cursor_min = 0
-        recover_until_index: Optional[int] = None
-        plan_pause_time = 0.0
-
         los_level: Optional[Vec3] = None
-        los_world: Optional[Vec3] = None
-        los_valid = False
         frame_queue: list[tuple[float, Optional[Vec3], Optional[Vec3], bool]] = []
-        min_ball_dist = math.inf
-        attack_saw_pop = False
         logged_mode = state.mode
 
         for k, t, perception_due, control_due in rates.ticks(sc.duration):
             if perception_due:
-                bias_p = math.radians(gimbal.pitch_deg) if gimbal_active else 0.0
-                bias_y = math.radians(gimbal.yaw_deg) if gimbal_active else 0.0
-                obs = self._observe(t, uav, balloons, ball, mount_pitch, k_cam, bias_p, bias_y, task)
-                frame_queue.append((t, *obs))
+                frame_queue.append((t, *self._observe(t, uav, task)))
                 los_level, los_world, los_valid = None, None, False
                 while frame_queue and frame_queue[0][0] <= t - latency:
                     _, los_level, los_world, los_valid = frame_queue.pop(0)
@@ -527,119 +620,45 @@ class MissionSimulator:
                     state.last_los_world = los_world
                     if state.mode == MissionMode.GLOBAL_PLAN and los_valid:
                         state.pause_point = uav.pose.position
-                        state.pause_index = cursor_min
-                        plan_pause_time = t - traj_start
+                        state.pause_index = task.cursor_min
+                        state.pause_time = t - task.plan_start
                         state.transition(MissionMode.ADJUST, t)
-                        self._emit(t, "registered", task=task, position=_vec_list(uav.pose.position))
+                        position = [round(c, 3) for c in uav.pose.position]
+                        self._emit(t, "registered", task=task.number, position=position)
 
             if control_due:
                 if state.mode in (MissionMode.GLOBAL_PLAN, MissionMode.RECOVER):
                     cur = cursor_step(
-                        active_traj, t - traj_start,
-                        sim.trajectory.replan_hz, sim.trajectory.lookahead_buffer, cursor_min,
+                        task.plan, t - task.plan_start,
+                        sim.trajectory.replan_hz, sim.trajectory.lookahead_buffer, task.cursor_min,
                     )
-                    cursor_min = cur.tracking_index
+                    task.cursor_min = cur.tracking_index
                     pilot.waypoint(cur.tracking_point, cur.tracking_velocity, uav)
-                    if (
-                        state.mode == MissionMode.RECOVER
-                        and recover_until_index is not None
-                        and cursor_min >= recover_until_index
-                    ):
+                    # only Task 1 recovers, and its recovery plan sets the rejoin index
+                    if state.mode == MissionMode.RECOVER and task.cursor_min >= task.rejoin_index:
                         state.transition(MissionMode.GLOBAL_PLAN, t)
-                        recover_until_index = None
                 else:
                     stale = (t - state.last_seen) > (2.5 / rates.perception_hz)
-                    seen = None if stale else los_level
-                    if task == 1:
-                        v_cmd = task1_step(state, seen, uav, params, t)
-                    else:
-                        v_cmd = task2_step(state, seen, uav, params, t)
-                    self.command_log.append((t, state.mode.value, v_cmd.velocity_world, uav.pose.position.z))
+                    v_cmd = task.step(state, None if stale else los_level, uav, t)
+                    self.result.command_log.append((t, state.mode.value, v_cmd.velocity_world, uav.pose.position.z))
                     pilot.velocity(v_cmd.velocity_world, v_cmd.yaw_rate, uav)
 
             uav = pilot.fly(uav)
             t_next = (k + 1) * dt
-
-            # balloon tether dynamics and pop/downdraft checks
-            if task == 1:
-                for b in balloons:
-                    if not b.alive:
-                        continue
-                    if downdraft is not None:
-                        d = uav.pose.position - b.position
-                        horiz = math.hypot(d.x, d.y)
-                        if horiz < 1.0 and 0.0 < d.z < 2.0 and b.offset_vel.norm() < 0.1:
-                            away = Vec3(-d.x, -d.y, 0.0)
-                            away = away.unit() if away.norm() > 1e-6 else Vec3(1.0, 0.0, 0.0)
-                            b.offset_vel = b.offset_vel + away.scale(downdraft.impulse)
-                            self._emit(t_next, "downdraft", balloon=balloons.index(b))
-                    # spring-damper back toward the anchor, displacement bounded
-                    acc = b.offset.scale(-4.0) + b.offset_vel.scale(-1.5)
-                    b.offset_vel = b.offset_vel + acc.scale(dt)
-                    b.offset = b.offset + b.offset_vel.scale(dt)
-                    b.offset = b.offset.clamp_norm(0.5)
-                    if (uav.pose.position - b.position).norm() <= params.pop_contact:
-                        b.alive = False
-                        self.pops += 1
-                        attack_saw_pop = True
-                        self._emit(t_next, "pop", balloon=balloons.index(b))
-                        if state.mode in (MissionMode.ADJUST, MissionMode.ATTACK):
-                            state.transition(MissionMode.RECOVER, t_next)
-            else:
-                if ball is not None:
-                    bp = ball.sample(t_next).position
-                    min_ball_dist = min(min_ball_dist, (uav.pose.position - bp).norm())
+            task.after_step(t_next, uav, state)
 
             # centralized transition bookkeeping: transitions may originate in
             # the perception tick, the state machines, or a pop event
             if state.mode != logged_mode:
                 self._emit(t_next, "mode", **{"from": logged_mode.value, "to": state.mode.value})
-                if logged_mode == MissionMode.ATTACK and state.mode != MissionMode.ATTACK:
-                    if not attack_saw_pop:
-                        self.misses += 1
-                        self._emit(t_next, "miss", task=task)
-                    attack_saw_pop = False
-                if state.mode == MissionMode.RECOVER:
-                    if task == 1:
-                        active_traj, recover_until_index = recovery_stitch(
-                            uav.pose.position, state.pause_point or uav.pose.position,
-                            plan, state.pause_index, sc.search_speed,
-                        )
-                        # later pauses index into the stitched plan
-                        plan = active_traj
-                        traj_start = t_next
-                        cursor_min = 0
-                        if gimbal is not None and gimbal.clear_on_recover:
-                            gimbal_active = False
-                    else:
-                        state.transition(MissionMode.GLOBAL_PLAN, t_next)
-                if state.mode == MissionMode.GLOBAL_PLAN and logged_mode == MissionMode.WAIT:
-                    # resume the paused search plan where it was left
-                    traj_start = t_next - plan_pause_time
-                    cursor_min = state.pause_index
-                    active_traj = plan
+                task.mode_changed(logged_mode, state, t_next, uav)
                 logged_mode = state.mode
 
-        return MissionResult(
-            events=self.events,
-            pops=self.pops,
-            misses=self.misses,
-            command_log=self.command_log,
-            min_ball_distance=min_ball_dist,
-            final_mode=state.mode.value,
-        )
+        self.result.final_mode = state.mode.value
+        return self.result
 
     def _observe(
-        self,
-        t: float,
-        uav: UavState,
-        balloons: list[_Balloon],
-        ball: Optional[BallPath],
-        mount_pitch: float,
-        k_cam,
-        bias_pitch: float,
-        bias_yaw: float,
-        task: int,
+        self, t: float, uav: UavState, task: Union[BalloonTask, BallTask]
     ) -> tuple[Optional[Vec3], Optional[Vec3], bool]:
         """Largest blob this frame -> (LOS level dir, LOS world unit, gate-valid).
 
@@ -647,25 +666,20 @@ class MissionSimulator:
         between frames or targets. The validity gate qualifies a detection
         for *registration*; once the terminal guidance owns the vehicle, raw
         detections keep feeding it."""
-        if task == 1:
-            targets = [TargetState(b.position, ZERO3, b.spec.radius) for b in balloons if b.alive]
-        else:
-            targets = [ball.sample(t)] if ball is not None else []
+        gimbal = self.gimbal
+        bias_pitch = math.radians(gimbal.pitch_deg) if gimbal is not None else 0.0
+        bias_yaw = math.radians(gimbal.yaw_deg) if gimbal is not None else 0.0
         best: Optional[Detection] = None
-        for target in targets:
-            _, det = camera_view(target, uav.pose, mount_pitch, k_cam, bias_pitch, bias_yaw)
+        for target in task.targets(t):
+            _, det = camera_view(target, uav.pose, task.mount_pitch, self.k_cam, bias_pitch, bias_yaw)
             if det is not None and (best is None or det.pixel_count > best.pixel_count):
                 best = det
         if best is None:
             return None, None, False
-        valid = validate_detection(best, self.sc.gate, k_cam.width, k_cam.height, task)
-        ray = pixel_to_los(best.centroid[0], best.centroid[1], k_cam)
-        los_world = camera_to_world(ray, uav.pose, mount_pitch).unit()
+        valid = validate_detection(best, self.sc.gate, self.k_cam.width, self.k_cam.height, task.number)
+        ray = pixel_to_los(best.centroid[0], best.centroid[1], self.k_cam)
+        los_world = camera_to_world(ray, uav.pose, task.mount_pitch).unit()
         return rot_z(uav.pose.yaw).apply_inverse(los_world), los_world, valid
-
-
-def _vec_list(v: Vec3) -> list[float]:
-    return [round(v.x, 3), round(v.y, 3), round(v.z, 3)]
 
 
 def run_mission(scenario: Scenario, sim: SimConfig) -> MissionResult:

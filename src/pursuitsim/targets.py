@@ -264,10 +264,8 @@ def _knot_curve(scale: Vec3):
 
 
 def _knot_scale(cube: float) -> Vec3:
-    thetas = np.linspace(0.0, 2.0 * math.pi, 4096)
-    x = np.sin(thetas) + 2.0 * np.sin(2.0 * thetas)
-    y = np.cos(thetas) - 2.0 * np.cos(2.0 * thetas)
-    z = -np.sin(3.0 * thetas)
+    unit_curve, _, _ = _knot_curve(Vec3(1.0, 1.0, 1.0))
+    x, y, z = unit_curve(np.linspace(0.0, 2.0 * math.pi, 4096))
     return Vec3(
         cube / (float(x.max()) - float(x.min())),
         cube / (float(y.max()) - float(y.min())),

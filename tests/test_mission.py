@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
 import math
+import os
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ from pursuitsim.geometry import Vec3, ZERO3
 from pursuitsim.mission import (
     Arena,
     BalloonSpec,
+    BallSpec,
     FaultSpec,
     MissionMode,
     MissionParams,
@@ -322,3 +326,76 @@ class TestClosedLoopMission:
         # only if the vehicle actually passed over it, so just require the
         # mission to have completed its pop
         assert res.pops == 1
+
+
+def _golden_scenarios():
+    balloon = BalloonSpec(anchor=Vec3(25.0, 3.0, 2.2))
+    return {
+        # criterion 7
+        "nominal": Scenario(task=1, arena=Arena(), balloons=[balloon], duration=45.0),
+        "gimbal": Scenario(
+            task=1, arena=Arena(), balloons=[balloon],
+            faults=[FaultSpec(kind="gimbal_offset", yaw_deg=35.0)], duration=80.0,
+        ),
+        # TestClosedLoopMission
+        "latency": Scenario(
+            task=1, arena=Arena(length=30.0), balloons=[BalloonSpec(anchor=Vec3(33.0, 6.0, 2.4))],
+            faults=[FaultSpec(kind="camera_latency", delay=0.1)],
+            params=MissionParams(adjust_timeout=2.0), duration=25.0,
+        ),
+        "downdraft": Scenario(
+            task=1, arena=Arena(), balloons=[balloon],
+            faults=[FaultSpec(kind="downdraft", impulse=2.0)], duration=60.0,
+        ),
+        # criterion 8
+        "task2": Scenario(
+            task=2, arena=Arena(),
+            ball=BallSpec(center=Vec3(70.0, 14.0, 12.5), speed=6.0, width=40.0, height=6.0,
+                          phase=3 * math.pi / 2),
+            gate=ValidityGate(min_bbox_area_fraction=5e-6, bottom_exclusion_fraction=0.30),
+            duration=20.0, square_altitude=11.0,
+        ),
+    }
+
+
+# (pops, misses, final mode, sha256 of the event log plus the repr of
+# command_log, pops, misses, min_ball_distance and final_mode)
+GOLDEN = {
+    "nominal": (1, 0, "global_plan", "1dc7963b7c3965f04aac5aca71c02b9038de5b04a20d457cd26363755027e898"),
+    "gimbal": (1, 1, "global_plan", "a5de0a323ca2e66fdc79b621d1080c01197c735bcd709488e228c1d2f293c3c4"),
+    "latency": (0, 0, "adjust", "98196bde05681b1c97fd52559ea7e82f429623b9f9932e7adda9678b0ac9aaab"),
+    "downdraft": (1, 0, "global_plan", "1dc7963b7c3965f04aac5aca71c02b9038de5b04a20d457cd26363755027e898"),
+    "task2": (0, 0, "adjust", "b36e0480836c07cdca6a354909d7d7585a53e79e7a908f8d34df9441fbe5f332"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_mission_output_is_pinned(name):
+    """Every output of five fixed missions, byte for byte."""
+    res = run_mission(_golden_scenarios()[name], SIM)
+    buf = io.StringIO()
+    res.write_events_jsonl(buf)
+    digest = hashlib.sha256(buf.getvalue().encode())
+    digest.update(repr((res.command_log, res.pops, res.misses, res.min_ball_distance, res.final_mode)).encode())
+    assert (res.pops, res.misses, res.final_mode, digest.hexdigest()) == GOLDEN[name]
+
+
+def test_perfbench_tracer_wraps_the_mission():
+    """perfbench's tracer wraps mission names by attribute; a renamed or
+    moved name fails here, not only in the traced benchmark."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.pop(0)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        sc = Scenario(task=1, arena=Arena(), balloons=[BalloonSpec(anchor=Vec3(12.0, 3.0, 2.2))], duration=10.0)
+        res = run_mission(sc, SIM)
+    finally:
+        spans.uninstall()
+    assert any(ev.event == "registered" for ev in res.events)
+    calls = spans.aggregates()["calls"]
+    for name in ("mission.run", "mission.frame", "mission.state_machine", "trajectory.cursor"):
+        assert calls.get(name, 0) > 0, name
