@@ -100,43 +100,68 @@ class Verdict:
     reason: Optional[FailureReason]
     time: float
     duration: float  # pursuit clock at the terminal event
+    min_miss: float  # least surface distance over the judged steps, m
 
 
 class HitMonitor:
-    """Incremental judge of the four first-pass hit conditions.
-
-    Fed chronologically; returns a Verdict at the first terminal event.
-    The pursuit clock starts at guidance handoff; the in-bounds box is
-    anchored on the target path's bounding-box center.
-    """
+    """The one judge of a trial: `update` takes one `TracePoint` per dynamics
+    step, in order, and returns a Verdict at the first terminal event;
+    `timeout` ends a run that reaches its last point without one. The pursuit
+    clock starts at handoff, and the box is centred on `bounds_center`, which
+    `run_engagement` computes once per trial; `harness.classify_hit` replays
+    a trace through this class. `crashed` reads velocities, which a trace
+    does not hold, so only the live loop applies it, before each update."""
 
     def __init__(self, rules: RulesConfig, bounds_center: Vec3, handoff_time: float):
         self.rules = rules
         self.center = bounds_center
         self.handoff = handoff_time
+        self.t = 0.0  # of the last update
         self.last_seen: float = -math.inf
         self.min_miss: float = math.inf
+        self.over_accel = 0.0  # how long acceleration has been above the crash limit, s
 
-    def update(self, t: float, uav_pos: Vec3, surface_dist: float, detected: bool) -> Optional[Verdict]:
+    def _verdict(self, hit: bool, reason: Optional[FailureReason], t: float) -> Verdict:
+        duration = t - self.handoff
+        return Verdict(hit, reason, t, max(duration, 0.0) if hit else duration, self.min_miss)
+
+    def crashed(self, t: float, pose: Pose, dv: Vec3, dt: float) -> Optional[Verdict]:
+        """A non-finite state, or acceleration above `crash_accel_g` held
+        longer than `crash_sustain`; `dv` is the step's velocity change."""
         r = self.rules
-        if detected:
+        if not (pose.position.is_finite() and pose.velocity.is_finite()):
+            return self._verdict(False, FailureReason.CRASH, t)
+        if dv.norm() / dt > r.crash_accel_g * GRAVITY:
+            self.over_accel += dt
+            if self.over_accel > r.crash_sustain:
+                return self._verdict(False, FailureReason.CRASH, t)
+        else:
+            self.over_accel = 0.0
+        return None
+
+    def update(self, point: TracePoint) -> Optional[Verdict]:
+        r = self.rules
+        t = self.t = point.t
+        if point.detected:
             self.last_seen = t
+        surface_dist = point.surface_dist
         if surface_dist < self.min_miss:
             self.min_miss = surface_dist
         duration = t - self.handoff
 
-        if surface_dist <= r.hit_radius:
-            if duration < r.pursuit_timeout:
-                return Verdict(True, None, t, max(duration, 0.0))
-            return Verdict(False, FailureReason.TIMEOUT, t, duration)
         if duration >= r.pursuit_timeout:
-            return Verdict(False, FailureReason.TIMEOUT, t, duration)
-        d = uav_pos - self.center
+            return self._verdict(False, FailureReason.TIMEOUT, t)
+        if surface_dist <= r.hit_radius:
+            return self._verdict(True, None, t)
+        d = point.uav_pos - self.center
         if abs(d.x) > r.bounds_x / 2.0 or abs(d.y) > r.bounds_y / 2.0 or abs(d.z) > r.bounds_z / 2.0:
-            return Verdict(False, FailureReason.OUT_OF_BOUNDS, t, duration)
+            return self._verdict(False, FailureReason.OUT_OF_BOUNDS, t)
         if t - max(self.last_seen, self.handoff) > r.fov_loss_timeout:
-            return Verdict(False, FailureReason.FOV_LOSS, t, duration)
+            return self._verdict(False, FailureReason.FOV_LOSS, t)
         return None
+
+    def timeout(self) -> Verdict:
+        return self._verdict(False, FailureReason.TIMEOUT, self.t)
 
 
 @dataclass
@@ -429,6 +454,7 @@ class EngagementResult:
     phi_dot_handoff: float    # first valid LOS rate at/after handoff
     phi_dot_final: float      # mean |LOS rate| over the last 0.5 s before the end
     end_time: float
+    bounds_center: Vec3       # the bounds box's anchor, as the trial was judged
     trace: Optional[list[TracePoint]] = None
 
 
@@ -461,7 +487,9 @@ def run_engagement(
 
     handoff = gp.init_duration
     horizon = handoff + rules.pursuit_timeout + 0.25
-    monitor = HitMonitor(rules, _path_bounds_center(path, horizon), handoff)
+    bounds_center = _path_bounds_center(path, horizon)
+    monitor = HitMonitor(rules, bounds_center, handoff)
+    seen_window = 2.0 / rates.perception_hz  # a step counts as in sight this soon after a detection
 
     uav = UavState.at_rest(ZERO3, yaw=0.0)
     init_cmd_vel = ZERO3
@@ -471,11 +499,8 @@ def run_engagement(
 
     phi_handoff: Optional[float] = None
     phi_log: list[tuple[float, float]] = []
+    phi_last = 0.0
     trace: Optional[list[TracePoint]] = [] if record_trace else None
-
-    crash_time = 0.0
-    verdict: Optional[Verdict] = None
-    t_next = 0.0
 
     for k, t, perception_due, control_due in rates.ticks(horizon):
         pursuing = t >= handoff
@@ -487,7 +512,8 @@ def run_engagement(
                 last_seen = t
                 sample = frame.sample
                 if sample.valid_rate:
-                    phi_log.append((t, sample.phi_dot))
+                    phi_last = sample.phi_dot
+                    phi_log.append((t, phi_last))
                     if pursuing and phi_handoff is None:
                         phi_handoff = sample.phi_dot
                 los_world = camera_to_world(sample.r, uav.pose, mount_pitch).unit()
@@ -514,34 +540,20 @@ def run_engagement(
         uav = pilot.fly(uav)
         t_next = (k + 1) * dt
 
-        # ---- safety + outcome checks -----------------------------------
-        pos = uav.pose.position
-        vel = uav.pose.velocity
-        if not (pos.is_finite() and vel.is_finite()):
-            verdict = Verdict(False, FailureReason.CRASH, t_next, t_next - handoff)
-            break
-        accel_mag = (vel - v_before).norm() / dt
-        if accel_mag > rules.crash_accel_g * GRAVITY:
-            crash_time += dt
-            if crash_time > rules.crash_sustain:
-                verdict = Verdict(False, FailureReason.CRASH, t_next, t_next - handoff)
-                break
-        else:
-            crash_time = 0.0
-
-        target = path.sample(t_next)
-        surface_dist = (pos - target.position).norm() - target.radius
-        detected_now = (t_next - last_seen) < (2.0 / rates.perception_hz)
-        if trace is not None:
-            phi_dot = phi_log[-1][1] if phi_log else 0.0
-            trace.append(TracePoint(t_next, pos, target.position, target.radius, detected_now, phi_dot))
-        verdict = monitor.update(t_next, pos, surface_dist, detected_now)
+        # ---- judge the step --------------------------------------------
+        verdict = monitor.crashed(t_next, uav.pose, uav.pose.velocity - v_before, dt)
         if verdict is not None:
             break
-
-    if verdict is None:
-        # ran off the end of the horizon without any terminal event
-        verdict = Verdict(False, FailureReason.TIMEOUT, t_next, t_next - handoff)
+        target = path.sample(t_next)
+        point = TracePoint(t_next, uav.pose.position, target.position, target.radius,
+                           (t_next - last_seen) < seen_window, phi_last)
+        if trace is not None:
+            trace.append(point)
+        verdict = monitor.update(point)
+        if verdict is not None:
+            break
+    else:
+        verdict = monitor.timeout()  # the horizon ran out without a terminal event
 
     final_phis = [abs(p) for (tt, p) in phi_log if tt >= verdict.time - _FINAL_PHI_WINDOW]
     phi_final = sum(final_phis) / len(final_phis) if final_phis else 0.0
@@ -549,27 +561,19 @@ def run_engagement(
         hit=verdict.hit,
         failure_reason=verdict.reason,
         duration=verdict.duration,
-        min_miss_distance=monitor.min_miss,
+        min_miss_distance=verdict.min_miss,
         completed=verdict.reason != FailureReason.CRASH,
         phi_dot_handoff=phi_handoff if phi_handoff is not None else 0.0,
         phi_dot_final=phi_final,
         end_time=verdict.time,
+        bounds_center=bounds_center,
         trace=trace,
     )
 
 
 def _path_bounds_center(path: TargetPath, horizon: float) -> Vec3:
-    if path.period is not None:
-        span = path.period
-    else:
-        span = horizon
-    n = 64
-    lo = [math.inf] * 3
-    hi = [-math.inf] * 3
-    for i in range(n + 1):
-        p = path.sample(span * i / n).position
-        lo[0] = min(lo[0], p.x); hi[0] = max(hi[0], p.x)
-        lo[1] = min(lo[1], p.y); hi[1] = max(hi[1], p.y)
-        lo[2] = min(lo[2], p.z); hi[2] = max(hi[2], p.z)
-    return Vec3((lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0, (lo[2] + hi[2]) / 2.0)
-
+    """The bounds box's anchor: the center of the axis-aligned bounding box of
+    the path at t = i * span / 64, i = 0..64, over one period (or `horizon`)."""
+    span = path.period if path.period is not None else horizon
+    xs, ys, zs = zip(*(path.sample(span * i / 64).position for i in range(65)))
+    return Vec3((min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0, (min(zs) + max(zs)) / 2.0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
 
-from .config import SimConfig
+from .config import RulesConfig, SimConfig
 from .engagement import (
     EngagementResult,
     FailureReason,
@@ -107,33 +107,20 @@ def run_trial(
     return trial, res
 
 
-def classify_hit(
-    trace: Sequence[TracePoint], rules, handoff_time: float
-) -> Verdict:
-    """Judge a complete trace against the four first-pass hit conditions.
-
-    The in-bounds box is anchored on the bounding-box center of the target
-    positions in the trace, up to its last point. The live monitor anchors on
-    65 samples of the path over one period (over the horizon for a path
-    without one) instead, so the two verdicts can differ on the same trial.
-    """
+def classify_hit(trace: Sequence[TracePoint], rules: RulesConfig, handoff_time: float,
+                 bounds_center: Vec3) -> Verdict:
+    """Replay a recorded trace through `HitMonitor`, the live judge. With the
+    trial's `EngagementResult.bounds_center` this gives the live verdict and
+    min miss. The crash rule is skipped: a trace holds no velocities and
+    stops before a crash step."""
     if not trace:
         raise ValueError("trace must be non-empty")
-    lo = [math.inf] * 3
-    hi = [-math.inf] * 3
+    monitor = HitMonitor(rules, bounds_center, handoff_time)
     for p in trace:
-        tp = p.target_pos
-        lo[0] = min(lo[0], tp.x); hi[0] = max(hi[0], tp.x)
-        lo[1] = min(lo[1], tp.y); hi[1] = max(hi[1], tp.y)
-        lo[2] = min(lo[2], tp.z); hi[2] = max(hi[2], tp.z)
-    center = Vec3((lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2, (lo[2] + hi[2]) / 2)
-    monitor = HitMonitor(rules, center, handoff_time)
-    for p in trace:
-        verdict = monitor.update(p.t, p.uav_pos, p.surface_dist, p.detected)
+        verdict = monitor.update(p)
         if verdict is not None:
             return verdict
-    end = trace[-1].t
-    return Verdict(False, FailureReason.TIMEOUT, end, end - handoff_time)
+    return monitor.timeout()
 
 
 @dataclass(frozen=True)

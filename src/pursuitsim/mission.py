@@ -387,6 +387,10 @@ class Scenario:
             raise ValueError("at most one fault of each kind")
         if not all(v > 0.0 for v in (self.duration, self.search_speed, self.square_speed)):
             raise ValueError("duration, search speed and square speed must be positive")
+        if self.task == 1:
+            lawnmower_legs(self.arena, self.sweep_width)  # raises for a width outside (0, arena width]
+        elif self.square_altitude <= self.arena.ceiling:
+            raise ValueError("Task 2 square altitude must clear the Task 1 ceiling")
 
 
 # scenario-file "search" group key -> Scenario field
@@ -511,7 +515,8 @@ class BalloonTask:
             if (uav.pose.position - b.position).norm() <= self.params.pop_contact:
                 b.alive = False
                 self.mission.result.pops += 1
-                self.attack_saw_pop = True
+                if state.mode == MissionMode.ATTACK:
+                    self.attack_saw_pop = True
                 self.mission._emit(t, "pop", balloon=i)
                 if state.mode in (MissionMode.ADJUST, MissionMode.ATTACK):
                     state.transition(MissionMode.RECOVER, t)

@@ -207,6 +207,7 @@ def test_criterion_5_trend_reproduction(matrix_results):
 def test_criterion_6_hit_classifier_table():
     rules = SIM.rules
     handoff = 2.0
+    target = Vec3(10.0, 0.0, 0.0)  # the stationary target, and so the box anchor
 
     def trace(points):
         return [TracePoint(t, Vec3(*u), Vec3(*g), 0.5, det) for (t, u, g, det) in points]
@@ -222,17 +223,17 @@ def test_criterion_6_hit_classifier_table():
         return trace(pts)
 
     checks = []
-    v = classify_hit(approach(0.9, 5.0, 6.0), rules, handoff)
+    v = classify_hit(approach(0.9, 5.0, 6.0), rules, handoff, target)
     checks.append(("0.4 m surface pass is a hit", v.hit))
-    v = classify_hit(approach(1.1, 5.0, 25.0), rules, handoff)
+    v = classify_hit(approach(1.1, 5.0, 25.0), rules, handoff, target)
     checks.append(("0.6 m surface pass times out", not v.hit and v.reason == FailureReason.TIMEOUT))
-    v = classify_hit(approach(0.9, handoff + 19.9, handoff + 20.4), rules, handoff)
+    v = classify_hit(approach(0.9, handoff + 19.9, handoff + 20.4), rules, handoff, target)
     checks.append(("hit at 19.9 s counts", v.hit))
-    v = classify_hit(approach(0.9, handoff + 20.1, handoff + 20.4), rules, handoff)
+    v = classify_hit(approach(0.9, handoff + 20.1, handoff + 20.4), rules, handoff, target)
     checks.append(("hit at 20.1 s is a timeout", not v.hit and v.reason == FailureReason.TIMEOUT))
-    v = classify_hit(approach(0.9, 7.5, 8.0, lose=(3.0, 6.2)), rules, handoff)
+    v = classify_hit(approach(0.9, 7.5, 8.0, lose=(3.0, 6.2)), rules, handoff, target)
     checks.append(("3.2 s of lost sight fails", v.reason == FailureReason.FOV_LOSS))
-    v = classify_hit(approach(0.9, 7.5, 8.0, lose=(3.0, 5.5)), rules, handoff)
+    v = classify_hit(approach(0.9, 7.5, 8.0, lose=(3.0, 5.5)), rules, handoff, target)
     checks.append(("2.5 s of lost sight is fine", v.hit))
     out = trace(
         [
@@ -240,7 +241,7 @@ def test_criterion_6_hit_classifier_table():
             (1.0, (28.0, 0.0, 0.0), (10.0, 0.0, 0.0), True),
         ]
     )
-    v = classify_hit(out, rules, handoff)
+    v = classify_hit(out, rules, handoff, target)
     checks.append(("leaving the 35x100x40 box fails", v.reason == FailureReason.OUT_OF_BOUNDS))
     edge = trace(
         [
@@ -249,7 +250,7 @@ def test_criterion_6_hit_classifier_table():
             (2.0, (9.6, 0.0, 0.0), (10.0, 0.0, 0.0), True),
         ]
     )
-    v = classify_hit(edge, rules, handoff)
+    v = classify_hit(edge, rules, handoff, target)
     checks.append(("box edge is still inside", v.hit))
 
     failed = [name for name, ok in checks if not ok]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,33 @@ def test_trial_writes_trace(tmp_path, capsys):
     trace = (tmp_path / "trial_trace.csv").read_text().splitlines()
     assert trace[0].startswith("t,uav_x,uav_y,uav_z")
     assert len(trace) > 100
+
+
+# sha256 of `trial_trace.csv` from `pursuitsim trial --path knot --seed 3`,
+# per (method, --ideal-dynamics), measured with numpy 2.4.6. The ten cover a
+# hit and every kind of miss but a crash. pn-heading never moves the vehicle
+# in either model (the target is first seen after handoff, with no closing
+# velocity), so its two traces are the same file.
+TRACE_SHA256 = {
+    ("tpn", False): "f737e4aaf6352ecd9771392b45c9a332878862d43dacf0b9a297aee163ab8e43",
+    ("pn-heading", False): "5495308db527f55721524c1e0183b480c94c755a87f14daae6be49b9ce2145f4",
+    ("hybrid", False): "ebcee7407d2de8790f09952625ff7cc90a4fc70b5ff83309ccdeebe914dacf08",
+    ("los-traj", False): "a3b0d9a0b328859b01e825ec6c5e02224856b44764b5f05d4352ab292ae43a74",
+    ("forecast-traj", False): "d4906a64cc0e701ce6e42b455168e86581523ff4dc3887d1206deac3455ac024",
+    ("tpn", True): "4231b585c8d587b4e3daae2093347ec455876618baefc839397912997bf82c9a",
+    ("pn-heading", True): "5495308db527f55721524c1e0183b480c94c755a87f14daae6be49b9ce2145f4",
+    ("hybrid", True): "7de73920091553389e4b1aa81f314c7f5ec2a811a313e4048d00724d290da540",
+    ("los-traj", True): "1428f4a3388365f4a6369ea20651fe06e4f587303c522b007fb76944ee7fb47e",
+    ("forecast-traj", True): "160aea76e453e4a33a31d6fc5321d0c164612a0b642101e8daf8ff2a3dbc3b82",
+}
+
+
+@pytest.mark.parametrize("method, ideal", list(TRACE_SHA256))
+def test_trial_trace_is_pinned(tmp_path, capsys, method, ideal):
+    argv = ["trial", "--method", method, "--path", "knot", "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv + ["--ideal-dynamics"] * ideal) == 0
+    digest = hashlib.sha256((tmp_path / "trial_trace.csv").read_bytes()).hexdigest()
+    assert digest == TRACE_SHA256[(method, ideal)]
 
 
 def test_matrix_partial_sweep(tmp_path, capsys):

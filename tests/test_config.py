@@ -38,12 +38,15 @@ SCENARIO = {"task": 1, "balloons": [{"anchor": [25.0, 3.0, 2.2]}], "duration": 3
         (load_scenario, {**SCENARIO, "duration": 0}),
         (load_scenario, {**SCENARIO, "search": {"speed": 0}}),
         (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}, "search": {"square_speed": 0}}),
+        (load_scenario, {**SCENARIO, "search": {"sweep_width": 0}}),
+        (load_scenario, {**SCENARIO, "search": {"sweep_width": 41.0}}),
+        (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}, "arena": {"ceiling": 11.0}}),
     ],
     ids=["string-gain", "slow-dynamics", "zero-window", "flat-gain-key", "misspelt-key", "short-anchor",
          "zero-hover-thrust", "zero-attitude-lag", "zero-trajectory-dt", "zero-replan-rate", "zero-width",
          "negative-timeout", "negative-hit-radius", "zero-fov-loss-timeout", "task-3", "task-2-without-ball",
          "unknown-fault-kind", "duplicate-fault-kind", "negative-latency", "zero-duration", "zero-search-speed",
-         "zero-square-speed"],
+         "zero-square-speed", "zero-sweep-width", "sweep-wider-than-arena", "square-at-ceiling"],
 )
 def test_bad_file_rejected_at_load(tmp_path, loader, data):
     path = tmp_path / "bad.json"

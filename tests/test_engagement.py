@@ -6,6 +6,8 @@ from pursuitsim import engagement
 from pursuitsim.config import SimConfig
 from pursuitsim.engagement import (
     DirectGuide,
+    FailureReason,
+    HitMonitor,
     PerceptionPipeline,
     TrajectoryGuide,
     camera_view,
@@ -140,3 +142,26 @@ class TestTrajectoryGuide:
         assert guide.plan is plan
         guide.replan(40, 0.2, UAV, fresh=True)
         assert guide.plan is not plan and guide.mark == 2
+
+
+class TestCrashRule:
+    """TPN at 3 m/s on a stationary target 10 m ahead: its take-off exceeds a
+    0.05 g crash limit from the first step."""
+
+    @pytest.mark.parametrize("rules, outcome", [
+        ({"crash_accel_g": 0.05, "crash_sustain": 0.1}, (False, FailureReason.CRASH, 0.1, False)),
+        ({"crash_accel_g": 0.05, "crash_sustain": 0.0}, (False, FailureReason.CRASH, 0.005, False)),
+        ({}, (True, None, 3.45, True)),
+    ], ids=["sustained-over-limit", "any-step-over-limit", "defaults"])
+    def test_outcome(self, rules, outcome):
+        sim = SimConfig()
+        sim.rules = dataclasses.replace(sim.rules, **rules)
+        res = run_engagement(GuidanceMethod.TPN, 3.0, StationaryPath(Vec3(10.0, 0.0, 0.0), 0.5), sim)
+        assert (res.hit, res.failure_reason, res.end_time, res.completed) == outcome
+
+    def test_non_finite_state_is_a_crash(self):
+        monitor = HitMonitor(SimConfig().rules, ZERO3, 2.0)
+        pose = Pose(Vec3(float("nan"), 0.0, 0.0), ZERO3, 0.0, 0.0, 0.0)
+        verdict = monitor.crashed(0.005, pose, ZERO3, 0.005)
+        assert (verdict.hit, verdict.reason, verdict.time) == (False, FailureReason.CRASH, 0.005)
+        assert monitor.crashed(0.005, POSE, ZERO3, 0.005) is None

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pursuitsim import harness
 from pursuitsim.config import SimConfig
@@ -6,6 +8,8 @@ from pursuitsim.engagement import FailureReason, TracePoint, run_engagement
 from pursuitsim.geometry import Vec3
 from pursuitsim.guidance import GuidanceMethod
 from pursuitsim.harness import (
+    TARGET_FRACTIONS,
+    UAV_SPEEDS,
     ExperimentConfig,
     TrialResult,
     aggregate,
@@ -21,6 +25,7 @@ from pursuitsim.targets import PathKind, StationaryPath, TargetPathSpec, build_p
 SIM = SimConfig()
 RULES = SIM.rules
 HANDOFF = 2.0
+TARGET = Vec3(10.0, 0.0, 0.0)  # every hand-built trace's stationary target, and its box anchor
 
 
 def trace_from(points):
@@ -44,20 +49,27 @@ def hover_trace(dist_from_center, t_hit, detected=True, t_end=None):
     return trace_from(pts)
 
 
+def replay_is_live(res):
+    """Whether replaying a recorded trace gives the live verdict and min miss."""
+    v = classify_hit(res.trace, RULES, HANDOFF, res.bounds_center)
+    return (v.hit, v.reason, v.time, v.duration, v.min_miss) == (
+        res.hit, res.failure_reason, res.end_time, res.duration, res.min_miss_distance)
+
+
 class TestClassifyHit:
     def test_surface_distance_rule(self):
         # center distance 0.9 on a 0.5 m radius target = 0.4 m surface miss
-        verdict = classify_hit(hover_trace(0.9, 5.0), RULES, HANDOFF)
+        verdict = classify_hit(hover_trace(0.9, 5.0), RULES, HANDOFF, TARGET)
         assert verdict.hit
         # center distance 1.1 -> 0.6 m surface: no contact, runs to timeout
-        verdict = classify_hit(hover_trace(1.1, 5.0, t_end=25.0), RULES, HANDOFF)
+        verdict = classify_hit(hover_trace(1.1, 5.0, t_end=25.0), RULES, HANDOFF, TARGET)
         assert not verdict.hit and verdict.reason == FailureReason.TIMEOUT
 
     def test_duration_boundaries(self):
-        hit_early = classify_hit(hover_trace(0.9, HANDOFF + 19.9, t_end=HANDOFF + 20.5), RULES, HANDOFF)
+        hit_early = classify_hit(hover_trace(0.9, HANDOFF + 19.9, t_end=HANDOFF + 20.5), RULES, HANDOFF, TARGET)
         assert hit_early.hit
         assert abs(hit_early.duration - 19.9) < 0.06
-        hit_late = classify_hit(hover_trace(0.9, HANDOFF + 20.1, t_end=HANDOFF + 20.5), RULES, HANDOFF)
+        hit_late = classify_hit(hover_trace(0.9, HANDOFF + 20.1, t_end=HANDOFF + 20.5), RULES, HANDOFF, TARGET)
         assert not hit_late.hit
         assert hit_late.reason == FailureReason.TIMEOUT
 
@@ -70,7 +82,7 @@ class TestClassifyHit:
             d = 9.0 if t < 7.5 else 0.8
             pts.append((t, (10.0 - d, 0.0, 0.0), (10.0, 0.0, 0.0), detected))
             t += 0.1
-        verdict = classify_hit(trace_from(pts), RULES, HANDOFF)
+        verdict = classify_hit(trace_from(pts), RULES, HANDOFF, TARGET)
         assert not verdict.hit
         assert verdict.reason == FailureReason.FOV_LOSS
         assert verdict.time < 7.5
@@ -83,7 +95,7 @@ class TestClassifyHit:
             d = 9.0 if t < 7.5 else 0.8
             pts.append((t, (10.0 - d, 0.0, 0.0), (10.0, 0.0, 0.0), detected))
             t += 0.1
-        assert classify_hit(trace_from(pts), RULES, HANDOFF).hit
+        assert classify_hit(trace_from(pts), RULES, HANDOFF, TARGET).hit
 
     def test_bounds_rule(self):
         # drift past the 35 m half-extent (17.5) in x from the target center
@@ -92,7 +104,7 @@ class TestClassifyHit:
             (1.0, (27.0, 0.0, 0.0), (10.0, 0.0, 0.0), True),
             (2.0, (28.0, 0.0, 0.0), (10.0, 0.0, 0.0), True),
         ]
-        verdict = classify_hit(trace_from(pts), RULES, HANDOFF)
+        verdict = classify_hit(trace_from(pts), RULES, HANDOFF, TARGET)
         assert verdict.reason == FailureReason.OUT_OF_BOUNDS
 
     def test_bounds_edge_inside(self):
@@ -101,11 +113,35 @@ class TestClassifyHit:
             (1.0, (10.0, 49.9, 0.0), (10.0, 0.0, 0.0), True),  # y half-extent 50
             (2.0, (9.6, 0.0, 0.0), (10.0, 0.0, 0.0), True),
         ]
-        assert classify_hit(trace_from(pts), RULES, HANDOFF).hit
+        assert classify_hit(trace_from(pts), RULES, HANDOFF, TARGET).hit
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            classify_hit([], RULES, HANDOFF)
+            classify_hit([], RULES, HANDOFF, TARGET)
+
+    def test_replay_of_recorded_traces_is_the_live_verdict(self):
+        # master seed 7, every method and path at 3 and 5 m/s, fraction 0.5:
+        # an anchor re-derived from the trace's target positions disagrees
+        # with the live verdict on 39 of these 120 trials
+        for cfg in full_matrix(trials=4, speeds=(3.0, 5.0), fractions=(0.5,)):
+            for i in range(cfg.trials):
+                _, res = run_trial(cfg, trial_seed(7, cfg, i), SIM, record_trace=True)
+                assert replay_is_live(res), f"{cfg.label()} trial {i}"
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        method=st.sampled_from(list(GuidanceMethod)),
+        path=st.sampled_from(list(PathKind)),
+        speed=st.sampled_from(UAV_SPEEDS),
+        fraction=st.sampled_from(TARGET_FRACTIONS),
+        ideal=st.booleans(),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_replay_property(self, method, path, speed, fraction, ideal, seed):
+        cfg = ExperimentConfig(method, speed, path, fraction, trials=1, ideal_dynamics=ideal)
+        _, res = run_trial(cfg, seed, SIM, record_trace=True)
+        assume(res.completed)  # a trace stops before a crash step, so a replay cannot see one
+        assert replay_is_live(res)
 
 
 class TestAggregate:

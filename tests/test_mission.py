@@ -380,6 +380,17 @@ def test_mission_output_is_pinned(name):
     assert (res.pops, res.misses, res.final_mode, digest.hexdigest()) == GOLDEN[name]
 
 
+def test_pop_outside_an_attack_does_not_hide_the_next_miss():
+    """A 5 cm balloon at the start point pops during take-off, outside any
+    attack; the gimbal-faulted attack on the other balloon is still a miss."""
+    sc = _golden_scenarios()["gimbal"]
+    sc.balloons.append(BalloonSpec(anchor=Vec3(2.0, 2.0, 1.2), radius=0.05))
+    res = run_mission(sc, SIM)
+    assert (res.pops, res.misses) == (2, 1)
+    misses = [ev for ev in res.events if ev.event == "miss"]
+    assert [round(ev.t, 3) for ev in misses] == [18.645]
+
+
 def test_perfbench_tracer_wraps_the_mission():
     """perfbench's tracer wraps mission names by attribute; a renamed or
     moved name fails here, not only in the traced benchmark."""
