@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
-from .config import RulesConfig, SimConfig
+from .config import RulesConfig, SimConfig, TrajectoryConfig
 from .geometry import (
     CameraIntrinsics,
     LosSample,
@@ -66,8 +66,8 @@ from .vehicle import (
     AttitudeCommand,
     ControllerGains,
     PoseController,
-    UavState,
     VelocityController,
+    at_rest,
     dynamics_step,
     ideal_dynamics_step,
 )
@@ -210,8 +210,8 @@ def camera_view(
     return seg, centroid(seg)
 
 
-def _yaw_rate_toward(wp: Waypoint, uav: UavState, gains: ControllerGains) -> float:
-    return gains.yaw_kp * wrap_angle(wp.yaw - uav.pose.yaw)
+def _yaw_rate_toward(wp: Waypoint, uav: Pose, gains: ControllerGains) -> float:
+    return gains.yaw_kp * wrap_angle(wp.yaw - uav.yaw)
 
 
 class Pilot:
@@ -233,21 +233,21 @@ class Pilot:
         self.v_ref = ZERO3
         self.cmd = AttitudeCommand(0.0, 0.0, 0.0, self.params.hover_thrust)
 
-    def velocity(self, v: Vec3, yaw_rate: float, uav: UavState) -> None:
+    def velocity(self, v: Vec3, yaw_rate: float, uav: Pose) -> None:
         self.v_ref = v
         self.cmd = self.vel_ctl.step(v, ZERO3, yaw_rate, uav, self.dt_ctrl)
 
-    def waypoint(self, wp: Waypoint, v_ff: Vec3, uav: UavState) -> None:
+    def waypoint(self, wp: Waypoint, v_ff: Vec3, uav: Pose) -> None:
         yaw_rate = _yaw_rate_toward(wp, uav, self.params.gains)
         self.v_ref = self.pose_ctl.step(wp, v_ff, uav, self.dt_ctrl)
         self.cmd = self.vel_ctl.step(self.v_ref, ZERO3, yaw_rate, uav, self.dt_ctrl)
 
-    def accel(self, a_world: Vec3, yaw_rate: float, v_limit: float, uav: UavState) -> None:
+    def accel(self, a_world: Vec3, yaw_rate: float, v_limit: float, uav: Pose) -> None:
         # integrated into the velocity reference, plus a feedforward term
         self.v_ref = (self.v_ref + a_world.scale(self.dt_ctrl)).clamp_norm(v_limit)
         self.cmd = self.vel_ctl.step(self.v_ref, a_world, yaw_rate, uav, self.dt_ctrl)
 
-    def fly(self, uav: UavState) -> UavState:
+    def fly(self, uav: Pose) -> Pose:
         return dynamics_step(uav, self.cmd, self.dt, self.params)
 
 
@@ -267,22 +267,42 @@ class IdealPilot:
         self.a_world = ZERO3
         self.yaw_rate = 0.0
 
-    def velocity(self, v: Vec3, yaw_rate: float, uav: UavState) -> None:
-        self.a_world = (v - uav.pose.velocity).scale(1.0 / self.tau).clamp_norm(self.max_accel)
+    def velocity(self, v: Vec3, yaw_rate: float, uav: Pose) -> None:
+        self.a_world = (v - uav.velocity).scale(1.0 / self.tau).clamp_norm(self.max_accel)
         self.yaw_rate = yaw_rate
 
-    def waypoint(self, wp: Waypoint, v_ff: Vec3, uav: UavState) -> None:
-        pose = uav.pose
-        a = (wp.position - pose.position).scale(self.WAYPOINT_KP) + (v_ff - pose.velocity).scale(self.WAYPOINT_KV)
+    def waypoint(self, wp: Waypoint, v_ff: Vec3, uav: Pose) -> None:
+        a = (wp.position - uav.position).scale(self.WAYPOINT_KP) + (v_ff - uav.velocity).scale(self.WAYPOINT_KV)
         self.a_world = a.clamp_norm(self.max_accel)
         self.yaw_rate = _yaw_rate_toward(wp, uav, self.params.gains)
 
-    def accel(self, a_world: Vec3, yaw_rate: float, v_limit: float, uav: UavState) -> None:
+    def accel(self, a_world: Vec3, yaw_rate: float, v_limit: float, uav: Pose) -> None:
         self.a_world = a_world
         self.yaw_rate = yaw_rate
 
-    def fly(self, uav: UavState) -> UavState:
+    def fly(self, uav: Pose) -> Pose:
         return ideal_dynamics_step(uav, self.a_world, self.yaw_rate, self.dt, self.params)
+
+
+@dataclass
+class PlanTrack:
+    """A timed plan flown from sim time `start`: plan time is `t - start`,
+    and `index` keeps the tracking point from moving backwards. Trajectory
+    guidance and the mission's search and recovery plans fly one each."""
+
+    plan: Trajectory
+    start: float
+    tcfg: TrajectoryConfig
+    index: int = 0
+
+    def cursor(self, t: float) -> TrajectoryCursor:
+        return cursor_step(self.plan, t - self.start, self.tcfg.replan_hz, self.tcfg.lookahead_buffer, self.index)
+
+    def fly(self, t: float, uav: Pose, pilot: Union[Pilot, IdealPilot]) -> None:
+        """Advance `index` to the tracking point at `t` and set it as the waypoint."""
+        cur = self.cursor(t)
+        self.index = cur.tracking_index
+        pilot.waypoint(cur.tracking_point, cur.tracking_velocity, uav)
 
 
 class PerceptionPipeline:
@@ -320,23 +340,23 @@ class DirectGuide:
         self.v_limit = max(2.0 * uav_speed, 6.0)
         self.command = GuidanceCommand.zero()
 
-    def see(self, frame: PerceptionFrame, los_world: Vec3, uav: UavState, pursuing: bool) -> None:
+    def see(self, frame: PerceptionFrame, los_world: Vec3, uav: Pose, pursuing: bool) -> None:
         if not pursuing:
             return
         los, gp, mp = frame.sample, self.gp, self.mount_pitch
-        v_c = closing_velocity(uav.pose.velocity, los_world)
+        v_c = closing_velocity(uav.velocity, los_world)
         if self.method == GuidanceMethod.TPN:
             self.command = tpn_command(los, v_c, gp, mp)
         else:
             law = pn_heading_command if self.method == GuidanceMethod.PN_HEADING else hybrid_command
             self.command = law(los, los_accel(los, v_c, gp, mp), gp, mp)
 
-    def replan(self, k: int, t: float, uav: UavState, fresh: bool) -> None:
+    def replan(self, k: int, t: float, uav: Pose, fresh: bool) -> None:
         pass
 
-    def steer(self, t: float, uav: UavState, pilot: Union[Pilot, IdealPilot], scale: float) -> None:
+    def steer(self, t: float, uav: Pose, pilot: Union[Pilot, IdealPilot], scale: float) -> None:
         cmd = self.command
-        a_world = body_to_world(cmd.accel_body.scale(scale), uav.pose)
+        a_world = body_to_world(cmd.accel_body.scale(scale), uav)
         pilot.accel(a_world, cmd.yaw_rate * scale, self.v_limit, uav)
 
 
@@ -365,13 +385,11 @@ class TrajectoryGuide:
         self.phi_f: float = 0.0
         self.n_f: Vec3 = ZERO3
         self.d_f: float = 0.0
-        self.plan: Optional[Trajectory] = None
-        self.plan_start = 0.0
-        self.cursor_min = 0
+        self.track: Optional[PlanTrack] = None
         self.mark = -1
         self.last_fix: Optional[tuple[float, float, Vec3]] = None  # t, d_f, los world
 
-    def see(self, frame: PerceptionFrame, los_world: Vec3, uav: UavState, pursuing: bool) -> None:
+    def see(self, frame: PerceptionFrame, los_world: Vec3, uav: Pose, pursuing: bool) -> None:
         los = frame.sample
         self.ray_f = self._f_ray.step(los.r)
         if los.valid_rate:
@@ -380,35 +398,31 @@ class TrajectoryGuide:
         if self.forecast and frame.depth_valid:
             self.d_f = self._f_depth.step(frame.d_center)
 
-    def _cursor(self, t: float) -> TrajectoryCursor:
-        return cursor_step(self.plan, t - self.plan_start, self.tcfg.replan_hz,
-                           self.tcfg.lookahead_buffer, self.cursor_min)
-
-    def replan(self, k: int, t: float, uav: UavState, fresh: bool) -> None:
+    def replan(self, k: int, t: float, uav: Pose, fresh: bool) -> None:
         mark = int((k * self.tcfg.replan_hz) // self.dynamics_hz)
         if mark == self.mark:
             return
         self.mark = mark
         if not fresh:
             return
-        pose = uav.pose
-        if self.plan is None:
-            start, v0 = Waypoint(pose.position, pose.yaw, pose.velocity.norm()), pose.velocity
+        track = self.track
+        if track is None:
+            start, v0 = Waypoint(uav.position, uav.yaw, uav.velocity.norm()), uav.velocity
         else:
-            cur = self._cursor(t)
-            start, v0 = cur.lookahead_point, self.plan.velocity_at(cur.lookahead_index)
+            cur = track.cursor(t)
+            start, v0 = cur.lookahead_point, track.plan.velocity_at(cur.lookahead_index)
         # None only while no frame was seen, which a hold without limit allows
-        los_world = None if self.ray_f == ZERO3 else camera_to_world(self.ray_f, pose, self.mount_pitch).unit()
+        los_world = None if self.ray_f == ZERO3 else camera_to_world(self.ray_f, uav, self.mount_pitch).unit()
         if self.forecast:
             seg = self._forecast(t, start, los_world, uav)
         else:
-            seg = self._los_segment(start, v0, los_world, pose)
+            seg = self._los_segment(start, v0, los_world, uav)
         if seg is None:
             return
-        if self.plan is None:
-            self.plan, self.plan_start, self.cursor_min = seg, t, 0
+        if track is None:
+            self.track = PlanTrack(seg, t, self.tcfg)
         else:
-            self.plan = stitch(self.plan, seg, cur.lookahead_index)
+            track.plan = stitch(track.plan, seg, cur.lookahead_index)
 
     def _los_segment(self, start: Waypoint, v0: Vec3, los_world: Optional[Vec3], pose: Pose) -> Trajectory:
         v_c = 0.0 if los_world is None else max(0.0, closing_velocity(pose.velocity, los_world))
@@ -416,7 +430,7 @@ class TrajectoryGuide:
         a_world = camera_to_world(a_cam, pose, self.mount_pitch)
         return gen_los_accel_trajectory(start, v0, a_world, self.tcfg.horizon, self.tcfg.dt)
 
-    def _forecast(self, t: float, start: Waypoint, los_world: Vec3, uav: UavState) -> Optional[Trajectory]:
+    def _forecast(self, t: float, start: Waypoint, los_world: Vec3, uav: Pose) -> Optional[Trajectory]:
         if self.d_f <= 0.0:  # no range yet
             return None
         last, fix = self.last_fix, (t, self.d_f, los_world)
@@ -426,22 +440,20 @@ class TrajectoryGuide:
         try:
             _, t_coll, p_rel = forecast_target(ForecastInputs(
                 d0=last[1], d1=fix[1], los0=last[2], los1=fix[2], t0=last[0], t1=fix[0],
-                uav_vel=uav.pose.velocity,
+                uav_vel=uav.velocity,
             ))
         except NoClosingVelocityError:
             return None
         if t_coll <= self.tcfg.dt:
             return None
         # cap far-future collision times so segments stay bounded
-        return gen_forecast_trajectory(start, uav.pose.position + p_rel, min(t_coll, 10.0), self.tcfg.dt)
+        return gen_forecast_trajectory(start, uav.position + p_rel, min(t_coll, 10.0), self.tcfg.dt)
 
-    def steer(self, t: float, uav: UavState, pilot: Union[Pilot, IdealPilot], scale: float) -> None:
-        if self.plan is None:
+    def steer(self, t: float, uav: Pose, pilot: Union[Pilot, IdealPilot], scale: float) -> None:
+        if self.track is None:
             pilot.velocity(ZERO3, 0.0, uav)
-            return
-        cur = self._cursor(t)
-        self.cursor_min = cur.tracking_index
-        pilot.waypoint(cur.tracking_point, cur.tracking_velocity, uav)
+        else:
+            self.track.fly(t, uav, pilot)
 
 
 @dataclass
@@ -491,7 +503,7 @@ def run_engagement(
     monitor = HitMonitor(rules, bounds_center, handoff)
     seen_window = 2.0 / rates.perception_hz  # a step counts as in sight this soon after a detection
 
-    uav = UavState.at_rest(ZERO3, yaw=0.0)
+    uav = at_rest(ZERO3, yaw=0.0)
     init_cmd_vel = ZERO3
     last_seen = -math.inf
     since_seen = math.inf
@@ -507,7 +519,7 @@ def run_engagement(
 
         # ---- perception + guidance tick -------------------------------
         if perception_due:
-            frame = pipeline.observe(t, path.sample(t), uav.pose)
+            frame = pipeline.observe(t, path.sample(t), uav)
             if frame.detected:
                 last_seen = t
                 sample = frame.sample
@@ -516,7 +528,7 @@ def run_engagement(
                     phi_log.append((t, phi_last))
                     if pursuing and phi_handoff is None:
                         phi_handoff = sample.phi_dot
-                los_world = camera_to_world(sample.r, uav.pose, mount_pitch).unit()
+                los_world = camera_to_world(sample.r, uav, mount_pitch).unit()
                 if not pursuing:
                     init_cmd_vel = init_velocity(los_world, uav_speed)
                 guide.see(frame, los_world, uav, pursuing)
@@ -536,16 +548,16 @@ def run_engagement(
                 pilot.velocity(init_cmd_vel if since_seen <= gp.dropout_hold else ZERO3, 0.0, uav)
 
         # ---- dynamics ---------------------------------------------------
-        v_before = uav.pose.velocity
+        v_before = uav.velocity
         uav = pilot.fly(uav)
         t_next = (k + 1) * dt
 
         # ---- judge the step --------------------------------------------
-        verdict = monitor.crashed(t_next, uav.pose, uav.pose.velocity - v_before, dt)
+        verdict = monitor.crashed(t_next, uav, uav.velocity - v_before, dt)
         if verdict is not None:
             break
         target = path.sample(t_next)
-        point = TracePoint(t_next, uav.pose.position, target.position, target.radius,
+        point = TracePoint(t_next, uav.position, target.position, target.radius,
                            (t_next - last_seen) < seen_window, phi_last)
         if trace is not None:
             trace.append(point)

@@ -18,6 +18,7 @@ from typing import IO, Optional, Union
 
 from .config import SimConfig, from_dict
 from .geometry import (
+    Pose,
     Vec3,
     ZERO3,
     body_heading,
@@ -26,11 +27,11 @@ from .geometry import (
     rot_z,
 )
 from .perception import Detection
-from .engagement import Pilot, camera_view
+from .engagement import Pilot, PlanTrack, camera_view
+from .engagement import cursor_step, dynamics_step  # noqa: F401  unused; perfbench/tracer.py wraps them by name here
 from .targets import PeriodicCurvePath, TargetState, fig8_curve
-from .trajectory import Trajectory, Waypoint, cursor_step
-from .vehicle import UavState
-from .vehicle import dynamics_step  # noqa: F401  unused here; perfbench/tracer.py still wraps it by this name
+from .trajectory import Trajectory, Waypoint
+from .vehicle import at_rest
 
 
 @dataclass
@@ -218,6 +219,11 @@ class MissionParams:
     wait_timeout: float = 60.0     # s in Wait before resuming the search
     pop_contact: float = 0.65      # m center distance counting as a pop
 
+    def validate(self) -> None:
+        for name in ("adjust_timeout", "attack_speed", "hold_after_loss", "wait_timeout", "pop_contact"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"params.{name} must be positive")
+
 
 @dataclass
 class MissionState:
@@ -254,7 +260,7 @@ def los_angles(r_level: Vec3) -> tuple[float, float]:
 def task1_step(
     state: MissionState,
     los_level: Optional[Vec3],
-    uav: UavState,
+    uav: Pose,
     params: MissionParams,
     t: float,
 ) -> VelocityCommand:
@@ -291,7 +297,7 @@ def task1_step(
 def task2_step(
     state: MissionState,
     los_level: Optional[Vec3],
-    uav: UavState,
+    uav: Pose,
     params: MissionParams,
     t: float,
 ) -> VelocityCommand:
@@ -302,7 +308,7 @@ def task2_step(
             return VelocityCommand(ZERO3, 0.0)
         u = los_level.unit()
         v_level = Vec3(0.0, params.task2_gain * u.y, params.task2_gain * u.z)
-        return VelocityCommand(rot_z(uav.pose.yaw).apply(v_level), 0.0)
+        return VelocityCommand(rot_z(uav.yaw).apply(v_level), 0.0)
 
     if state.mode == MissionMode.WAIT:
         if los_level is not None:
@@ -377,6 +383,7 @@ class Scenario:
     def validate(self) -> None:
         self.arena.validate()
         self.gate.validate()
+        self.params.validate()
         if self.task not in _TASKS:
             raise ValueError(f"task must be 1 or 2, got {self.task}")
         if self.task == 2 and self.ball is None:
@@ -385,8 +392,10 @@ class Scenario:
             fault.validate()
         if len({f.kind for f in self.faults}) < len(self.faults):
             raise ValueError("at most one fault of each kind")
-        if not all(v > 0.0 for v in (self.duration, self.search_speed, self.square_speed)):
-            raise ValueError("duration, search speed and square speed must be positive")
+        if not all(v > 0.0 for v in (self.duration, self.search_speed, self.square_speed, self.square_side)):
+            raise ValueError("duration, search speed, square speed and square side must be positive")
+        if not all(s.radius > 0.0 for s in [*self.balloons, *([self.ball] if self.ball else [])]):
+            raise ValueError("balloon and ball radii must be positive")
         if self.task == 1:
             lawnmower_legs(self.arena, self.sweep_width)  # raises for a width outside (0, arena width]
         elif self.square_altitude <= self.arena.ceiling:
@@ -480,9 +489,8 @@ class BalloonTask:
         self.params = sc.params
         self.dt = mission.sim.rates.dt
         self.mount_pitch = mission.sim.camera.mount_pitch(sc.search_speed, mission.sim.vehicle)
-        self.plan = lawnmower_plan(sc.arena, sc.sweep_width, sc.search_altitude, sc.search_speed, sc.start)
-        self.plan_start = 0.0
-        self.cursor_min = 0
+        plan = lawnmower_plan(sc.arena, sc.sweep_width, sc.search_altitude, sc.search_speed, sc.start)
+        self.track = PlanTrack(plan, 0.0, mission.sim.trajectory)
         self.rejoin_index = 0  # first resumed-plan waypoint of the recovery plan
         self.balloons = [_Balloon(spec=b) for b in sc.balloons]
         self.downdraft = next((f for f in sc.faults if f.kind == "downdraft"), None)
@@ -491,16 +499,16 @@ class BalloonTask:
     def targets(self, t: float) -> list[TargetState]:
         return [TargetState(b.position, ZERO3, b.spec.radius) for b in self.balloons if b.alive]
 
-    def step(self, state: MissionState, seen: Optional[Vec3], uav: UavState, t: float) -> VelocityCommand:
+    def step(self, state: MissionState, seen: Optional[Vec3], uav: Pose, t: float) -> VelocityCommand:
         return task1_step(state, seen, uav, self.params, t)
 
-    def after_step(self, t: float, uav: UavState, state: MissionState) -> None:
+    def after_step(self, t: float, uav: Pose, state: MissionState) -> None:
         """Balloon tethers, the downdraft fault and pops."""
         for i, b in enumerate(self.balloons):
             if not b.alive:
                 continue
             if self.downdraft is not None:
-                d = uav.pose.position - b.position
+                d = uav.position - b.position
                 horiz = math.hypot(d.x, d.y)
                 if horiz < 1.0 and 0.0 < d.z < 2.0 and b.offset_vel.norm() < 0.1:
                     away = Vec3(-d.x, -d.y, 0.0)
@@ -512,7 +520,7 @@ class BalloonTask:
             b.offset_vel = b.offset_vel + acc.scale(self.dt)
             b.offset = b.offset + b.offset_vel.scale(self.dt)
             b.offset = b.offset.clamp_norm(0.5)
-            if (uav.pose.position - b.position).norm() <= self.params.pop_contact:
+            if (uav.position - b.position).norm() <= self.params.pop_contact:
                 b.alive = False
                 self.mission.result.pops += 1
                 if state.mode == MissionMode.ATTACK:
@@ -521,7 +529,7 @@ class BalloonTask:
                 if state.mode in (MissionMode.ADJUST, MissionMode.ATTACK):
                     state.transition(MissionMode.RECOVER, t)
 
-    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: UavState) -> None:
+    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Pose) -> None:
         """An attack that ends without a pop is a miss; a recovery plans the
         way back to the registration point and clears a gimbal fault."""
         mission = self.mission
@@ -532,12 +540,11 @@ class BalloonTask:
             self.attack_saw_pop = False
         if state.mode == MissionMode.RECOVER:
             # later pauses index into the stitched plan
-            self.plan, self.rejoin_index = recovery_stitch(
-                uav.pose.position, state.pause_point or uav.pose.position,
-                self.plan, state.pause_index, mission.sc.search_speed,
+            plan, self.rejoin_index = recovery_stitch(
+                uav.position, state.pause_point or uav.position,
+                self.track.plan, state.pause_index, mission.sc.search_speed,
             )
-            self.plan_start = t
-            self.cursor_min = 0
+            self.track = PlanTrack(plan, t, mission.sim.trajectory)
             if mission.gimbal is not None and mission.gimbal.clear_on_recover:
                 mission.gimbal = None
 
@@ -553,27 +560,26 @@ class BallTask:
         self.mission = mission
         self.params = sc.params
         self.mount_pitch = mission.sim.camera.mount_pitch(sc.square_speed, mission.sim.vehicle)
-        self.plan = square_search_plan(sc.arena, sc.square_altitude, sc.square_speed, sc.square_side)
-        self.plan_start = 0.0
-        self.cursor_min = 0
+        plan = square_search_plan(sc.arena, sc.square_altitude, sc.square_speed, sc.square_side)
+        self.track = PlanTrack(plan, 0.0, mission.sim.trajectory)
         self.ball = BallPath(sc.ball)
 
     def targets(self, t: float) -> list[TargetState]:
         return [self.ball.sample(t)]
 
-    def step(self, state: MissionState, seen: Optional[Vec3], uav: UavState, t: float) -> VelocityCommand:
+    def step(self, state: MissionState, seen: Optional[Vec3], uav: Pose, t: float) -> VelocityCommand:
         return task2_step(state, seen, uav, self.params, t)
 
-    def after_step(self, t: float, uav: UavState, state: MissionState) -> None:
+    def after_step(self, t: float, uav: Pose, state: MissionState) -> None:
         result = self.mission.result
-        d = (uav.pose.position - self.ball.sample(t).position).norm()
+        d = (uav.position - self.ball.sample(t).position).norm()
         result.min_ball_distance = min(result.min_ball_distance, d)
 
-    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: UavState) -> None:
+    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Pose) -> None:
         if old == MissionMode.WAIT and state.mode == MissionMode.GLOBAL_PLAN:
             # resume the paused search plan where it was left
-            self.plan_start = t - state.pause_time
-            self.cursor_min = state.pause_index
+            self.track.start = t - state.pause_time
+            self.track.index = state.pause_index
 
 
 _TASKS = {1: BalloonTask, 2: BallTask}
@@ -605,7 +611,7 @@ class MissionSimulator:
 
         pilot = Pilot(sim)
         state = MissionState()
-        uav = UavState.at_rest(task.plan.waypoints[0].position)  # both plans begin at the start pose
+        uav = at_rest(task.track.plan.waypoints[0].position)  # both plans begin at the start pose
 
         rates = sim.rates
         dt = rates.dt
@@ -624,28 +630,23 @@ class MissionSimulator:
                     state.last_seen = t
                     state.last_los_world = los_world
                     if state.mode == MissionMode.GLOBAL_PLAN and los_valid:
-                        state.pause_point = uav.pose.position
-                        state.pause_index = task.cursor_min
-                        state.pause_time = t - task.plan_start
+                        state.pause_point = uav.position
+                        state.pause_index = task.track.index
+                        state.pause_time = t - task.track.start
                         state.transition(MissionMode.ADJUST, t)
-                        position = [round(c, 3) for c in uav.pose.position]
+                        position = [round(c, 3) for c in uav.position]
                         self._emit(t, "registered", task=task.number, position=position)
 
             if control_due:
                 if state.mode in (MissionMode.GLOBAL_PLAN, MissionMode.RECOVER):
-                    cur = cursor_step(
-                        task.plan, t - task.plan_start,
-                        sim.trajectory.replan_hz, sim.trajectory.lookahead_buffer, task.cursor_min,
-                    )
-                    task.cursor_min = cur.tracking_index
-                    pilot.waypoint(cur.tracking_point, cur.tracking_velocity, uav)
+                    task.track.fly(t, uav, pilot)
                     # only Task 1 recovers, and its recovery plan sets the rejoin index
-                    if state.mode == MissionMode.RECOVER and task.cursor_min >= task.rejoin_index:
+                    if state.mode == MissionMode.RECOVER and task.track.index >= task.rejoin_index:
                         state.transition(MissionMode.GLOBAL_PLAN, t)
                 else:
                     stale = (t - state.last_seen) > (2.5 / rates.perception_hz)
                     v_cmd = task.step(state, None if stale else los_level, uav, t)
-                    self.result.command_log.append((t, state.mode.value, v_cmd.velocity_world, uav.pose.position.z))
+                    self.result.command_log.append((t, state.mode.value, v_cmd.velocity_world, uav.position.z))
                     pilot.velocity(v_cmd.velocity_world, v_cmd.yaw_rate, uav)
 
             uav = pilot.fly(uav)
@@ -663,7 +664,7 @@ class MissionSimulator:
         return self.result
 
     def _observe(
-        self, t: float, uav: UavState, task: Union[BalloonTask, BallTask]
+        self, t: float, uav: Pose, task: Union[BalloonTask, BallTask]
     ) -> tuple[Optional[Vec3], Optional[Vec3], bool]:
         """Largest blob this frame -> (LOS level dir, LOS world unit, gate-valid).
 
@@ -676,15 +677,15 @@ class MissionSimulator:
         bias_yaw = math.radians(gimbal.yaw_deg) if gimbal is not None else 0.0
         best: Optional[Detection] = None
         for target in task.targets(t):
-            _, det = camera_view(target, uav.pose, task.mount_pitch, self.k_cam, bias_pitch, bias_yaw)
+            _, det = camera_view(target, uav, task.mount_pitch, self.k_cam, bias_pitch, bias_yaw)
             if det is not None and (best is None or det.pixel_count > best.pixel_count):
                 best = det
         if best is None:
             return None, None, False
         valid = validate_detection(best, self.sc.gate, self.k_cam.width, self.k_cam.height, task.number)
         ray = pixel_to_los(best.centroid[0], best.centroid[1], self.k_cam)
-        los_world = camera_to_world(ray, uav.pose, task.mount_pitch).unit()
-        return rot_z(uav.pose.yaw).apply_inverse(los_world), los_world, valid
+        los_world = camera_to_world(ray, uav, task.mount_pitch).unit()
+        return rot_z(uav.yaw).apply_inverse(los_world), los_world, valid
 
 
 def run_mission(scenario: Scenario, sim: SimConfig) -> MissionResult:

@@ -55,7 +55,6 @@ class Trajectory:
 class TrajectoryCursor:
     tracking_point: Waypoint
     lookahead_point: Waypoint
-    lookahead_time: float
     tracking_index: int
     lookahead_index: int
     tracking_velocity: Vec3  # feedforward for the pose controller
@@ -189,7 +188,6 @@ def cursor_step(
     return TrajectoryCursor(
         tracking_point=traj.waypoints[idx],
         lookahead_point=traj.waypoints[look],
-        lookahead_time=lookahead_time,
         tracking_index=idx,
         lookahead_index=look,
         tracking_velocity=traj.velocity_at(idx),

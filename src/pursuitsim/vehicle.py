@@ -18,13 +18,9 @@ from .trajectory import Waypoint
 GRAVITY = 9.81
 
 
-@dataclass(frozen=True)
-class UavState:
-    pose: Pose
-
-    @staticmethod
-    def at_rest(position: Vec3, yaw: float = 0.0) -> "UavState":
-        return UavState(Pose(position, ZERO3, 0.0, 0.0, yaw))
+def at_rest(position: Vec3, yaw: float = 0.0) -> Pose:
+    """A level vehicle at rest at `position`, heading `yaw`."""
+    return Pose(position, ZERO3, 0.0, 0.0, yaw)
 
 
 @dataclass(frozen=True)
@@ -123,8 +119,8 @@ class PoseController:
         self.gains = gains
         self.pid = VectorPid(gains.position, gains.integrator_limit)
 
-    def step(self, tracking: Waypoint, ff_vel: Vec3, state: UavState, dt: float) -> Vec3:
-        error = tracking.position - state.pose.position
+    def step(self, tracking: Waypoint, ff_vel: Vec3, pose: Pose, dt: float) -> Vec3:
+        error = tracking.position - pose.position
         return self.pid.step(error, dt) + ff_vel.scale(self.gains.ff_weight)
 
 
@@ -143,13 +139,13 @@ class VelocityController:
         self.pid = VectorPid(gains.velocity, gains.integrator_limit)
 
     def step(
-        self, v_ref: Vec3, a_ff: Vec3, yaw_rate: float, state: UavState, dt: float
+        self, v_ref: Vec3, a_ff: Vec3, yaw_rate: float, pose: Pose, dt: float
     ) -> AttitudeCommand:
-        error = v_ref - state.pose.velocity
+        error = v_ref - pose.velocity
         a_des = self.pid.step(error, dt) + a_ff.scale(self.gains.ff_weight)
         a_total = Vec3(a_des.x, a_des.y, a_des.z + GRAVITY)
 
-        ax, ay, _ = rot_z(state.pose.yaw).apply_inverse(a_total)
+        ax, ay, _ = rot_z(pose.yaw).apply_inverse(a_total)
         az = max(a_total.z, 0.5)  # thrust cannot pull down
 
         mag = math.sqrt(ax * ax + ay * ay + az * az)
@@ -166,13 +162,10 @@ class VelocityController:
 MAX_DYNAMICS_DT = 0.02
 
 
-def dynamics_step(
-    state: UavState, cmd: AttitudeCommand, dt: float, params: VehicleParams
-) -> UavState:
+def dynamics_step(pose: Pose, cmd: AttitudeCommand, dt: float, params: VehicleParams) -> Pose:
     """Semi-implicit Euler step of the lagged point-mass model."""
     if not (0.0 < dt <= MAX_DYNAMICS_DT):
         raise ValueError(f"dt must be in (0, {MAX_DYNAMICS_DT}]")
-    pose = state.pose
     alpha = 1.0 - math.exp(-dt / params.tau_attitude)
     roll = pose.roll + (cmd.roll - pose.roll) * alpha
     pitch = pose.pitch + (cmd.pitch - pose.pitch) * alpha
@@ -191,30 +184,18 @@ def dynamics_step(
     ay = ty - k * vel.y
     az = tz - GRAVITY - k * vel.z
     new_vel = Vec3(vel.x + ax * dt, vel.y + ay * dt, vel.z + az * dt)
-    new_pos = Vec3(
-        pose.position.x + new_vel.x * dt,
-        pose.position.y + new_vel.y * dt,
-        pose.position.z + new_vel.z * dt,
-    )
-    return UavState(Pose(new_pos, new_vel, roll, pitch, yaw))
+    return Pose(pose.position + new_vel.scale(dt), new_vel, roll, pitch, yaw)
 
 
 def ideal_dynamics_step(
-    state: UavState, accel_world: Vec3, yaw_rate: float, dt: float, params: VehicleParams
-) -> UavState:
+    pose: Pose, accel_world: Vec3, yaw_rate: float, dt: float, params: VehicleParams
+) -> Pose:
     """Perfect acceleration tracking: the double-integrator limit used to
     check guidance-law properties without controller/attitude lag."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    pose = state.pose
     rate_lim = params.max_yaw_rate
     yaw_rate = min(rate_lim, max(-rate_lim, yaw_rate))
     yaw = wrap_angle(pose.yaw + yaw_rate * dt)
-    vel = pose.velocity
-    new_vel = Vec3(vel.x + accel_world.x * dt, vel.y + accel_world.y * dt, vel.z + accel_world.z * dt)
-    new_pos = Vec3(
-        pose.position.x + new_vel.x * dt,
-        pose.position.y + new_vel.y * dt,
-        pose.position.z + new_vel.z * dt,
-    )
-    return UavState(Pose(new_pos, new_vel, 0.0, 0.0, yaw))
+    new_vel = pose.velocity + accel_world.scale(dt)
+    return Pose(pose.position + new_vel.scale(dt), new_vel, 0.0, 0.0, yaw)

@@ -41,8 +41,8 @@ from pursuitsim.trajectory import ForecastInputs, forecast_target
 from pursuitsim.vehicle import (
     AttitudeCommand,
     PoseController,
-    UavState,
     VelocityController,
+    at_rest,
     dynamics_step,
 )
 from pursuitsim.trajectory import Waypoint
@@ -368,7 +368,7 @@ def test_criterion_10_controller_sanity():
     pose_ctl = PoseController(gains)
     vel_ctl = VelocityController(gains, params)
     target = Waypoint(Vec3(0, 0, 5.0), 0.0, 0.0)
-    state = UavState.at_rest(Vec3(1.0, 0.0, 4.5))
+    state = at_rest(Vec3(1.0, 0.0, 4.5))
     dt = 1.0 / SIM.rates.dynamics_hz
     every = SIM.rates.dynamics_hz // SIM.rates.control_hz
     att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
@@ -377,14 +377,14 @@ def test_criterion_10_controller_sanity():
             v_ref = pose_ctl.step(target, ZERO3, state, every * dt)
             att = vel_ctl.step(v_ref, ZERO3, 0.0, state, every * dt)
         state = dynamics_step(state, att, dt, params)
-    hover_err = (state.pose.position - Vec3(0, 0, 5.0)).norm()
+    hover_err = (state.position - Vec3(0, 0, 5.0)).norm()
     hover_ok = hover_err < 0.05
 
     # first-order attitude step response at tau, 2tau, 3tau
     tau = params.tau_attitude
     target_roll = math.radians(10.0)
     cmd = AttitudeCommand(target_roll, 0.0, 0.0, params.hover_thrust)
-    st = UavState.at_rest(ZERO3)
+    st = at_rest(ZERO3)
     step_ok = True
     details = []
     checkpoints = {round(k * tau / dt): k for k in (1, 2, 3)}
@@ -393,7 +393,7 @@ def test_criterion_10_controller_sanity():
         if step in checkpoints:
             k = checkpoints[step]
             expected = target_roll * (1.0 - math.exp(-k))
-            rel = abs(st.pose.roll - expected) / expected
+            rel = abs(st.roll - expected) / expected
             details.append(f"{k}tau {100*rel:.2f}%")
             step_ok = step_ok and rel < 0.02
     ok = hover_ok and step_ok

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pursuitsim.config import RatesConfig, SimConfig, dump_config, load_config
-from pursuitsim.mission import load_scenario
+from pursuitsim.config import RatesConfig, SimConfig, dump_config, from_dict, load_config
+from pursuitsim.mission import Scenario, load_scenario
 
 SCENARIO = {"task": 1, "balloons": [{"anchor": [25.0, 3.0, 2.2]}], "duration": 30.0}
 
@@ -75,6 +75,34 @@ def test_scenario_search_group_maps_onto_fields(tmp_path):
     path.write_text(json.dumps({**SCENARIO, "search": {"height": 3.0}}))
     with pytest.raises(ValueError):
         load_scenario(str(path))
+
+
+TASK2 = {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}}
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ({**SCENARIO, "balloons": [{"anchor": [25.0, 3.0, 2.2], "radius": 0}]}, "radii"),
+        ({**SCENARIO, "balloons": [{"anchor": [25.0, 3.0, 2.2], "radius": -0.3}]}, "radii"),
+        ({**TASK2, "ball": {**TASK2["ball"], "radius": 0}}, "radii"),
+        ({**TASK2, "square_side": 0}, "square side"),
+        ({**TASK2, "square_side": -12}, "square side"),
+        ({**SCENARIO, "params": {"pop_contact": -1}}, "pop_contact"),
+        ({**SCENARIO, "params": {"attack_speed": 0}}, "attack_speed"),
+        ({**SCENARIO, "params": {"adjust_timeout": 0}}, "adjust_timeout"),
+        ({**SCENARIO, "params": {"hold_after_loss": -1}}, "hold_after_loss"),
+        ({**TASK2, "params": {"wait_timeout": 0}}, "wait_timeout"),
+    ],
+    ids=["zero-balloon-radius", "negative-balloon-radius", "zero-ball-radius", "zero-square-side",
+         "negative-square-side", "negative-pop-contact", "zero-attack-speed", "zero-adjust-timeout",
+         "negative-hold-after-loss", "zero-wait-timeout"],
+)
+def test_invalid_scenario_rejected_at_load(data, match):
+    # the base scenario loads; each case changes one value in it to an invalid one
+    from_dict(Scenario, SCENARIO if data["task"] == 1 else TASK2)
+    with pytest.raises(ValueError, match=match):
+        from_dict(Scenario, data)
 
 
 def _like(value):

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import sys
 
 import pytest
 
@@ -15,13 +17,12 @@ from pursuitsim.engagement import (
 )
 from pursuitsim.geometry import Pose, Vec3, ZERO3, camera_to_world
 from pursuitsim.guidance import GuidanceCommand, GuidanceMethod
+from pursuitsim.harness import ExperimentConfig, run_trial
 from pursuitsim.perception import estimate_depth
-from pursuitsim.targets import StationaryPath, TargetState
-from pursuitsim.vehicle import UavState
+from pursuitsim.targets import PathKind, StationaryPath, TargetState
 
 MOUNT_PITCH = 0.1
 POSE = Pose(Vec3(0.0, 0.0, 2.0), Vec3(3.0, 0.0, 0.0), 0.0, 0.05, 0.1)
-UAV = UavState(POSE)
 ON_AXIS = Vec3(0.0, 0.0, 1.0)
 
 
@@ -33,7 +34,7 @@ def make_guide(method: GuidanceMethod):
 
 def see(guide, frame, pursuing=True):
     los_world = camera_to_world(frame.sample.r, POSE, MOUNT_PITCH).unit()
-    guide.see(frame, los_world, UAV, pursuing)
+    guide.see(frame, los_world, POSE, pursuing)
 
 
 def crossing_frames(pipeline):
@@ -111,37 +112,37 @@ class TestTrajectoryGuide:
     def test_rejected_forecast_still_becomes_the_reference_fix(self, monkeypatch, cause):
         guide = make_guide(GuidanceMethod.FORECAST_TRAJ)
         guide.ray_f, guide.d_f = ON_AXIS, 10.0
-        guide.replan(0, 0.0, UAV, fresh=True)  # the first fix has nothing to pair with
-        assert guide.plan is None and guide.last_fix[:2] == (0.0, 10.0)
+        guide.replan(0, 0.0, POSE, fresh=True)  # the first fix has nothing to pair with
+        assert guide.track is None and guide.last_fix[:2] == (0.0, 10.0)
 
         if cause == "no-closing-velocity":
-            uav, guide.d_f = UavState(POSE._replace(velocity=ZERO3)), 9.0
+            uav, guide.d_f = POSE._replace(velocity=ZERO3), 9.0
         else:  # 1 cm away at about 3 m/s
-            uav, guide.d_f = UAV, 0.01
+            uav, guide.d_f = POSE, 0.01
         guide.replan(20, 0.1, uav, fresh=True)
-        assert guide.plan is None and guide.last_fix[:2] == (0.1, guide.d_f)
+        assert guide.track is None and guide.last_fix[:2] == (0.1, guide.d_f)
 
         forecasts = []
         real = engagement.forecast_target
         monkeypatch.setattr(engagement, "forecast_target", lambda inputs: forecasts.append(inputs) or real(inputs))
         rejected_d, guide.d_f = guide.d_f, 9.4
-        guide.replan(40, 0.2, UAV, fresh=True)
-        assert guide.plan is not None
+        guide.replan(40, 0.2, POSE, fresh=True)
+        assert guide.track is not None
         assert [(f.t0, f.d0, f.t1, f.d1) for f in forecasts] == [(0.1, rejected_d, 0.2, 9.4)]
 
     def test_plan_is_held_without_a_fresh_detection_but_the_mark_advances(self):
         guide = make_guide(GuidanceMethod.LOS_TRAJ)
         guide.ray_f, guide.n_f, guide.phi_f = ON_AXIS, Vec3(1.0, 0.0, 0.0), 0.2
-        guide.replan(0, 0.0, UAV, fresh=True)
-        plan = guide.plan
+        guide.replan(0, 0.0, POSE, fresh=True)
+        plan = guide.track.plan
         assert plan is not None and guide.mark == 0
-        guide.replan(20, 0.1, UAV, fresh=False)
-        assert guide.plan is plan and guide.mark == 1
+        guide.replan(20, 0.1, POSE, fresh=False)
+        assert guide.track.plan is plan and guide.mark == 1
         # a detection later in the same replan period waits for the next one
-        guide.replan(21, 0.105, UAV, fresh=True)
-        assert guide.plan is plan
-        guide.replan(40, 0.2, UAV, fresh=True)
-        assert guide.plan is not plan and guide.mark == 2
+        guide.replan(21, 0.105, POSE, fresh=True)
+        assert guide.track.plan is plan
+        guide.replan(40, 0.2, POSE, fresh=True)
+        assert guide.track.plan is not plan and guide.mark == 2
 
 
 class TestCrashRule:
@@ -165,3 +166,29 @@ class TestCrashRule:
         verdict = monitor.crashed(0.005, pose, ZERO3, 0.005)
         assert (verdict.hit, verdict.reason, verdict.time) == (False, FailureReason.CRASH, 0.005)
         assert monitor.crashed(0.005, POSE, ZERO3, 0.005) is None
+
+
+def test_perfbench_tracer_wraps_the_engagement():
+    """perfbench's tracer wraps engagement names by attribute; a renamed or
+    moved name fails here, not only in the traced benchmark."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.pop(0)
+    sim = SimConfig()
+    sim.rules = dataclasses.replace(sim.rules, pursuit_timeout=1.0)
+    trials = [ExperimentConfig(GuidanceMethod.TPN, 3.0, PathKind.STRAIGHT, 0.5),
+              ExperimentConfig(GuidanceMethod.LOS_TRAJ, 3.0, PathKind.STRAIGHT, 0.5),
+              ExperimentConfig(GuidanceMethod.TPN, 3.0, PathKind.STRAIGHT, 0.5, ideal_dynamics=True)]
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        for cfg in trials:
+            run_trial(cfg, 1, sim)
+    finally:
+        spans.uninstall()
+    calls = spans.aggregates()["calls"]
+    for name in ("engagement.run", "perception.render", "perception.observe", "trajectory.cursor",
+                 "trajectory.replan", "vehicle.dynamics", "vehicle.control", "engagement.monitor"):
+        assert calls.get(name, 0) > 0, name

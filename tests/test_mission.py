@@ -31,7 +31,7 @@ from pursuitsim.mission import (
     validate_detection,
 )
 from pursuitsim.perception import Detection
-from pursuitsim.vehicle import UavState
+from pursuitsim.vehicle import at_rest
 
 
 SIM = SimConfig()
@@ -163,20 +163,20 @@ class TestTask1StateMachine:
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
         los = self.level_los(13.0, 2.0)  # within 5 deg of the 10 deg target, horiz ok
-        task1_step(state, los, UavState.at_rest(ZERO3), self.params(), 1.0)
+        task1_step(state, los, at_rest(ZERO3), self.params(), 1.0)
         assert state.mode == MissionMode.ATTACK
 
     def test_large_horizontal_angle_keeps_adjusting(self):
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
-        cmd = task1_step(state, self.level_los(10.0, 20.0), UavState.at_rest(ZERO3), self.params(), 1.0)
+        cmd = task1_step(state, self.level_los(10.0, 20.0), at_rest(ZERO3), self.params(), 1.0)
         assert state.mode == MissionMode.ADJUST
         assert cmd.yaw_rate > 0.0  # target to the left -> yaw left
 
     def test_descends_when_target_appears_too_low(self):
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
-        cmd = task1_step(state, self.level_los(0.0, 0.0), UavState.at_rest(ZERO3), self.params(), 1.0)
+        cmd = task1_step(state, self.level_los(0.0, 0.0), at_rest(ZERO3), self.params(), 1.0)
         assert cmd.velocity_world.z < 0.0
         assert cmd.velocity_world.x == 0.0 and cmd.velocity_world.y == 0.0
 
@@ -184,7 +184,7 @@ class TestTask1StateMachine:
         p = self.params()
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
-        task1_step(state, None, UavState.at_rest(ZERO3), p, p.adjust_timeout + 0.5)
+        task1_step(state, None, at_rest(ZERO3), p, p.adjust_timeout + 0.5)
         assert state.mode == MissionMode.RECOVER
 
     def test_attack_flies_the_los_then_times_out(self):
@@ -192,9 +192,9 @@ class TestTask1StateMachine:
         state = MissionState(mode=MissionMode.ATTACK, mode_entered=0.0)
         state.last_seen = 0.0
         state.last_los_world = Vec3(1.0, 0.0, 0.2).unit()
-        cmd = task1_step(state, None, UavState.at_rest(ZERO3), p, 0.5)
+        cmd = task1_step(state, None, at_rest(ZERO3), p, 0.5)
         assert abs(cmd.velocity_world.norm() - p.attack_speed) < 1e-9
-        task1_step(state, None, UavState.at_rest(ZERO3), p, p.hold_after_loss + 0.6)
+        task1_step(state, None, at_rest(ZERO3), p, p.hold_after_loss + 0.6)
         assert state.mode == MissionMode.RECOVER
 
 
@@ -203,7 +203,7 @@ class TestTask2StateMachine:
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
         los = Vec3(1.0, 0.2, 0.1).unit()
-        cmd = task2_step(state, los, UavState.at_rest(ZERO3), MissionParams(), 0.0)
+        cmd = task2_step(state, los, at_rest(ZERO3), MissionParams(), 0.0)
         assert abs(cmd.velocity_world.x) < 1e-12
         assert cmd.velocity_world.y > 0.0 and cmd.velocity_world.z > 0.0
 
@@ -211,16 +211,16 @@ class TestTask2StateMachine:
         p = MissionParams()
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
-        task2_step(state, None, UavState.at_rest(ZERO3), p, 1.0)
+        task2_step(state, None, at_rest(ZERO3), p, 1.0)
         assert state.mode == MissionMode.WAIT
         # re-detection at 30 s resumes alignment, resetting the wait clock
-        task2_step(state, Vec3(1, 0, 0), UavState.at_rest(ZERO3), p, 30.0)
+        task2_step(state, Vec3(1, 0, 0), at_rest(ZERO3), p, 30.0)
         assert state.mode == MissionMode.ADJUST
 
     def test_wait_timeout_returns_to_global_plan(self):
         p = MissionParams()
         state = MissionState(mode=MissionMode.WAIT, mode_entered=0.0)
-        task2_step(state, None, UavState.at_rest(ZERO3), p, p.wait_timeout + 1.0)
+        task2_step(state, None, at_rest(ZERO3), p, p.wait_timeout + 1.0)
         assert state.mode == MissionMode.GLOBAL_PLAN
 
 

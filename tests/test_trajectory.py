@@ -160,11 +160,6 @@ class TestCursor:
         wps = [Waypoint(Vec3(t, 0, 0), 0.0, 1.0) for t in times]
         return Trajectory(times, wps)
 
-    def test_lookahead_time(self):
-        cur = cursor_step(self.traj(), 0.0, 10.0, 0.05)
-        assert abs(cur.lookahead_time - 0.15) < 1e-12
-        assert cur.lookahead_time >= 1.0 / 10.0
-
     def test_fresh_trajectory_tracks_first_waypoint(self):
         cur = cursor_step(self.traj(), 0.0, 10.0, 0.05)
         assert cur.tracking_index == 0

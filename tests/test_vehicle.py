@@ -12,10 +12,10 @@ from pursuitsim.vehicle import (
     ControllerGains,
     PidGains,
     PoseController,
-    UavState,
     VectorPid,
     VehicleParams,
     VelocityController,
+    at_rest,
     dynamics_step,
     ideal_dynamics_step,
     mount_pitch_for_speed,
@@ -37,20 +37,20 @@ def hover_cmd(params: VehicleParams) -> AttitudeCommand:
 class TestPoseController:
     def test_zero_error_zero_reference(self):
         ctl = PoseController(default_gains())
-        state = UavState.at_rest(Vec3(1, 2, 3))
+        state = at_rest(Vec3(1, 2, 3))
         v = ctl.step(Waypoint(Vec3(1, 2, 3), 0.0, 0.0), ZERO3, state, 0.02)
         assert v.norm() < 1e-12
 
     def test_pure_proportional(self):
         gains = ControllerGains(position=PidGains(kp=1.0), velocity=PidGains(kp=1.0))
         ctl = PoseController(gains)
-        state = UavState.at_rest(ZERO3)
+        state = at_rest(ZERO3)
         v = ctl.step(Waypoint(Vec3(1, 0, 0), 0.0, 0.0), ZERO3, state, 0.02)
         assert (v - Vec3(1, 0, 0)).norm() < 1e-12
 
     def test_feedforward_passthrough(self):
         ctl = PoseController(default_gains())
-        state = UavState.at_rest(ZERO3)
+        state = at_rest(ZERO3)
         v = ctl.step(Waypoint(ZERO3, 0.0, 0.0), Vec3(0, 2.0, 0), state, 0.02)
         assert abs(v.y - 2.0 * default_gains().ff_weight) < 1e-12
 
@@ -81,7 +81,7 @@ class TestVelocityController:
     def test_hover_equilibrium(self):
         params = default_params()
         ctl = VelocityController(ControllerGains(velocity=PidGains(kp=5.0)), params)
-        state = UavState.at_rest(ZERO3)
+        state = at_rest(ZERO3)
         cmd = ctl.step(ZERO3, ZERO3, 0.0, state, 0.02)
         assert cmd.roll == 0.0 and cmd.pitch == 0.0
         assert abs(cmd.thrust - params.hover_thrust) < 1e-9
@@ -89,7 +89,7 @@ class TestVelocityController:
     def test_forward_accel_pitches_forward(self):
         params = default_params()
         ctl = VelocityController(ControllerGains(velocity=PidGains(kp=1.0)), params)
-        state = UavState.at_rest(ZERO3)
+        state = at_rest(ZERO3)
         cmd = ctl.step(ZERO3, Vec3(3.0, 0, 0), 0.0, state, 0.02)
         assert cmd.pitch < 0.0  # nose down to accelerate +x
         assert cmd.roll == 0.0
@@ -97,7 +97,7 @@ class TestVelocityController:
     def test_tilt_clamp_preserves_vertical_balance(self):
         params = default_params()
         ctl = VelocityController(ControllerGains(velocity=PidGains(kp=1.0)), params)
-        state = UavState.at_rest(ZERO3)
+        state = at_rest(ZERO3)
         # huge lateral demand: tilt saturates at the limit, thrust keeps the
         # vertical channel balanced (analytic clamped-tilt model)
         cmd = ctl.step(ZERO3, Vec3(50.0, 0, 0), 0.0, state, 0.02)
@@ -107,18 +107,18 @@ class TestVelocityController:
 
     def test_yaw_rate_passthrough(self):
         ctl = VelocityController(default_gains(), default_params())
-        cmd = ctl.step(ZERO3, ZERO3, 0.7, UavState.at_rest(ZERO3), 0.02)
+        cmd = ctl.step(ZERO3, ZERO3, 0.7, at_rest(ZERO3), 0.02)
         assert cmd.yaw_rate == 0.7
 
 
 class TestDynamics:
     def test_hover_hold_has_no_drift(self):
         params = default_params()
-        state = UavState.at_rest(Vec3(0, 0, 5.0))
+        state = at_rest(Vec3(0, 0, 5.0))
         cmd = hover_cmd(params)
         for _ in range(2000):  # 10 s at 200 Hz
             state = dynamics_step(state, cmd, 0.005, params)
-        assert (state.pose.position - Vec3(0, 0, 5.0)).norm() < 1e-3
+        assert (state.position - Vec3(0, 0, 5.0)).norm() < 1e-3
 
     def test_attitude_step_response_is_first_order(self):
         params = default_params()
@@ -126,7 +126,7 @@ class TestDynamics:
         target = math.radians(10.0)
         cmd = AttitudeCommand(target, 0.0, 0.0, params.hover_thrust)
         dt = 0.005
-        state = UavState.at_rest(ZERO3)
+        state = at_rest(ZERO3)
         checkpoints = {round(k * tau / dt): k for k in (1, 2, 3)}
         step = 0
         while step <= max(checkpoints):
@@ -135,40 +135,40 @@ class TestDynamics:
             if step in checkpoints:
                 k = checkpoints[step]
                 expected = target * (1.0 - math.exp(-k))
-                assert abs(state.pose.roll - expected) / expected < 0.02
+                assert abs(state.roll - expected) / expected < 0.02
 
     def test_zero_thrust_free_fall(self):
         params = VehicleParams(drag=0.0)
-        state = UavState.at_rest(Vec3(0, 0, 50.0))
+        state = at_rest(Vec3(0, 0, 50.0))
         cmd = AttitudeCommand(0.0, 0.0, 0.0, 0.0)
         dt = 0.005
         for _ in range(200):  # 1 s
             state = dynamics_step(state, cmd, dt, params)
-        assert abs(state.pose.velocity.z + GRAVITY * 1.0) < 1e-9
+        assert abs(state.velocity.z + GRAVITY * 1.0) < 1e-9
 
     def test_vertical_velocity_conserved_without_drag(self):
         params = VehicleParams(drag=0.0)
-        state = UavState(Pose(Vec3(0, 0, 5.0), Vec3(0, 0, 1.5), 0.0, 0.0, 0.0))
+        state = Pose(Vec3(0, 0, 5.0), Vec3(0, 0, 1.5), 0.0, 0.0, 0.0)
         cmd = hover_cmd(params)
         for _ in range(400):
             state = dynamics_step(state, cmd, 0.005, params)
-        assert abs(state.pose.velocity.z - 1.5) < 1e-9
+        assert abs(state.velocity.z - 1.5) < 1e-9
 
     def test_yaw_rate_limit(self):
         params = default_params()
         # starts next to +pi, so the step wraps round to -pi
-        state = UavState.at_rest(ZERO3, yaw=3.14)
+        state = at_rest(ZERO3, yaw=3.14)
         cmd = AttitudeCommand(0.0, 0.0, 100.0, params.hover_thrust)
         dt = 0.005
         after = dynamics_step(state, cmd, dt, params)
-        assert after.pose.yaw < 0.0
-        step = abs(wrap_angle(after.pose.yaw - state.pose.yaw))
+        assert after.yaw < 0.0
+        step = abs(wrap_angle(after.yaw - state.yaw))
         assert 0.99 * params.max_yaw_rate * dt < step <= params.max_yaw_rate * dt + 1e-12
 
     def test_dt_bounds(self):
         params = default_params()
         with pytest.raises(ValueError):
-            dynamics_step(UavState.at_rest(ZERO3), hover_cmd(params), 0.05, params)
+            dynamics_step(at_rest(ZERO3), hover_cmd(params), 0.05, params)
 
     def test_determinism(self):
         params = default_params()
@@ -177,7 +177,7 @@ class TestDynamics:
         ]
         runs = []
         for _ in range(2):
-            state = UavState.at_rest(ZERO3)
+            state = at_rest(ZERO3)
             for cmd in cmds:
                 state = dynamics_step(state, cmd, 0.005, params)
             runs.append(state)
@@ -188,13 +188,13 @@ HOVER = Waypoint(Vec3(0, 0, 5.0), 0.0, 0.0)
 
 
 class TestClosedLoop:
-    def hover_states(self, offset: Vec3, seconds: float) -> list[UavState]:
+    def hover_states(self, offset: Vec3, seconds: float) -> list[Pose]:
         sim = SimConfig()
         params = sim.vehicle
         gains = sim.vehicle.gains
         pose_ctl = PoseController(gains)
         vel_ctl = VelocityController(gains, params)
-        state = UavState.at_rest(HOVER.position + offset)
+        state = at_rest(HOVER.position + offset)
         dt = 1.0 / sim.rates.dynamics_hz
         ctrl_every = sim.rates.dynamics_hz // sim.rates.control_hz
         att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
@@ -208,11 +208,11 @@ class TestClosedLoop:
             states.append(state)
         return states
 
-    def velocity_step_states(self, target: Vec3, seconds: float) -> list[UavState]:
+    def velocity_step_states(self, target: Vec3, seconds: float) -> list[Pose]:
         sim = SimConfig()
         params = sim.vehicle
         vel_ctl = VelocityController(params.gains, params)
-        state = UavState.at_rest(Vec3(0, 0, 5.0))
+        state = at_rest(Vec3(0, 0, 5.0))
         dt = 1.0 / sim.rates.dynamics_hz
         ctrl_every = sim.rates.dynamics_hz // sim.rates.control_hz
         att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
@@ -226,7 +226,7 @@ class TestClosedLoop:
 
     def test_hover_converges_within_three_seconds(self):
         state = self.hover_states(Vec3(1.0, 0.0, -0.5), 3.0)[-1]
-        err = (state.pose.position - Vec3(0, 0, 5.0)).norm()
+        err = (state.position - Vec3(0, 0, 5.0)).norm()
         assert err < 0.05
 
     def test_velocity_step_response(self):
@@ -234,7 +234,7 @@ class TestClosedLoop:
         reached = None
         peak = 0.0
         for k, state in enumerate(self.velocity_step_states(Vec3(2.0, 0, 0), 4.0)):
-            vx = state.pose.velocity.x
+            vx = state.velocity.x
             peak = max(peak, vx)
             if reached is None and abs(vx - 2.0) <= 0.2:
                 reached = (k + 1) * dt
@@ -242,7 +242,7 @@ class TestClosedLoop:
         assert peak <= 2.0 * 1.2
 
 
-def fly_pilot(pilot, state: UavState, n: int, setpoint) -> list[UavState]:
+def fly_pilot(pilot, state: Pose, n: int, setpoint) -> list[Pose]:
     """`n` dynamics steps, giving `setpoint(pilot, state)` on each control tick."""
     every = SimConfig().rates.control_every
     states = []
@@ -258,14 +258,14 @@ class TestPilot:
     def test_waypoint_reproduces_the_hand_written_cascade(self):
         offset = Vec3(1.0, 0.0, -0.5)
         expected = TestClosedLoop().hover_states(offset, 3.0)
-        got = fly_pilot(Pilot(SimConfig()), UavState.at_rest(HOVER.position + offset), len(expected),
+        got = fly_pilot(Pilot(SimConfig()), at_rest(HOVER.position + offset), len(expected),
                         lambda p, s: p.waypoint(HOVER, ZERO3, s))
         assert got == expected
 
     def test_velocity_reproduces_the_hand_written_loop(self):
         target = Vec3(2.0, 0, 0)
         expected = TestClosedLoop().velocity_step_states(target, 4.0)
-        got = fly_pilot(Pilot(SimConfig()), UavState.at_rest(Vec3(0, 0, 5.0)), len(expected),
+        got = fly_pilot(Pilot(SimConfig()), at_rest(Vec3(0, 0, 5.0)), len(expected),
                         lambda p, s: p.velocity(target, 0.0, s))
         assert got == expected
 
@@ -274,7 +274,7 @@ class TestPilot:
         dt_ctrl = sim.rates.control_dt
         pilot = Pilot(sim)
         vel_ctl = VelocityController(sim.vehicle.gains, sim.vehicle)
-        state = UavState.at_rest(ZERO3)
+        state = at_rest(ZERO3)
         pilot.velocity(Vec3(1.0, 0.0, 0.0), 0.0, state)
         vel_ctl.step(Vec3(1.0, 0.0, 0.0), ZERO3, 0.0, state, dt_ctrl)
         a = Vec3(0.0, 2.0, 0.0)
@@ -286,7 +286,7 @@ class TestPilot:
 
     def test_accel_reference_clamped_at_v_limit(self):
         pilot = Pilot(SimConfig())
-        state = UavState.at_rest(ZERO3)
+        state = at_rest(ZERO3)
         for _ in range(200):
             pilot.accel(Vec3(3.0, -4.0, 0.0), 0.0, 6.0, state)
             assert pilot.v_ref.norm() <= 6.0 + 1e-12
@@ -299,7 +299,7 @@ class TestIdealPilot:
         sim = SimConfig()
         max_accel = sim.guidance.max_accel
         pilot = IdealPilot(sim)
-        state = UavState.at_rest(ZERO3)
+        state = at_rest(ZERO3)
         pilot.velocity(Vec3(100.0, 0.0, 0.0), 0.0, state)
         assert abs(pilot.a_world.norm() - max_accel) < 1e-12 and pilot.a_world.x > 0.0
         pilot.waypoint(Waypoint(Vec3(0.0, -100.0, 0.0), 0.0, 0.0), ZERO3, state)
@@ -311,7 +311,7 @@ class TestIdealPilot:
     def test_fly_is_ideal_dynamics_step(self):
         sim = SimConfig()
         pilot = IdealPilot(sim)
-        state = UavState(Pose(Vec3(1, 2, 3), Vec3(0.5, 0, 0), 0.0, 0.0, 0.2))
+        state = Pose(Vec3(1, 2, 3), Vec3(0.5, 0, 0), 0.0, 0.0, 0.2)
         a = Vec3(30.0, 0.0, 0.0)  # accelerations pass through unclamped
         pilot.accel(a, 0.4, 6.0, state)
         assert pilot.fly(state) == ideal_dynamics_step(state, a, 0.4, sim.rates.dt, sim.vehicle)
@@ -320,12 +320,12 @@ class TestIdealPilot:
 class TestIdealDynamics:
     def test_double_integrator(self):
         params = default_params()
-        state = UavState.at_rest(ZERO3)
+        state = at_rest(ZERO3)
         a = Vec3(1.0, 0.0, 0.0)
         for _ in range(200):
             state = ideal_dynamics_step(state, a, 0.0, 0.005, params)
-        assert abs(state.pose.velocity.x - 1.0) < 1e-9
-        assert state.pose.roll == 0.0 and state.pose.pitch == 0.0
+        assert abs(state.velocity.x - 1.0) < 1e-9
+        assert state.roll == 0.0 and state.pitch == 0.0
 
 
 class TestMountPitch:
