@@ -115,6 +115,7 @@ class HitMonitor:
     def __init__(self, rules: RulesConfig, bounds_center: Vec3, handoff_time: float):
         self.rules = rules
         self.center = bounds_center
+        self.half = (rules.bounds_x / 2.0, rules.bounds_y / 2.0, rules.bounds_z / 2.0)  # the box's half-extents
         self.handoff = handoff_time
         self.t = 0.0  # of the last update
         self.last_seen: float = -math.inf
@@ -154,7 +155,8 @@ class HitMonitor:
         if surface_dist <= r.hit_radius:
             return self._verdict(True, None, t)
         d = point.uav_pos - self.center
-        if abs(d.x) > r.bounds_x / 2.0 or abs(d.y) > r.bounds_y / 2.0 or abs(d.z) > r.bounds_z / 2.0:
+        hx, hy, hz = self.half
+        if abs(d.x) > hx or abs(d.y) > hy or abs(d.z) > hz:
             return self._verdict(False, FailureReason.OUT_OF_BOUNDS, t)
         if t - max(self.last_seen, self.handoff) > r.fov_loss_timeout:
             return self._verdict(False, FailureReason.FOV_LOSS, t)
@@ -486,8 +488,9 @@ def run_engagement(
     gp = cfg.guidance
     mount_pitch = cfg.camera.mount_pitch(uav_speed, cfg.vehicle)
 
-    target0 = path.sample(0.0)
-    pipeline = PerceptionPipeline(cfg, mount_pitch, 2.0 * target0.radius)
+    # perception reads the judge step's last sample: its (k + 1) * dt is the next tick's t, bit for bit
+    target = path.sample(0.0)
+    pipeline = PerceptionPipeline(cfg, mount_pitch, 2.0 * target.radius)
     pilot = IdealPilot(cfg) if ideal_dynamics else Pilot(cfg)
     if method.is_trajectory:
         guide: Union[DirectGuide, TrajectoryGuide] = TrajectoryGuide(cfg, method, mount_pitch)
@@ -519,7 +522,7 @@ def run_engagement(
 
         # ---- perception + guidance tick -------------------------------
         if perception_due:
-            frame = pipeline.observe(t, path.sample(t), uav)
+            frame = pipeline.observe(t, target, uav)
             if frame.detected:
                 last_seen = t
                 sample = frame.sample

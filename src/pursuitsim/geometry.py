@@ -230,16 +230,23 @@ def body_to_camera(v_body: Vec3, mount_pitch: float = 0.0) -> Vec3:
     return mount_rotation(mount_pitch).apply_inverse(v_body)
 
 
+def _z_column(cr: float, sr: float, cp: float, sp: float, cy: float, sy: float) -> tuple[float, float, float]:
+    return -cy * sp * cr + sy * sr, -sy * sp * cr - cy * sr, cp * cr
+
+
 def attitude_rotation(roll: float, pitch: float, yaw: float) -> Rot3:
     """Body-to-world rotation Rz(yaw) * Ry(-pitch) * Rx(roll), written out."""
     cr, sr = math.cos(roll), math.sin(roll)
     cp, sp = math.cos(pitch), math.sin(pitch)
     cy, sy = math.cos(yaw), math.sin(yaw)
-    return Rot3(
-        cy * cp, -sy * cr - cy * sp * sr, -cy * sp * cr + sy * sr,
-        sy * cp, cy * cr - sy * sp * sr, -sy * sp * cr - cy * sr,
-        sp, cp * sr, cp * cr,
-    )
+    m02, m12, m22 = _z_column(cr, sr, cp, sp, cy, sy)
+    return Rot3(cy * cp, -sy * cr - cy * sp * sr, m02, sy * cp, cy * cr - sy * sp * sr, m12, sp, cp * sr, m22)
+
+
+def body_z_axis(roll: float, pitch: float, yaw: float) -> tuple[float, float, float]:
+    """World components of the body z axis: `attitude_rotation`'s third
+    column, without the other six entries."""
+    return _z_column(math.cos(roll), math.sin(roll), math.cos(pitch), math.sin(pitch), math.cos(yaw), math.sin(yaw))
 
 
 def body_to_world(v_body: Vec3, pose: Pose) -> Vec3:

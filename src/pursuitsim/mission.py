@@ -434,13 +434,8 @@ class BallPath:
 
     def sample(self, t: float) -> TargetState:
         sp = self.spec
-        if t <= sp.slow_after:
-            s = sp.speed * t
-            speed = sp.speed
-        else:
-            s = sp.speed * sp.slow_after + sp.slow_speed * (t - sp.slow_after)
-            speed = sp.slow_speed
-        return self._path.sample_arc(s, speed)
+        s = sp.speed * t if t <= sp.slow_after else sp.speed * sp.slow_after + sp.slow_speed * (t - sp.slow_after)
+        return self._path.sample_arc(s)
 
 
 @dataclass
@@ -471,10 +466,10 @@ class _Balloon:
     offset: Vec3 = ZERO3
     offset_vel: Vec3 = ZERO3
     alive: bool = True
+    position: Vec3 = field(init=False)  # anchor + offset, set whenever the offset moves
 
-    @property
-    def position(self) -> Vec3:
-        return self.spec.anchor + self.offset
+    def __post_init__(self) -> None:
+        self.position = self.spec.anchor + self.offset
 
 
 class BalloonTask:
@@ -497,7 +492,7 @@ class BalloonTask:
         self.attack_saw_pop = False
 
     def targets(self, t: float) -> list[TargetState]:
-        return [TargetState(b.position, ZERO3, b.spec.radius) for b in self.balloons if b.alive]
+        return [TargetState(b.position, b.spec.radius) for b in self.balloons if b.alive]
 
     def step(self, state: MissionState, seen: Optional[Vec3], uav: Pose, t: float) -> VelocityCommand:
         return task1_step(state, seen, uav, self.params, t)
@@ -515,11 +510,12 @@ class BalloonTask:
                     away = away.unit() if away.norm() > 1e-6 else Vec3(1.0, 0.0, 0.0)
                     b.offset_vel = b.offset_vel + away.scale(self.downdraft.impulse)
                     self.mission._emit(t, "downdraft", balloon=i)
-            # spring-damper back toward the anchor, displacement bounded
-            acc = b.offset.scale(-4.0) + b.offset_vel.scale(-1.5)
-            b.offset_vel = b.offset_vel + acc.scale(self.dt)
-            b.offset = b.offset + b.offset_vel.scale(self.dt)
-            b.offset = b.offset.clamp_norm(0.5)
+            # spring-damper back toward the anchor, displacement bounded; skipped at rest, its fixed point
+            if b.offset != ZERO3 or b.offset_vel != ZERO3:
+                acc = b.offset.scale(-4.0) + b.offset_vel.scale(-1.5)
+                b.offset_vel = b.offset_vel + acc.scale(self.dt)
+                b.offset = (b.offset + b.offset_vel.scale(self.dt)).clamp_norm(0.5)
+                b.position = b.spec.anchor + b.offset
             if (uav.position - b.position).norm() <= self.params.pop_contact:
                 b.alive = False
                 self.mission.result.pops += 1

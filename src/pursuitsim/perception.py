@@ -159,6 +159,8 @@ def render_sphere(center_cam: Vec3, radius: float, k: CameraIntrinsics) -> Segme
 
 def centroid(seg: SegmentationImage) -> Optional[Detection]:
     """First-moment centroid over mask pixels; None when the mask is empty."""
+    if seg.window_mask.size == 0:  # an empty window holds no pixel to scan for
+        return None
     us, vs = seg.pixel_coords()
     m00 = us.size
     if m00 == 0:

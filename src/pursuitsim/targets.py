@@ -12,11 +12,11 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import IDENTITY_ROT, Rot3, Vec3, rotate_about_axis
+from .geometry import IDENTITY_ROT, Rot3, Vec3, ZERO3, rotate_about_axis
 
 DEFAULT_TARGET_RADIUS = 0.5  # 1 m diameter sphere
 
@@ -27,10 +27,8 @@ class PathKind(str, enum.Enum):
     KNOT = "knot"
 
 
-@dataclass(frozen=True)
-class TargetState:
+class TargetState(NamedTuple):
     position: Vec3
-    velocity: Vec3
     radius: float
 
 
@@ -67,12 +65,15 @@ class TargetPathSpec:
 
 
 class TargetPath:
-    """Time-parametric target motion; sample() is pure."""
+    """Time-parametric target motion; sample() and velocity() are pure."""
 
     period: Optional[float]
     radius: float
 
     def sample(self, t: float) -> TargetState:
+        raise NotImplementedError
+
+    def velocity(self, t: float) -> Vec3:
         raise NotImplementedError
 
 
@@ -83,18 +84,24 @@ class StationaryPath(TargetPath):
         self.period = None
 
     def sample(self, t: float) -> TargetState:
-        return TargetState(self.position, Vec3(0.0, 0.0, 0.0), self.radius)
+        return TargetState(self.position, self.radius)
+
+    def velocity(self, t: float) -> Vec3:
+        return ZERO3
 
 
 class StraightPath(TargetPath):
     def __init__(self, start: Vec3, velocity: Vec3, radius: float):
         self.start = start
-        self.velocity = velocity
+        self._velocity = velocity
         self.radius = radius
         self.period = None
 
     def sample(self, t: float) -> TargetState:
-        return TargetState(self.start + self.velocity.scale(t), self.velocity, self.radius)
+        return TargetState(self.start + self._velocity.scale(t), self.radius)
+
+    def velocity(self, t: float) -> Vec3:
+        return self._velocity
 
 
 ARC_TABLE_SIZE = 32768
@@ -140,7 +147,8 @@ class PeriodicCurvePath(TargetPath):
         self._ds = self.length / ARC_TABLE_SIZE
 
     def _theta_at(self, s: float) -> float:
-        s = s % self.length
+        """Curve parameter at signed arc position s from the phase point."""
+        s = (self._phase / (2.0 * math.pi) * self.length + self._direction * s) % self.length
         idx = int(s / self._ds)
         if idx >= ARC_TABLE_SIZE:
             idx = ARC_TABLE_SIZE - 1
@@ -150,19 +158,18 @@ class PeriodicCurvePath(TargetPath):
         return t0 + frac * (t1 - t0)
 
     def sample(self, t: float) -> TargetState:
-        return self.sample_arc(self._speed * t, self._speed)
+        return self.sample_arc(self._speed * t)
 
-    def sample_arc(self, s: float, speed: float) -> TargetState:
-        """State at signed arc position s, moving at the given ground speed."""
-        theta = self._theta_at(self._phase / (2.0 * math.pi) * self.length + self._direction * s)
-        position = self._center + self._rot.apply(self._point(theta))
-        tan = self._tangent(theta)
+    def sample_arc(self, s: float) -> TargetState:
+        """State at signed arc position s."""
+        return TargetState(self._center + self._rot.apply(self._point(self._theta_at(s))), self.radius)
+
+    def velocity(self, t: float) -> Vec3:
+        tan = self._tangent(self._theta_at(self._speed * t))
         n = tan.norm()
-        if n == 0.0 or speed == 0.0:
-            velocity = Vec3(0.0, 0.0, 0.0)
-        else:
-            velocity = self._rot.apply(tan.scale(self._direction * speed / n))
-        return TargetState(position, velocity, self.radius)
+        if n == 0.0 or self._speed == 0.0:
+            return ZERO3
+        return self._rot.apply(tan.scale(self._direction * self._speed / n))
 
 
 def _uniform_rotation(rng: random.Random, max_angle: float) -> Rot3:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geometry import Pose, Vec3, ZERO3, attitude_rotation, rot_z, wrap_angle
+from .geometry import Pose, Vec3, ZERO3, body_z_axis, rot_z, wrap_angle
 from .trajectory import Waypoint
 
 GRAVITY = 9.81
@@ -174,17 +174,16 @@ def dynamics_step(pose: Pose, cmd: AttitudeCommand, dt: float, params: VehiclePa
     yaw = wrap_angle(pose.yaw + yaw_rate * dt)
 
     # thrust along the body z axis, in world coordinates for the new attitude
-    rot = attitude_rotation(roll, pitch, yaw)
+    zx, zy, zz = body_z_axis(roll, pitch, yaw)
     t = cmd.thrust * params.thrust_scale
-    tx, ty, tz = t * rot.m02, t * rot.m12, t * rot.m22
 
-    vel = pose.velocity
+    vx, vy, vz = pose.velocity
     k = params.drag
-    ax = tx - k * vel.x
-    ay = ty - k * vel.y
-    az = tz - GRAVITY - k * vel.z
-    new_vel = Vec3(vel.x + ax * dt, vel.y + ay * dt, vel.z + az * dt)
-    return Pose(pose.position + new_vel.scale(dt), new_vel, roll, pitch, yaw)
+    vx += (t * zx - k * vx) * dt
+    vy += (t * zy - k * vy) * dt
+    vz += (t * zz - GRAVITY - k * vz) * dt
+    px, py, pz = pose.position
+    return Pose(Vec3(px + vx * dt, py + vy * dt, pz + vz * dt), Vec3(vx, vy, vz), roll, pitch, yaw)
 
 
 def ideal_dynamics_step(

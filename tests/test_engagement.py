@@ -39,7 +39,7 @@ def see(guide, frame, pursuing=True):
 
 def crossing_frames(pipeline):
     """Two frames of a target crossing left to right ahead of the vehicle."""
-    return [pipeline.observe(i / 30.0, TargetState(Vec3(12.0, 1.5 - 0.3 * i, 2.5), ZERO3, 0.5), POSE)
+    return [pipeline.observe(i / 30.0, TargetState(Vec3(12.0, 1.5 - 0.3 * i, 2.5), 0.5), POSE)
             for i in range(2)]
 
 
@@ -68,7 +68,7 @@ class TestPerceptionPerMethod:
         # whatever the method's guide reads of the frame, its depth is the
         # direct estimate, and the forecast guide's range filter starts there
         pipeline = PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0)
-        target = TargetState(Vec3(12.0, 1.5, 2.5), ZERO3, 0.5)
+        target = TargetState(Vec3(12.0, 1.5, 2.5), 0.5)
         frame = pipeline.observe(0.0, target, POSE)
         guide = make_guide(method)
         see(guide, frame)
@@ -81,7 +81,7 @@ class TestPerceptionPerMethod:
 
     def test_undetected_frame_has_no_depth(self):
         pipeline = PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0)
-        frame = pipeline.observe(0.0, TargetState(Vec3(-12.0, 0.0, 2.0), ZERO3, 0.5), POSE)
+        frame = pipeline.observe(0.0, TargetState(Vec3(-12.0, 0.0, 2.0), 0.5), POSE)
         assert not frame.detected
         assert (frame.d_center, frame.depth_valid) == (0.0, False)
 

@@ -12,10 +12,12 @@ from pursuitsim.geometry import Vec3, ZERO3
 from pursuitsim.mission import (
     Arena,
     BalloonSpec,
+    BalloonTask,
     BallSpec,
     FaultSpec,
     MissionMode,
     MissionParams,
+    MissionSimulator,
     MissionState,
     Scenario,
     ValidityGate,
@@ -314,18 +316,39 @@ class TestClosedLoopMission:
         assert first_adjust_exit == ("adjust", "recover")
 
     def test_downdraft_fault_displaces_balloon(self):
-        sc = Scenario(
-            task=1, arena=Arena(),
-            balloons=[BalloonSpec(anchor=Vec3(25.0, 3.0, 2.2))],
-            faults=[FaultSpec(kind="downdraft", impulse=2.0)],
-            duration=60.0,
-        )
-        res = run_mission(sc, SIM)
-        kinds = [ev.event for ev in res.events]
-        # the balloon still gets popped eventually; the impulse event fires
-        # only if the vehicle actually passed over it, so just require the
-        # mission to have completed its pop
-        assert res.pops == 1
+        """The take-off climbs past a low balloon next to the start point: the
+        downdraft kicks it once, and both balloons still pop."""
+        res = run_mission(_golden_scenarios()["downdraft_kick"], SIM)
+        kicks = [(round(ev.t, 3), ev.data) for ev in res.events if ev.event == "downdraft"]
+        assert kicks == [(0.26, {"balloon": 0})]
+        assert res.pops == 2
+
+
+def _task1(balloons, faults=()) -> BalloonTask:
+    sc = Scenario(task=1, arena=Arena(), balloons=balloons, faults=list(faults))
+    return BalloonTask(MissionSimulator(sc, SIM))
+
+
+class TestBalloonTether:
+    def test_resting_balloon_stays_on_its_anchor(self):
+        anchor = Vec3(25.0, 3.0, 2.2)
+        task = _task1([BalloonSpec(anchor=anchor)], [FaultSpec(kind="downdraft")])
+        state, uav = MissionState(), at_rest(Vec3(2.0, 2.0, 2.0))
+        for k in range(2000):
+            task.after_step(k * 0.005, uav, state)
+            b = task.balloons[0]
+            assert b.offset == ZERO3 and b.offset_vel == ZERO3 and b.position == anchor
+
+    def test_kicked_balloon_position_follows_its_offset(self):
+        anchor = Vec3(2.0, 2.8, 0.3)
+        task = _task1([BalloonSpec(anchor=anchor)], [FaultSpec(kind="downdraft", impulse=2.0)])
+        state, over, away = MissionState(), at_rest(Vec3(2.0, 2.0, 1.4)), at_rest(Vec3(9.0, 2.0, 1.4))
+        for k in range(2000):
+            task.after_step(k * 0.005, over if k == 0 else away, state)
+            b = task.balloons[0]
+            assert b.position == anchor + b.offset
+            assert 0.0 < b.offset.norm() <= 0.5
+        assert [ev.event for ev in task.mission.result.events] == ["downdraft"]
 
 
 def _golden_scenarios():
@@ -347,6 +370,12 @@ def _golden_scenarios():
             task=1, arena=Arena(), balloons=[balloon],
             faults=[FaultSpec(kind="downdraft", impulse=2.0)], duration=60.0,
         ),
+        # the vehicle never flies over "downdraft"'s balloon; this low one
+        # beside the start point is under the take-off climb
+        "downdraft_kick": Scenario(
+            task=1, arena=Arena(), balloons=[BalloonSpec(anchor=Vec3(2.0, 2.8, 0.3)), balloon],
+            faults=[FaultSpec(kind="downdraft", impulse=2.0)], duration=45.0,
+        ),
         # criterion 8
         "task2": Scenario(
             task=2, arena=Arena(),
@@ -365,13 +394,14 @@ GOLDEN = {
     "gimbal": (1, 1, "global_plan", "a5de0a323ca2e66fdc79b621d1080c01197c735bcd709488e228c1d2f293c3c4"),
     "latency": (0, 0, "adjust", "98196bde05681b1c97fd52559ea7e82f429623b9f9932e7adda9678b0ac9aaab"),
     "downdraft": (1, 0, "global_plan", "1dc7963b7c3965f04aac5aca71c02b9038de5b04a20d457cd26363755027e898"),
+    "downdraft_kick": (2, 0, "global_plan", "f0bd0c879c2b3176f60b51a7e888cfd83f8a7154f3cd59e79a499dec7c913dd9"),
     "task2": (0, 0, "adjust", "b36e0480836c07cdca6a354909d7d7585a53e79e7a908f8d34df9441fbe5f332"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_mission_output_is_pinned(name):
-    """Every output of five fixed missions, byte for byte."""
+    """Every output of six fixed missions, byte for byte."""
     res = run_mission(_golden_scenarios()[name], SIM)
     buf = io.StringIO()
     res.write_events_jsonl(buf)

@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pursuitsim.config import SimConfig
 from pursuitsim.engagement import IdealPilot, Pilot
-from pursuitsim.geometry import Pose, Vec3, ZERO3, wrap_angle
+from pursuitsim.geometry import Pose, Vec3, ZERO3, attitude_rotation, wrap_angle
 from pursuitsim.trajectory import Waypoint
 from pursuitsim.vehicle import (
     GRAVITY,
@@ -182,6 +184,26 @@ class TestDynamics:
                 state = dynamics_step(state, cmd, 0.005, params)
             runs.append(state)
         assert runs[0] == runs[1]
+
+    @given(*(st.floats(-math.pi, math.pi),) * 3, st.floats(0.0, 1.0), st.floats(-50.0, 50.0),
+           *(st.floats(-20.0, 20.0),) * 3, st.floats(-3.0, 3.0))
+    def test_step_matches_the_full_rotation_formula(self, roll, pitch, yaw, thrust, x, vx, vy, vz, yaw_rate):
+        """The step reads only the thrust axis; its pose equals, bit for bit,
+        the step written with the full `attitude_rotation` matrix."""
+        params = default_params()
+        pose = Pose(Vec3(x, -0.5 * x, 3.0), Vec3(vx, vy, vz), 0.3 * roll, 0.3 * pitch, yaw)
+        cmd = AttitudeCommand(roll, pitch, yaw_rate, thrust)
+        dt = 0.005
+        alpha = 1.0 - math.exp(-dt / params.tau_attitude)
+        r = pose.roll + (cmd.roll - pose.roll) * alpha
+        p = pose.pitch + (cmd.pitch - pose.pitch) * alpha
+        y = wrap_angle(pose.yaw + min(params.max_yaw_rate, max(-params.max_yaw_rate, yaw_rate)) * dt)
+        rot = attitude_rotation(r, p, y)
+        t = thrust * params.thrust_scale
+        k = params.drag
+        a = Vec3(t * rot.m02 - k * vx, t * rot.m12 - k * vy, t * rot.m22 - GRAVITY - k * vz)
+        v = Vec3(vx + a.x * dt, vy + a.y * dt, vz + a.z * dt)
+        assert dynamics_step(pose, cmd, dt, params) == Pose(pose.position + v.scale(dt), v, r, p, y)
 
 
 HOVER = Waypoint(Vec3(0, 0, 5.0), 0.0, 0.0)
