@@ -29,7 +29,7 @@ from .geometry import (
 from .perception import Detection
 from .engagement import Pilot, PlanTrack, camera_view
 from .engagement import cursor_step, dynamics_step  # noqa: F401  unused; perfbench/tracer.py wraps them by name here
-from .targets import PeriodicCurvePath, TargetState, fig8_curve
+from .targets import PeriodicCurvePath, TargetState, fig8_shape
 from .trajectory import Trajectory, Waypoint
 from .vehicle import at_rest
 
@@ -396,6 +396,8 @@ class Scenario:
             raise ValueError("duration, search speed, square speed and square side must be positive")
         if not all(s.radius > 0.0 for s in [*self.balloons, *([self.ball] if self.ball else [])]):
             raise ValueError("balloon and ball radii must be positive")
+        if self.ball is not None and not (self.ball.width > 0.0 and self.ball.height > 0.0):
+            raise ValueError("ball width and height must be positive")
         if self.task == 1:
             lawnmower_legs(self.arena, self.sweep_width)  # raises for a width outside (0, arena width]
         elif self.square_altitude <= self.arena.ceiling:
@@ -412,7 +414,9 @@ _SEARCH_KEYS = {
 def load_scenario(path: str) -> Scenario:
     """Scenario file -> Scenario, with the "search" group mapped onto its fields."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"Scenario: expected an object, got {data!r}")
     search = data.pop("search", {})
     if not isinstance(search, dict):
         raise ValueError(f"Scenario.search: expected an object, got {search!r}")
@@ -425,9 +429,8 @@ class BallPath:
     """Figure-8 flown by the target carrier; speed drops partway through."""
 
     def __init__(self, spec: BallSpec):
-        curve, point, tangent = fig8_curve(spec.width / 2.0, spec.height)
         self._path = PeriodicCurvePath(
-            curve, point, tangent, rot_z(math.radians(spec.plane_yaw_deg)), spec.center,
+            fig8_shape(spec.width, spec.height), rot_z(math.radians(spec.plane_yaw_deg)), spec.center,
             spec.speed, spec.radius, spec.phase, 1.0,
         )
         self.spec = spec
@@ -491,7 +494,7 @@ class BalloonTask:
         self.downdraft = next((f for f in sc.faults if f.kind == "downdraft"), None)
         self.attack_saw_pop = False
 
-    def targets(self, t: float) -> list[TargetState]:
+    def targets(self) -> list[TargetState]:
         return [TargetState(b.position, b.spec.radius) for b in self.balloons if b.alive]
 
     def step(self, state: MissionState, seen: Optional[Vec3], uav: Pose, t: float) -> VelocityCommand:
@@ -559,16 +562,18 @@ class BallTask:
         plan = square_search_plan(sc.arena, sc.square_altitude, sc.square_speed, sc.square_side)
         self.track = PlanTrack(plan, 0.0, mission.sim.trajectory)
         self.ball = BallPath(sc.ball)
+        self.ball_state = self.ball.sample(0.0)  # resampled after each step, read by the next frame
 
-    def targets(self, t: float) -> list[TargetState]:
-        return [self.ball.sample(t)]
+    def targets(self) -> list[TargetState]:
+        return [self.ball_state]
 
     def step(self, state: MissionState, seen: Optional[Vec3], uav: Pose, t: float) -> VelocityCommand:
         return task2_step(state, seen, uav, self.params, t)
 
     def after_step(self, t: float, uav: Pose, state: MissionState) -> None:
         result = self.mission.result
-        d = (uav.position - self.ball.sample(t).position).norm()
+        self.ball_state = self.ball.sample(t)
+        d = (uav.position - self.ball_state.position).norm()
         result.min_ball_distance = min(result.min_ball_distance, d)
 
     def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Pose) -> None:
@@ -618,7 +623,7 @@ class MissionSimulator:
 
         for k, t, perception_due, control_due in rates.ticks(sc.duration):
             if perception_due:
-                frame_queue.append((t, *self._observe(t, uav, task)))
+                frame_queue.append((t, *self._observe(uav, task)))
                 los_level, los_world, los_valid = None, None, False
                 while frame_queue and frame_queue[0][0] <= t - latency:
                     _, los_level, los_world, los_valid = frame_queue.pop(0)
@@ -660,7 +665,7 @@ class MissionSimulator:
         return self.result
 
     def _observe(
-        self, t: float, uav: Pose, task: Union[BalloonTask, BallTask]
+        self, uav: Pose, task: Union[BalloonTask, BallTask]
     ) -> tuple[Optional[Vec3], Optional[Vec3], bool]:
         """Largest blob this frame -> (LOS level dir, LOS world unit, gate-valid).
 
@@ -672,7 +677,7 @@ class MissionSimulator:
         bias_pitch = math.radians(gimbal.pitch_deg) if gimbal is not None else 0.0
         bias_yaw = math.radians(gimbal.yaw_deg) if gimbal is not None else 0.0
         best: Optional[Detection] = None
-        for target in task.targets(t):
+        for target in task.targets():
             _, det = camera_view(target, uav, task.mount_pitch, self.k_cam, bias_pitch, bias_yaw)
             if det is not None and (best is None or det.pixel_count > best.pixel_count):
                 best = det

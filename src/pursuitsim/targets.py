@@ -1,16 +1,20 @@
 """Target path library: straight crossings, tilted figure-8s, and a knot.
 
-Periodic paths are traversed at constant speed: the curve's arc length is
-measured once at build time and the period set to length/speed, with an
-inverse arc-length table so sampling runs at uniform ground speed rather
-than uniform parameter rate.
+A periodic path is a placed curve. Its shape (`CurveShape`) holds the point
+and tangent functions, the arc length and an inverse arc-length table, so
+sampling runs at uniform ground speed rather than uniform parameter rate. Its
+placement (`PeriodicCurvePath`) holds the rotation, centre, speed, phase,
+direction and radius. The matrix's figure-8 and knot shapes are built once per
+process, on first use; a seed draws only a placement.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -19,6 +23,23 @@ import numpy as np
 from .geometry import IDENTITY_ROT, Rot3, Vec3, ZERO3, rotate_about_axis
 
 DEFAULT_TARGET_RADIUS = 0.5  # 1 m diameter sphere
+
+# Straight paths enter near one edge of the camera FOV and cross in front with
+# a random vertical slope. The half-angle is half the default 105 deg camera
+# hfov; it does not follow camera.hfov_deg.
+FOV_HALF_ANGLE = math.radians(52.5)
+START_RANGE = (12.0, 18.0)    # m
+EDGE_FRACTION = (0.70, 0.90)  # of FOV_HALF_ANGLE
+SLOPE_LIMIT = math.radians(15.0)
+# figure-8: width x height of the untilted vertical-plane curve, tilted about
+# a random axis by up to FIG8_MAX_TILT and centred anywhere in the box
+FIG8_WIDTH = 10.0
+FIG8_HEIGHT = 6.0
+FIG8_MAX_TILT = math.radians(30.0)
+FIG8_CENTER_BOX = ((12.0, 20.0), (-4.0, 4.0), (-2.0, 2.0))  # x, y, z ranges, m
+# knot: the curve fills an axis-aligned cube centred anywhere in the box ahead
+KNOT_CUBE = 2.0
+KNOT_CENTER_BOX = ((5.0, 15.0), (-10.0, 10.0), (-5.0, 5.0))
 
 
 class PathKind(str, enum.Enum):
@@ -38,24 +59,6 @@ class TargetPathSpec:
     speed: float                   # m/s; 0 is the stationary-target override
     seed: int
     radius: float = DEFAULT_TARGET_RADIUS
-    # straight-path placement: enter near one edge of the camera FOV and
-    # cross in front with a random vertical slope
-    fov_half_angle: float = math.radians(52.5)
-    start_range: tuple[float, float] = (12.0, 18.0)
-    edge_fraction: tuple[float, float] = (0.70, 0.90)
-    slope_limit: float = math.radians(15.0)
-    # figure-8 geometry (width x height of the untilted vertical-plane curve)
-    fig8_width: float = 10.0
-    fig8_height: float = 6.0
-    fig8_max_tilt: float = math.radians(30.0)
-    fig8_center_x: tuple[float, float] = (12.0, 20.0)
-    fig8_center_y: tuple[float, float] = (-4.0, 4.0)
-    fig8_center_z: tuple[float, float] = (-2.0, 2.0)
-    # knot geometry: curve fills a cube, centered anywhere in a box ahead
-    knot_cube: float = 2.0
-    knot_region_x: tuple[float, float] = (5.0, 15.0)
-    knot_region_y: tuple[float, float] = (-10.0, 10.0)
-    knot_region_z: tuple[float, float] = (-5.0, 5.0)
 
     def validate(self) -> None:
         if self.speed < 0.0:
@@ -107,69 +110,131 @@ class StraightPath(TargetPath):
 ARC_TABLE_SIZE = 32768
 
 
-class PeriodicCurvePath(TargetPath):
-    """Closed parametric curve traversed at constant ground speed.
+class CurveShape:
+    """A closed curve over theta in [0, 2 pi), measured once.
 
-    The dense chord-sum table doubles as the arc-length quadrature for the
-    period and as the inverse mapping s -> theta used when sampling.
+    The dense chord-sum table doubles as the arc-length quadrature and as the
+    uniform-s inverse table s -> theta that sampling reads. It is stored as an
+    array('d'), whose items read back as the same floats a list would hold.
+    Paths share one shape, so nothing writes it after construction.
     """
 
-    def __init__(
-        self,
-        curve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-        point: Callable[[float], Vec3],
-        tangent: Callable[[float], Vec3],
-        rotation: Rot3,
-        center: Vec3,
-        speed: float,
-        radius: float,
-        phase: float,
-        direction: float,
-    ):
-        self._point = point
-        self._tangent = tangent
+    def __init__(self, curve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+                 point: Callable[[float], Vec3], tangent: Callable[[float], Vec3]):
+        self.point = point
+        self.tangent = tangent
+        thetas = np.linspace(0.0, 2.0 * math.pi, ARC_TABLE_SIZE + 1)
+        x, y, z = curve(thetas)
+        seg = np.sqrt(np.diff(x) ** 2 + np.diff(y) ** 2 + np.diff(z) ** 2)
+        cum = np.concatenate(([0.0], np.cumsum(seg)))
+        self.length = float(cum[-1])
+        s_grid = np.linspace(0.0, self.length, ARC_TABLE_SIZE + 1)
+        self.theta_of_s = array("d", np.interp(s_grid, cum, thetas).tobytes())
+        self.ds = self.length / ARC_TABLE_SIZE
+
+    def theta(self, s: float) -> float:
+        """Curve parameter at arc length s in [0, length), by O(1) lookup."""
+        idx = int(s / self.ds)
+        if idx >= ARC_TABLE_SIZE:
+            idx = ARC_TABLE_SIZE - 1
+        frac = (s - idx * self.ds) / self.ds
+        t0 = self.theta_of_s[idx]
+        t1 = self.theta_of_s[idx + 1]
+        return t0 + frac * (t1 - t0)
+
+
+class PeriodicCurvePath(TargetPath):
+    """A shape placed in the world: rotated, centred, and traversed at
+    constant ground speed in one direction from its phase point."""
+
+    def __init__(self, shape: CurveShape, rotation: Rot3, center: Vec3, speed: float, radius: float,
+                 phase: float, direction: float):
+        self.shape = shape
         self._rot = rotation
         self._center = center
         self._speed = speed
         self.radius = radius
         self._phase = phase
         self._direction = 1.0 if direction >= 0 else -1.0
-
-        thetas = np.linspace(0.0, 2.0 * math.pi, ARC_TABLE_SIZE + 1)
-        x, y, z = curve(thetas)
-        seg = np.sqrt(np.diff(x) ** 2 + np.diff(y) ** 2 + np.diff(z) ** 2)
-        cum = np.concatenate(([0.0], np.cumsum(seg)))
-        self.length = float(cum[-1])
-        self.period = self.length / speed if speed > 0.0 else None
-        # uniform-s inverse table for O(1) lookups
-        s_grid = np.linspace(0.0, self.length, ARC_TABLE_SIZE + 1)
-        self._theta_of_s = np.interp(s_grid, cum, thetas).tolist()
-        self._ds = self.length / ARC_TABLE_SIZE
+        self.period = shape.length / speed if speed > 0.0 else None
 
     def _theta_at(self, s: float) -> float:
         """Curve parameter at signed arc position s from the phase point."""
-        s = (self._phase / (2.0 * math.pi) * self.length + self._direction * s) % self.length
-        idx = int(s / self._ds)
-        if idx >= ARC_TABLE_SIZE:
-            idx = ARC_TABLE_SIZE - 1
-        frac = (s - idx * self._ds) / self._ds
-        t0 = self._theta_of_s[idx]
-        t1 = self._theta_of_s[idx + 1]
-        return t0 + frac * (t1 - t0)
+        length = self.shape.length
+        return self.shape.theta((self._phase / (2.0 * math.pi) * length + self._direction * s) % length)
 
     def sample(self, t: float) -> TargetState:
         return self.sample_arc(self._speed * t)
 
     def sample_arc(self, s: float) -> TargetState:
         """State at signed arc position s."""
-        return TargetState(self._center + self._rot.apply(self._point(self._theta_at(s))), self.radius)
+        return TargetState(self._center + self._rot.apply(self.shape.point(self._theta_at(s))), self.radius)
 
     def velocity(self, t: float) -> Vec3:
-        tan = self._tangent(self._theta_at(self._speed * t))
+        tan = self.shape.tangent(self._theta_at(self._speed * t))
         n = tan.norm()
         if n == 0.0 or self._speed == 0.0:
             return ZERO3
         return self._rot.apply(tan.scale(self._direction * self._speed / n))
+
+
+def fig8_shape(width: float, height: float) -> CurveShape:
+    """Figure-8 in the x-z plane with the given extents."""
+    a = width / 2.0
+    b = height  # z = b*sin(theta)*cos(theta) has extent b
+
+    def curve(theta: np.ndarray):
+        return a * np.sin(theta), np.zeros_like(theta), b * np.sin(theta) * np.cos(theta)
+
+    def point(theta: float) -> Vec3:
+        return Vec3(a * math.sin(theta), 0.0, b * math.sin(theta) * math.cos(theta))
+
+    def tangent(theta: float) -> Vec3:
+        return Vec3(a * math.cos(theta), 0.0, b * math.cos(2.0 * theta))
+
+    return CurveShape(curve, point, tangent)
+
+
+def _knot_unit(theta: np.ndarray):
+    x = np.sin(theta) + 2.0 * np.sin(2.0 * theta)
+    y = np.cos(theta) - 2.0 * np.cos(2.0 * theta)
+    return x, y, -np.sin(3.0 * theta)
+
+
+def knot_shape(cube: float) -> CurveShape:
+    """Trefoil knot scaled per axis so that it fills a cube of side `cube`."""
+    ux, uy, uz = _knot_unit(np.linspace(0.0, 2.0 * math.pi, 4096))
+    sx = cube / (float(ux.max()) - float(ux.min()))
+    sy = cube / (float(uy.max()) - float(uy.min()))
+    sz = cube / (float(uz.max()) - float(uz.min()))
+
+    def curve(theta: np.ndarray):
+        x, y, z = _knot_unit(theta)
+        return x * sx, y * sy, z * sz
+
+    def point(theta: float) -> Vec3:
+        return Vec3(
+            sx * (math.sin(theta) + 2.0 * math.sin(2.0 * theta)),
+            sy * (math.cos(theta) - 2.0 * math.cos(2.0 * theta)),
+            sz * (-math.sin(3.0 * theta)),
+        )
+
+    def tangent(theta: float) -> Vec3:
+        return Vec3(
+            sx * (math.cos(theta) + 4.0 * math.cos(2.0 * theta)),
+            sy * (-math.sin(theta) + 4.0 * math.sin(2.0 * theta)),
+            sz * (-3.0 * math.cos(3.0 * theta)),
+        )
+
+    return CurveShape(curve, point, tangent)
+
+
+@functools.cache
+def matrix_shape(kind: PathKind) -> CurveShape:
+    """The matrix's figure-8 or knot shape, built on first use and shared."""
+    if kind == PathKind.FIGURE8:
+        return fig8_shape(FIG8_WIDTH, FIG8_HEIGHT)
+    return knot_shape(KNOT_CUBE)
 
 
 def _uniform_rotation(rng: random.Random, max_angle: float) -> Rot3:
@@ -188,12 +253,12 @@ def _uniform_rotation(rng: random.Random, max_angle: float) -> Rot3:
 
 def _build_straight(spec: TargetPathSpec, rng: random.Random) -> TargetPath:
     side = 1.0 if rng.random() < 0.5 else -1.0
-    bearing = side * spec.fov_half_angle * rng.uniform(*spec.edge_fraction)
-    rrange = rng.uniform(*spec.start_range)
+    bearing = side * FOV_HALF_ANGLE * rng.uniform(*EDGE_FRACTION)
+    rrange = rng.uniform(*START_RANGE)
     z0 = rng.uniform(-1.0, 1.0)
     start = Vec3(rrange * math.cos(bearing), rrange * math.sin(bearing), z0)
     aim_frac = rng.uniform(0.7, 1.0)
-    slope = rng.uniform(-spec.slope_limit, spec.slope_limit)
+    slope = rng.uniform(-SLOPE_LIMIT, SLOPE_LIMIT)
     if spec.speed == 0.0:
         return StationaryPath(start, spec.radius)
     aim = Vec3(rrange * aim_frac, 0.0, z0)
@@ -203,98 +268,21 @@ def _build_straight(spec: TargetPathSpec, rng: random.Random) -> TargetPath:
         flat = Vec3(0.0, -side, 0.0)
         flat_n = 1.0
     horiz = flat.scale(1.0 / flat_n)
-    direction = Vec3(
-        horiz.x * math.cos(slope), horiz.y * math.cos(slope), math.sin(slope)
-    )
+    direction = Vec3(horiz.x * math.cos(slope), horiz.y * math.cos(slope), math.sin(slope))
     return StraightPath(start, direction.scale(spec.speed), spec.radius)
 
 
-def fig8_curve(a: float, b: float):
-    def curve(theta: np.ndarray):
-        return a * np.sin(theta), np.zeros_like(theta), b * np.sin(theta) * np.cos(theta)
-
-    def point(theta: float) -> Vec3:
-        return Vec3(a * math.sin(theta), 0.0, b * math.sin(theta) * math.cos(theta))
-
-    def tangent(theta: float) -> Vec3:
-        return Vec3(a * math.cos(theta), 0.0, b * math.cos(2.0 * theta))
-
-    return curve, point, tangent
-
-
-def _build_figure8(spec: TargetPathSpec, rng: random.Random) -> TargetPath:
-    center = Vec3(
-        rng.uniform(*spec.fig8_center_x),
-        rng.uniform(*spec.fig8_center_y),
-        rng.uniform(*spec.fig8_center_z),
-    )
-    tilt = _uniform_rotation(rng, spec.fig8_max_tilt)
+def _build_curve(spec: TargetPathSpec, rng: random.Random) -> TargetPath:
+    """The shared figure-8 or knot shape at a seeded centre, tilt, phase and direction."""
+    fig8 = spec.kind == PathKind.FIGURE8
+    center = Vec3(*(rng.uniform(lo, hi) for lo, hi in (FIG8_CENTER_BOX if fig8 else KNOT_CENTER_BOX)))
+    # only the knot's centre is drawn; its cube stays axis-aligned
+    rotation = _uniform_rotation(rng, FIG8_MAX_TILT) if fig8 else IDENTITY_ROT
     phase = rng.uniform(0.0, 2.0 * math.pi)
     direction = 1.0 if rng.random() < 0.5 else -1.0
-    a = spec.fig8_width / 2.0
-    b = spec.fig8_height  # z = b*sin(theta)*cos(theta) has extent b
-    curve, point, tangent = fig8_curve(a, b)
-    path = PeriodicCurvePath(
-        curve, point, tangent, tilt, center, max(spec.speed, 1e-9), spec.radius, phase, direction
-    )
+    path = PeriodicCurvePath(matrix_shape(spec.kind), rotation, center, spec.speed, spec.radius, phase, direction)
     if spec.speed == 0.0:
-        return StationaryPath(path.sample(0.0).position, spec.radius)
-    return path
-
-
-def _knot_curve(scale: Vec3):
-    def raw(theta: np.ndarray):
-        x = np.sin(theta) + 2.0 * np.sin(2.0 * theta)
-        y = np.cos(theta) - 2.0 * np.cos(2.0 * theta)
-        z = -np.sin(3.0 * theta)
-        return x, y, z
-
-    def curve(theta: np.ndarray):
-        x, y, z = raw(theta)
-        return x * scale.x, y * scale.y, z * scale.z
-
-    def point(theta: float) -> Vec3:
-        return Vec3(
-            scale.x * (math.sin(theta) + 2.0 * math.sin(2.0 * theta)),
-            scale.y * (math.cos(theta) - 2.0 * math.cos(2.0 * theta)),
-            scale.z * (-math.sin(3.0 * theta)),
-        )
-
-    def tangent(theta: float) -> Vec3:
-        return Vec3(
-            scale.x * (math.cos(theta) + 4.0 * math.cos(2.0 * theta)),
-            scale.y * (-math.sin(theta) + 4.0 * math.sin(2.0 * theta)),
-            scale.z * (-3.0 * math.cos(3.0 * theta)),
-        )
-
-    return curve, point, tangent
-
-
-def _knot_scale(cube: float) -> Vec3:
-    unit_curve, _, _ = _knot_curve(Vec3(1.0, 1.0, 1.0))
-    x, y, z = unit_curve(np.linspace(0.0, 2.0 * math.pi, 4096))
-    return Vec3(
-        cube / (float(x.max()) - float(x.min())),
-        cube / (float(y.max()) - float(y.min())),
-        cube / (float(z.max()) - float(z.min())),
-    )
-
-
-def _build_knot(spec: TargetPathSpec, rng: random.Random) -> TargetPath:
-    center = Vec3(
-        rng.uniform(*spec.knot_region_x),
-        rng.uniform(*spec.knot_region_y),
-        rng.uniform(*spec.knot_region_z),
-    )
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    direction = 1.0 if rng.random() < 0.5 else -1.0
-    curve, point, tangent = _knot_curve(_knot_scale(spec.knot_cube))
-    # only the center is randomized; the cube must stay axis-aligned
-    path = PeriodicCurvePath(
-        curve, point, tangent, IDENTITY_ROT, center, max(spec.speed, 1e-9), spec.radius, phase, direction
-    )
-    if spec.speed == 0.0:
-        return StationaryPath(path.sample(0.0).position, spec.radius)
+        return StationaryPath(path.sample_arc(0.0).position, spec.radius)
     return path
 
 
@@ -304,9 +292,6 @@ def build_path(spec: TargetPathSpec) -> TargetPath:
     rng = random.Random(spec.seed)
     if spec.kind == PathKind.STRAIGHT:
         return _build_straight(spec, rng)
-    if spec.kind == PathKind.FIGURE8:
-        return _build_figure8(spec, rng)
-    if spec.kind == PathKind.KNOT:
-        return _build_knot(spec, rng)
+    if spec.kind in (PathKind.FIGURE8, PathKind.KNOT):
+        return _build_curve(spec, rng)
     raise ValueError(f"unknown path kind {spec.kind}")
-

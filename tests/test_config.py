@@ -41,12 +41,16 @@ SCENARIO = {"task": 1, "balloons": [{"anchor": [25.0, 3.0, 2.2]}], "duration": 3
         (load_scenario, {**SCENARIO, "search": {"sweep_width": 0}}),
         (load_scenario, {**SCENARIO, "search": {"sweep_width": 41.0}}),
         (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}, "arena": {"ceiling": 11.0}}),
+        (load_scenario, [["task", 1], ["balloons", [{"anchor": [25.0, 3.0, 2.2]}]], ["duration", 30.0]]),
+        (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5], "width": 0, "height": 0}}),
+        (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5], "height": -6.0}}),
     ],
     ids=["string-gain", "slow-dynamics", "zero-window", "flat-gain-key", "misspelt-key", "short-anchor",
          "zero-hover-thrust", "zero-attitude-lag", "zero-trajectory-dt", "zero-replan-rate", "zero-width",
          "negative-timeout", "negative-hit-radius", "zero-fov-loss-timeout", "task-3", "task-2-without-ball",
          "unknown-fault-kind", "duplicate-fault-kind", "negative-latency", "zero-duration", "zero-search-speed",
-         "zero-square-speed", "zero-sweep-width", "sweep-wider-than-arena", "square-at-ceiling"],
+         "zero-square-speed", "zero-sweep-width", "sweep-wider-than-arena", "square-at-ceiling",
+         "top-level-pairs", "flat-ball-path", "negative-ball-height"],
 )
 def test_bad_file_rejected_at_load(tmp_path, loader, data):
     path = tmp_path / "bad.json"

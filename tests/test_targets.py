@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pursuitsim
+from pursuitsim.geometry import IDENTITY_ROT, Vec3, attitude_rotation
 from pursuitsim.targets import (
     PathKind,
     PeriodicCurvePath,
@@ -9,25 +16,18 @@ from pursuitsim.targets import (
     StraightPath,
     TargetPathSpec,
     build_path,
+    matrix_shape,
 )
 
 
-def spec(kind, speed=2.0, seed=7, **kw):
-    return TargetPathSpec(kind=kind, speed=speed, seed=seed, **kw)
+def spec(kind, speed=2.0, seed=7):
+    return TargetPathSpec(kind=kind, speed=speed, seed=seed)
 
 
-def untilted_fig8(speed=2.0, seed=3):
-    return build_path(
-        spec(
-            PathKind.FIGURE8,
-            speed=speed,
-            seed=seed,
-            fig8_max_tilt=0.0,
-            fig8_center_x=(15.0, 15.0),
-            fig8_center_y=(0.0, 0.0),
-            fig8_center_z=(0.0, 0.0),
-        )
-    )
+def placed_fig8(rotation=IDENTITY_ROT):
+    # the matrix's figure-8 shape, centred 15 m ahead
+    shape = matrix_shape(PathKind.FIGURE8)
+    return PeriodicCurvePath(shape, rotation, Vec3(15.0, 0.0, 0.0), 2.0, 0.5, phase=2.3, direction=-1.0)
 
 
 def path_times(path, n=600):
@@ -41,7 +41,7 @@ def path_samples(path, n=600):
 
 class TestFigure8:
     def test_untilted_extents(self):
-        states = path_samples(untilted_fig8())
+        states = path_samples(placed_fig8())
         xs = [s.position.x for s in states]
         zs = [s.position.z for s in states]
         assert abs((max(xs) - min(xs)) - 10.0) / 10.0 < 0.01
@@ -52,16 +52,8 @@ class TestFigure8:
 
     def test_tilt_preserves_shape(self):
         # a proper rotation leaves pairwise distances alone
-        flat = untilted_fig8(seed=3)
-        tilted = build_path(
-            spec(
-                PathKind.FIGURE8,
-                seed=3,
-                fig8_center_x=(15.0, 15.0),
-                fig8_center_y=(0.0, 0.0),
-                fig8_center_z=(0.0, 0.0),
-            )
-        )
+        flat = placed_fig8()
+        tilted = placed_fig8(attitude_rotation(0.3, -0.4, 0.2))
         ts = [0.0, 1.1, 2.7, 4.0, 6.3]
         p_flat = [flat.sample(t).position for t in ts]
         p_tilt = [tilted.sample(t).position for t in ts]
@@ -184,3 +176,36 @@ class TestApi:
         direct = path.sample(1.3)
         via_arc = path.sample_arc(2.0 * 1.3)
         assert (direct.position - via_arc.position).norm() < 1e-9
+
+
+class TestSharedShape:
+    @pytest.mark.parametrize("kind", [PathKind.FIGURE8, PathKind.KNOT])
+    def test_builds_share_one_table(self, kind):
+        a = build_path(spec(kind, seed=1))
+        b = build_path(spec(kind, seed=2))
+        assert a.shape.theta_of_s is b.shape.theta_of_s
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        kind=st.sampled_from(list(PathKind)),
+        seed=st.integers(0, 2**63 - 1),
+        speed=st.just(0.0) | st.floats(0.1, 10.0),
+        t=st.floats(0.0, 60.0),
+    )
+    def test_shared_shape_samples_like_a_fresh_one(self, kind, seed, speed, t):
+        shared = build_path(spec(kind, speed=speed, seed=seed))
+        matrix_shape.cache_clear()
+        fresh = build_path(spec(kind, speed=speed, seed=seed))
+        if kind != PathKind.STRAIGHT and speed > 0.0:
+            assert fresh.shape is not shared.shape
+        assert fresh.sample(t) == shared.sample(t)
+        assert fresh.velocity(t) == shared.velocity(t)
+        assert fresh.period == shared.period
+
+    def test_no_shape_built_at_import(self):
+        # set-up time counts import, and a mission never flies the matrix shapes
+        code = "from pursuitsim import targets; print(targets.matrix_shape.cache_info().currsize)"
+        src = os.path.dirname(os.path.dirname(pursuitsim.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "0"
