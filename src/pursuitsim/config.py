@@ -19,7 +19,7 @@ from typing import Any, Iterator, Optional, Union, get_args, get_origin, get_typ
 
 from .geometry import CameraIntrinsics, Vec3
 from .guidance import GuidanceParams
-from .vehicle import MAX_DYNAMICS_DT, VehicleParams, mount_pitch_for_speed
+from .vehicle import GRAVITY, MAX_DYNAMICS_DT, VehicleParams
 
 
 @dataclass
@@ -39,10 +39,12 @@ class CameraConfig:
         return CameraIntrinsics.from_hfov(math.radians(self.hfov_deg), self.width, self.height)
 
     def mount_pitch(self, speed: float, vehicle: VehicleParams) -> float:
-        """Camera mount tilt up, rad, for a UAV cruising at `speed`."""
+        """Camera mount tilt up, rad, for a UAV cruising at `speed`: by default
+        the one canceling the steady-state nose-down pitch at that speed, so a
+        level target stays near the image center."""
         if self.mount_pitch_deg is not None:
             return math.radians(self.mount_pitch_deg)
-        return mount_pitch_for_speed(speed, vehicle)
+        return math.atan2(vehicle.drag * speed, GRAVITY)
 
 
 @dataclass
@@ -64,6 +66,8 @@ class TrajectoryConfig:
     def validate(self) -> None:
         if not (self.horizon > 0.0 and self.dt > 0.0 and self.replan_hz > 0.0):
             raise ValueError("trajectory.horizon, trajectory.dt and trajectory.replan_hz must be positive")
+        if not self.lookahead_buffer >= 0.0:
+            raise ValueError("trajectory.lookahead_buffer must be >= 0")
 
 
 @dataclass
@@ -146,7 +150,8 @@ def from_dict(cls: type, data: Any) -> Any:
 
     Nested objects become nested dataclasses, overriding only the keys they
     name on top of the field's default; `[x, y, z]` becomes a Vec3. Unknown
-    keys, missing required keys and wrongly typed values raise ValueError.
+    keys, missing required keys, wrongly typed values and the NaN and
+    Infinity that `json` reads raise ValueError.
     """
     obj = _convert(cls, data, cls.__name__)
     obj.validate()
@@ -168,9 +173,14 @@ def _convert(tp: Any, value: Any, where: str, base: Any = None) -> Any:
         return [_convert(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
     if not dataclasses.is_dataclass(tp):
         if tp is float and type(value) is int:
-            return float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
         if type(value) is not tp:
             raise ValueError(f"{where}: expected {tp.__name__}, got {value!r}")
+        if tp is float and not math.isfinite(value):
+            raise ValueError(f"{where}: expected a finite number, got {value!r}")
         return value
     if not isinstance(value, dict):
         raise ValueError(f"{where}: expected an object, got {value!r}")

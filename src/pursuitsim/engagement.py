@@ -56,7 +56,6 @@ from .trajectory import (
     Waypoint,
     cursor_step,
     forecast_target,
-    ForecastInputs,
     gen_forecast_trajectory,
     gen_los_accel_trajectory,
     stitch,
@@ -171,7 +170,6 @@ class PerceptionFrame:
     """One perception tick. A detected frame holds its tick's pixels until the
     first read of `d_center` or `depth_valid` estimates its depth."""
 
-    t: float
     detected: bool
     detection: Optional[Detection] = None
     sample: Optional[LosSample] = None
@@ -319,14 +317,14 @@ class PerceptionPipeline:
     def observe(self, t: float, target: TargetState, uav_pose: Pose) -> PerceptionFrame:
         seg, det = camera_view(target, uav_pose, self.mount_pitch, self.k)
         if det is None:
-            return PerceptionFrame(t, False)
+            return PerceptionFrame(False)
         ray = pixel_to_los(det.centroid[0], det.centroid[1], self.k)
         if self._prev is not None and t > self._prev.t:
             phi_dot, n_unit, valid = los_rate(self._prev.r, ray, t - self._prev.t)
         else:
             phi_dot, n_unit, valid = 0.0, ZERO3, False
         self._prev = LosSample(ray, t, phi_dot, n_unit, valid)
-        return PerceptionFrame(t, True, det, self._prev,
+        return PerceptionFrame(True, det, self._prev,
                                partial(estimate_depth, seg, det, self.k, self.target_diameter))
 
 
@@ -409,7 +407,7 @@ class TrajectoryGuide:
             return
         track = self.track
         if track is None:
-            start, v0 = Waypoint(uav.position, uav.yaw, uav.velocity.norm()), uav.velocity
+            start, v0 = Waypoint(uav.position, uav.yaw), uav.velocity
         else:
             cur = track.cursor(t)
             start, v0 = cur.lookahead_point, track.plan.velocity_at(cur.lookahead_index)
@@ -435,15 +433,12 @@ class TrajectoryGuide:
     def _forecast(self, t: float, start: Waypoint, los_world: Vec3, uav: Pose) -> Optional[Trajectory]:
         if self.d_f <= 0.0:  # no range yet
             return None
-        last, fix = self.last_fix, (t, self.d_f, los_world)
-        self.last_fix = fix
+        last, self.last_fix = self.last_fix, (t, self.d_f, los_world)
         if last is None:
             return None
+        t0, d0, los0 = last
         try:
-            _, t_coll, p_rel = forecast_target(ForecastInputs(
-                d0=last[1], d1=fix[1], los0=last[2], los1=fix[2], t0=last[0], t1=fix[0],
-                uav_vel=uav.velocity,
-            ))
+            _, t_coll, p_rel = forecast_target(d0, self.d_f, los0, los_world, t0, t, uav.velocity)
         except NoClosingVelocityError:
             return None
         if t_coll <= self.tcfg.dt:
@@ -464,7 +459,6 @@ class EngagementResult:
     failure_reason: Optional[FailureReason]
     duration: float
     min_miss_distance: float
-    completed: bool           # False when the simulator crashed
     phi_dot_handoff: float    # first valid LOS rate at/after handoff
     phi_dot_final: float      # mean |LOS rate| over the last 0.5 s before the end
     end_time: float
@@ -577,7 +571,6 @@ def run_engagement(
         failure_reason=verdict.reason,
         duration=verdict.duration,
         min_miss_distance=verdict.min_miss,
-        completed=verdict.reason != FailureReason.CRASH,
         phi_dot_handoff=phi_handoff if phi_handoff is not None else 0.0,
         phi_dot_final=phi_final,
         end_time=verdict.time,

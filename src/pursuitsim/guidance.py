@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from .geometry import LosSample, Vec3, ZERO3, body_heading, camera_to_body
 
@@ -46,12 +45,14 @@ class GuidanceParams:
     dropout_decay: float = 0.2      # s of linear decay to zero after the hold
 
     def validate(self) -> None:
-        if self.pn_gain <= 2.0:
+        if not self.pn_gain > 2.0:
             raise ValueError("PN gain must be > 2")
         if not (0.0 < self.suppression <= 1.0):
             raise ValueError("suppression factor must be in (0, 1]")
-        if self.max_accel <= 0.0 or self.max_yaw_rate <= 0.0:
+        if not (self.max_accel > 0.0 and self.max_yaw_rate > 0.0):
             raise ValueError("command clamps must be positive")
+        if not (self.init_duration >= 0.0 and self.dropout_hold >= 0.0 and self.dropout_decay >= 0.0):
+            raise ValueError("guidance.init_duration, guidance.dropout_hold and guidance.dropout_decay must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ class GuidanceCommand:
     mode: GuidanceMode
 
     @staticmethod
-    def zero(mode: GuidanceMode = GuidanceMode.PN) -> "GuidanceCommand":
-        return GuidanceCommand(ZERO3, 0.0, mode)
+    def zero() -> "GuidanceCommand":
+        return GuidanceCommand(ZERO3, 0.0, GuidanceMode.PN)
 
 
 def closing_velocity(uav_vel_world: Vec3, los_world_unit: Vec3) -> float:
@@ -132,12 +133,9 @@ def hybrid_command(
     return GuidanceCommand(accel, yaw_rate, mode)
 
 
-def init_velocity(los_world_unit: Optional[Vec3], desired_speed: float) -> Vec3:
+def init_velocity(los_world_unit: Vec3, desired_speed: float) -> Vec3:
     """Velocity command for the initialization window: straight along the
-    current LOS, or zero while there is nothing to look at (the init timer
-    keeps running either way)."""
-    if los_world_unit is None:
-        return ZERO3
+    current LOS."""
     return los_world_unit.scale(desired_speed)
 
 

@@ -48,10 +48,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.uav_speed <= 0.0:
-            raise ValueError("UAV speed must be positive")
-        if self.target_fraction < 0.0:
-            raise ValueError("target speed fraction must be >= 0")
+        if not 0.0 < self.uav_speed < math.inf:
+            raise ValueError("UAV speed must be positive and finite")
+        if not 0.0 <= self.target_fraction < math.inf:
+            raise ValueError("target speed fraction must be finite and >= 0")
 
     def label(self) -> str:
         return (
@@ -67,9 +67,13 @@ class TrialResult:
     failure_reason: Optional[FailureReason]
     min_miss_distance: float
     seed: int
-    completed: bool
     phi_dot_handoff: float
     phi_dot_final: float
+
+    @property
+    def completed(self) -> bool:
+        """False when the simulator crashed."""
+        return self.failure_reason != FailureReason.CRASH
 
 
 def trial_seed(master_seed: int, cfg: ExperimentConfig, index: int) -> int:
@@ -100,7 +104,6 @@ def run_trial(
         failure_reason=res.failure_reason,
         min_miss_distance=res.min_miss_distance,
         seed=seed,
-        completed=res.completed,
         phi_dot_handoff=res.phi_dot_handoff,
         phi_dot_final=res.phi_dot_final,
     )
@@ -156,6 +159,8 @@ def full_matrix(
     paths: Iterable[PathKind] = tuple(PathKind),
     fractions: Iterable[float] = TARGET_FRACTIONS,
 ) -> list[ExperimentConfig]:
+    """Every combination, each axis's repeated values dropped in first-seen order."""
+    methods, paths, speeds, fractions = (list(dict.fromkeys(v)) for v in (methods, paths, speeds, fractions))
     return [
         ExperimentConfig(m, s, p, f, trials=trials)
         for m in methods
@@ -179,7 +184,7 @@ def _run_config(args: tuple[ExperimentConfig, int, SimConfig]) -> list[TrialResu
             sys.stderr.write(f"{cfg.label()} trial {i} seed={seed} crashed:\n{traceback.format_exc()}")
             trial = TrialResult(
                 hit=False, duration=math.nan, failure_reason=FailureReason.CRASH, min_miss_distance=math.nan,
-                seed=seed, completed=False, phi_dot_handoff=math.nan, phi_dot_final=math.nan,
+                seed=seed, phi_dot_handoff=math.nan, phi_dot_final=math.nan,
             )
         out.append(trial)
     return out
@@ -191,7 +196,10 @@ def run_matrix(
     sim: SimConfig,
     parallelism: int = 1,
 ) -> dict[ExperimentConfig, list[TrialResult]]:
-    """Run every configuration; deterministic regardless of parallelism."""
+    """Run every configuration; deterministic regardless of parallelism.
+    An invalid configuration raises before any trial runs."""
+    for cfg in configs:
+        cfg.validate()
     jobs = [(cfg, master_seed, sim) for cfg in configs]
     if parallelism > 1 and len(configs) > 1:
         with Pool(processes=parallelism) as pool:

@@ -86,21 +86,22 @@ def validate_detection(
 # ---------------------------------------------------------------------------
 
 
+WAYPOINT_SPACING = 2.0  # m between search-plan waypoints along a leg
+RECOVERY_CLIMB = 1.5    # m climbed before a recovery returns to the registration point
+
+
 def _timed_waypoints(points: list[tuple[Vec3, float]], speed: float) -> Trajectory:
     """Chain positions into a trajectory at constant ground speed."""
+    waypoints = [Waypoint(pos, yaw) for pos, yaw in points]
     times = [0.0]
-    waypoints = [Waypoint(points[0][0], points[0][1], speed)]
-    for (pos, yaw) in points[1:]:
-        dist = (pos - waypoints[-1].position).norm()
-        dt = max(dist / speed, 1e-3)
-        times.append(times[-1] + dt)
-        waypoints.append(Waypoint(pos, yaw, speed))
+    for a, b in zip(waypoints, waypoints[1:]):
+        times.append(times[-1] + max((b.position - a.position).norm() / speed, 1e-3))
     return Trajectory(times, waypoints)
 
 
-def _leg_points(a: Vec3, b: Vec3, spacing: float) -> list[Vec3]:
+def _leg_points(a: Vec3, b: Vec3) -> list[Vec3]:
     dist = (b - a).norm()
-    n = max(1, int(math.ceil(dist / spacing)))
+    n = max(1, int(math.ceil(dist / WAYPOINT_SPACING)))
     return [a + (b - a).scale(i / n) for i in range(1, n + 1)]
 
 
@@ -118,7 +119,6 @@ def lawnmower_plan(
     altitude: float,
     speed: float,
     start: Vec3 = ZERO3,
-    waypoint_spacing: float = 2.0,
 ) -> Trajectory:
     """Boustrophedon sweep of the arena at fixed altitude.
 
@@ -140,7 +140,7 @@ def lawnmower_plan(
         entry = Vec3(x, y, altitude)
         points.append((entry, yaw))
         x_end = x_far if x == x_near else x_near
-        for p in _leg_points(entry, Vec3(x_end, y, altitude), waypoint_spacing):
+        for p in _leg_points(entry, Vec3(x_end, y, altitude)):
             points.append((p, yaw))
         x = x_end
     end = points[-1][0]
@@ -153,7 +153,6 @@ def square_search_plan(
     altitude: float,
     speed: float,
     side: float = 12.0,
-    waypoint_spacing: float = 2.0,
 ) -> Trajectory:
     """Closed square loop at the arena center, yaw fixed along the long side
     so the camera keeps facing the crossing of the target's figure-8."""
@@ -170,7 +169,7 @@ def square_search_plan(
     ]
     points: list[tuple[Vec3, float]] = [(corners[0], 0.0)]
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        for p in _leg_points(a, b, waypoint_spacing):
+        for p in _leg_points(a, b):
             points.append((p, 0.0))
     return _timed_waypoints(points, speed)
 
@@ -181,13 +180,12 @@ def recovery_stitch(
     plan: Trajectory,
     resume_index: int,
     speed: float,
-    climb: float = 1.5,
 ) -> tuple[Trajectory, int]:
     """Recovery segment: climb, return to the registration point, resume the
     paused plan. Returns the stitched trajectory and the index of its first
     resumed-plan waypoint."""
     points: list[tuple[Vec3, float]] = [(current, 0.0)]
-    points.append((Vec3(current.x, current.y, current.z + climb), 0.0))
+    points.append((Vec3(current.x, current.y, current.z + RECOVERY_CLIMB), 0.0))
     points.append((pause_point, 0.0))
     recovery = _timed_waypoints(points, speed)
     n_recovery = len(recovery.waypoints)

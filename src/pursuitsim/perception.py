@@ -63,14 +63,12 @@ class Detection:
 
 @dataclass(frozen=True)
 class DepthEstimate:
-    d: float          # range to nearest point on target, meters
     d_center: float   # range to target center, meters
-    alpha: float      # subtended angle, radians
     valid: bool
 
     @staticmethod
     def invalid() -> "DepthEstimate":
-        return DepthEstimate(0.0, 0.0, 0.0, False)
+        return DepthEstimate(0.0, False)
 
 
 _WINDOW_PAD = 2  # px around the conic's bounding box, against rounding
@@ -195,7 +193,8 @@ def estimate_depth(
 
         d = (w/2) / sin(alpha/2) - w/2
 
-    measured to the nearest point of the target. The extent is taken from the
+    measured to the nearest point of the target; the estimate holds d + w/2,
+    the range to its center. The extent is taken from the
     zeroth and second image moments of the blob (semi-extent = sqrt(count/pi)
     scaled by the fourth root of the axis variance ratio, the exact relation
     for a filled ellipse) rather than from the raw min/max pixel coordinates:
@@ -239,8 +238,7 @@ def estimate_depth(
     d = depth_from_subtended_angle(alpha, target_diameter)
     if d <= 0.0:
         return DepthEstimate.invalid()
-    half = target_diameter / 2.0
-    return DepthEstimate(d=d, d_center=d + half, alpha=alpha, valid=True)
+    return DepthEstimate(d_center=d + target_diameter / 2.0, valid=True)
 
 
 class MovingAverageFilter:

@@ -18,7 +18,6 @@ from .geometry import Vec3, ZERO3
 class Waypoint:
     position: Vec3
     yaw: float
-    speed: float  # m/s, scalar
 
 
 class Trajectory:
@@ -34,10 +33,6 @@ class Trajectory:
                 raise ValueError("timestamps must be strictly increasing")
         self.times = list(times)
         self.waypoints = list(waypoints)
-
-    @property
-    def duration(self) -> float:
-        return self.times[-1] - self.times[0]
 
     def __len__(self) -> int:
         return len(self.waypoints)
@@ -85,9 +80,8 @@ def gen_los_accel_trajectory(
     for t in times:
         pos = start.position + v0.scale(t) + accel.scale(0.5 * t * t)
         vel = v0 + accel.scale(t)
-        speed = vel.norm()
-        yaw = math.atan2(vel.y, vel.x) if speed > 1e-9 else start.yaw
-        waypoints.append(Waypoint(pos, yaw, speed))
+        yaw = math.atan2(vel.y, vel.x) if vel.norm() > 1e-9 else start.yaw
+        waypoints.append(Waypoint(pos, yaw))
     return Trajectory(times, waypoints)
 
 
@@ -95,22 +89,15 @@ class NoClosingVelocityError(ValueError):
     """Forecasting is undefined without a positive closing component."""
 
 
-@dataclass(frozen=True)
-class ForecastInputs:
-    d0: float
-    d1: float
-    los0: Vec3  # unit, world axes, measured from the vehicle
-    los1: Vec3
-    t0: float
-    t1: float
-    uav_vel: Vec3
-
-
 MIN_CLOSING_SPEED = 0.1  # m/s
 
 
-def forecast_target(inputs: ForecastInputs) -> tuple[Vec3, float, Vec3]:
-    """Straight-line target forecast from two range+bearing fixes.
+def forecast_target(
+    d0: float, d1: float, los0: Vec3, los1: Vec3, t0: float, t1: float, uav_vel: Vec3
+) -> tuple[Vec3, float, Vec3]:
+    """Straight-line target forecast from two range+bearing fixes: ranges
+    d0, d1 and LOS directions los0, los1 (unit, world axes, measured from
+    the vehicle) taken at t0 < t1, with the vehicle's velocity uav_vel.
 
     Returns (target velocity, time to collision along the current LOS,
     collision point in vehicle-relative coordinates):
@@ -119,18 +106,17 @@ def forecast_target(inputs: ForecastInputs) -> tuple[Vec3, float, Vec3]:
         t_collision = d1 / <v_uav, los1>
         p_collision = v_target * t_collision + d1*los1
     """
-    if inputs.t1 <= inputs.t0:
+    if t1 <= t0:
         raise ValueError("t1 must exceed t0")
-    if inputs.d0 <= 0.0 or inputs.d1 <= 0.0:
+    if d0 <= 0.0 or d1 <= 0.0:
         raise ValueError("ranges must be positive")
-    closing = inputs.uav_vel.dot(inputs.los1)
+    closing = uav_vel.dot(los1)
     if closing <= MIN_CLOSING_SPEED:
         raise NoClosingVelocityError(f"closing speed {closing:.3f} m/s along the LOS")
-    dt = inputs.t1 - inputs.t0
-    p1 = inputs.los1.scale(inputs.d1)
-    p0 = inputs.los0.scale(inputs.d0)
-    v_target = (p1 - p0).scale(1.0 / dt)
-    t_collision = inputs.d1 / closing
+    p1 = los1.scale(d1)
+    p0 = los0.scale(d0)
+    v_target = (p1 - p0).scale(1.0 / (t1 - t0))
+    t_collision = d1 / closing
     p_collision = v_target.scale(t_collision) + p1
     return v_target, t_collision, p_collision
 
@@ -145,7 +131,7 @@ def gen_forecast_trajectory(
     dist = delta.norm()
     if dist < 1e-12:
         # degenerate replan onto the current position: hold in place
-        hold = Waypoint(start.position, start.yaw, 0.0)
+        hold = Waypoint(start.position, start.yaw)
         return Trajectory([0.0, dt], [hold, hold])
     if t_collision <= dt:
         raise ValueError("t_collision must exceed one discretization step")
@@ -153,9 +139,7 @@ def gen_forecast_trajectory(
     speed = dist / t_collision
     yaw = math.atan2(direction.y, direction.x)
     times = _timeline(t_collision, dt)
-    waypoints = [
-        Waypoint(start.position + direction.scale(speed * t), yaw, speed) for t in times
-    ]
+    waypoints = [Waypoint(start.position + direction.scale(speed * t), yaw) for t in times]
     return Trajectory(times, waypoints)
 
 

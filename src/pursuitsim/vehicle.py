@@ -76,13 +76,11 @@ class VehicleParams:
             raise ValueError("vehicle.hover_thrust must be in (0, 1]")
         if not 0.0 < self.tilt_limit_deg < 90.0:
             raise ValueError("vehicle.tilt_limit_deg must be in (0, 90)")
+        if not self.drag >= 0.0:
+            raise ValueError("vehicle.drag must be >= 0")
+        if not self.max_yaw_rate > 0.0:
+            raise ValueError("vehicle.max_yaw_rate must be positive")
         self.gains.validate()
-
-
-def mount_pitch_for_speed(speed: float, params: VehicleParams) -> float:
-    """Camera mount tilt (up) canceling the steady-state nose-down pitch at
-    the given forward speed, so a level target stays near the image center."""
-    return math.atan2(params.drag * speed, GRAVITY)
 
 
 class VectorPid:

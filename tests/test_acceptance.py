@@ -37,7 +37,7 @@ from pursuitsim.mission import (
 )
 from pursuitsim.perception import centroid, estimate_depth, render_sphere
 from pursuitsim.targets import PathKind
-from pursuitsim.trajectory import ForecastInputs, forecast_target
+from pursuitsim.trajectory import forecast_target
 from pursuitsim.vehicle import (
     AttitudeCommand,
     PoseController,
@@ -143,9 +143,7 @@ def test_criterion_4_forecast_exactness():
     ]
     for p0, v_true, uav_vel, dt in cases:
         p1 = p0 + v_true.scale(dt)
-        v_t, t_c, p_c = forecast_target(
-            ForecastInputs(p0.norm(), p1.norm(), p0.unit(), p1.unit(), 0.0, dt, uav_vel)
-        )
+        v_t, t_c, p_c = forecast_target(p0.norm(), p1.norm(), p0.unit(), p1.unit(), 0.0, dt, uav_vel)
         truth = p1 + v_true.scale(t_c)
         worst = max(worst, (p_c - truth).norm())
     ok = worst <= 1e-6
@@ -367,7 +365,7 @@ def test_criterion_10_controller_sanity():
     # hover convergence from a 1 m offset
     pose_ctl = PoseController(gains)
     vel_ctl = VelocityController(gains, params)
-    target = Waypoint(Vec3(0, 0, 5.0), 0.0, 0.0)
+    target = Waypoint(Vec3(0, 0, 5.0), 0.0)
     state = at_rest(Vec3(1.0, 0.0, 4.5))
     dt = 1.0 / SIM.rates.dynamics_hz
     every = SIM.rates.dynamics_hz // SIM.rates.control_hz

@@ -64,6 +64,29 @@ def test_matrix_partial_sweep(tmp_path, capsys):
     assert "hit_rate" in capsys.readouterr().out
 
 
+def test_matrix_runs_a_repeated_value_once(tmp_path, capsys):
+    rc = main(
+        [
+            "matrix", "--trials", "1", "--method", "tpn", "--path", "straight",
+            "--uav-speed", "3", "--uav-speed", "3", "--target-fraction", "0.5",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "running 1 configurations" in out
+    assert out.count("tpn/straight/uav3/frac0.5") == 1
+    assert len((tmp_path / "trials.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--uav-speed", "nan"], ["--target-fraction", "nan"], ["--target-fraction", "inf", "--path", "figure8"],
+])
+def test_trial_rejects_non_finite_speeds(tmp_path, flags):
+    with pytest.raises(ValueError, match="finite"):
+        main(["trial", *flags, "--out", str(tmp_path)])
+
+
 def test_mission_scenario_file(tmp_path, capsys):
     scenario = {
         "task": 1,

@@ -11,6 +11,7 @@ from pursuitsim.config import RatesConfig, SimConfig, dump_config, from_dict, lo
 from pursuitsim.mission import Scenario, load_scenario
 
 SCENARIO = {"task": 1, "balloons": [{"anchor": [25.0, 3.0, 2.2]}], "duration": 30.0}
+NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity, which json reads
 
 
 @pytest.mark.parametrize(
@@ -44,13 +45,36 @@ SCENARIO = {"task": 1, "balloons": [{"anchor": [25.0, 3.0, 2.2]}], "duration": 3
         (load_scenario, [["task", 1], ["balloons", [{"anchor": [25.0, 3.0, 2.2]}]], ["duration", 30.0]]),
         (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5], "width": 0, "height": 0}}),
         (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5], "height": -6.0}}),
+        (load_config, {"guidance": {"init_duration": NAN}}),
+        (load_config, {"guidance": {"init_duration": INF}}),
+        (load_config, {"vehicle": {"drag": NAN}}),
+        (load_config, {"camera": {"mount_pitch_deg": NAN}}),
+        (load_config, {"rules": {"pursuit_timeout": INF}}),
+        (load_config, {"trajectory": {"horizon": INF}}),
+        (load_scenario, {**SCENARIO, "arena": {"length": NAN}}),
+        (load_scenario, {**SCENARIO, "balloons": [{"anchor": [25.0, NAN, 2.2]}]}),
+        (load_config, {"guidance": {"pn_gain": NAN}}),
+        (load_config, {"guidance": {"max_accel": NAN}}),
+        (load_config, {"trajectory": {"lookahead_buffer": NAN}}),
+        (load_config, {"rules": {"hit_radius": 10**400}}),
+        (load_config, {"guidance": {"init_duration": -1}}),
+        (load_config, {"guidance": {"dropout_hold": -1}}),
+        (load_config, {"guidance": {"dropout_decay": -1}}),
+        (load_config, {"vehicle": {"drag": -0.3}}),
+        (load_config, {"trajectory": {"lookahead_buffer": -0.05}}),
+        (load_config, {"vehicle": {"max_yaw_rate": -1}}),
+        (load_config, {"vehicle": {"max_yaw_rate": 0}}),
     ],
     ids=["string-gain", "slow-dynamics", "zero-window", "flat-gain-key", "misspelt-key", "short-anchor",
          "zero-hover-thrust", "zero-attitude-lag", "zero-trajectory-dt", "zero-replan-rate", "zero-width",
          "negative-timeout", "negative-hit-radius", "zero-fov-loss-timeout", "task-3", "task-2-without-ball",
          "unknown-fault-kind", "duplicate-fault-kind", "negative-latency", "zero-duration", "zero-search-speed",
          "zero-square-speed", "zero-sweep-width", "sweep-wider-than-arena", "square-at-ceiling",
-         "top-level-pairs", "flat-ball-path", "negative-ball-height"],
+         "top-level-pairs", "flat-ball-path", "negative-ball-height", "nan-init-duration", "inf-init-duration",
+         "nan-drag", "nan-mount-pitch", "inf-pursuit-timeout", "inf-horizon", "nan-arena-length", "nan-anchor",
+         "nan-pn-gain", "nan-max-accel", "nan-lookahead-buffer", "huge-integer", "negative-init-duration",
+         "negative-dropout-hold", "negative-dropout-decay", "negative-drag", "negative-lookahead-buffer",
+         "negative-max-yaw-rate", "zero-max-yaw-rate"],
 )
 def test_bad_file_rejected_at_load(tmp_path, loader, data):
     path = tmp_path / "bad.json"

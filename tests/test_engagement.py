@@ -124,11 +124,16 @@ class TestTrajectoryGuide:
 
         forecasts = []
         real = engagement.forecast_target
-        monkeypatch.setattr(engagement, "forecast_target", lambda inputs: forecasts.append(inputs) or real(inputs))
+
+        def spy(d0, d1, los0, los1, t0, t1, uav_vel):
+            forecasts.append((t0, d0, t1, d1))
+            return real(d0, d1, los0, los1, t0, t1, uav_vel)
+
+        monkeypatch.setattr(engagement, "forecast_target", spy)
         rejected_d, guide.d_f = guide.d_f, 9.4
         guide.replan(40, 0.2, POSE, fresh=True)
         assert guide.track is not None
-        assert [(f.t0, f.d0, f.t1, f.d1) for f in forecasts] == [(0.1, rejected_d, 0.2, 9.4)]
+        assert forecasts == [(0.1, rejected_d, 0.2, 9.4)]
 
     def test_plan_is_held_without_a_fresh_detection_but_the_mark_advances(self):
         guide = make_guide(GuidanceMethod.LOS_TRAJ)
@@ -150,15 +155,15 @@ class TestCrashRule:
     0.05 g crash limit from the first step."""
 
     @pytest.mark.parametrize("rules, outcome", [
-        ({"crash_accel_g": 0.05, "crash_sustain": 0.1}, (False, FailureReason.CRASH, 0.1, False)),
-        ({"crash_accel_g": 0.05, "crash_sustain": 0.0}, (False, FailureReason.CRASH, 0.005, False)),
-        ({}, (True, None, 3.45, True)),
+        ({"crash_accel_g": 0.05, "crash_sustain": 0.1}, (False, FailureReason.CRASH, 0.1)),
+        ({"crash_accel_g": 0.05, "crash_sustain": 0.0}, (False, FailureReason.CRASH, 0.005)),
+        ({}, (True, None, 3.45)),
     ], ids=["sustained-over-limit", "any-step-over-limit", "defaults"])
     def test_outcome(self, rules, outcome):
         sim = SimConfig()
         sim.rules = dataclasses.replace(sim.rules, **rules)
         res = run_engagement(GuidanceMethod.TPN, 3.0, StationaryPath(Vec3(10.0, 0.0, 0.0), 0.5), sim)
-        assert (res.hit, res.failure_reason, res.end_time, res.completed) == outcome
+        assert (res.hit, res.failure_reason, res.end_time) == outcome
 
     def test_non_finite_state_is_a_crash(self):
         monitor = HitMonitor(SimConfig().rules, ZERO3, 2.0)

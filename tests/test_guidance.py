@@ -174,9 +174,6 @@ class TestInitAndDropout:
         v = init_velocity(Vec3(0.0, 0.0, 1.0), 3.0)
         assert v == Vec3(0.0, 0.0, 3.0)
 
-    def test_no_detection_means_zero(self):
-        assert init_velocity(None, 3.0) == ZERO3
-
     def test_dropout_profile(self):
         p = params(dropout_hold=0.2, dropout_decay=0.2)
         assert dropout_scale(0.0, p) == 1.0

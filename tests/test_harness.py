@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -140,13 +142,15 @@ class TestClassifyHit:
     def test_replay_property(self, method, path, speed, fraction, ideal, seed):
         cfg = ExperimentConfig(method, speed, path, fraction, trials=1, ideal_dynamics=ideal)
         _, res = run_trial(cfg, seed, SIM, record_trace=True)
-        assume(res.completed)  # a trace stops before a crash step, so a replay cannot see one
+        # a trace stops before a crash step, so a replay cannot see one
+        assume(res.failure_reason != FailureReason.CRASH)
         assert replay_is_live(res)
 
 
 class TestAggregate:
     def result(self, hit, duration=5.0, completed=True):
-        return TrialResult(hit, duration, None if hit else FailureReason.TIMEOUT, 1.0, 0, completed, 0.1, 0.05)
+        reason = None if hit else FailureReason.TIMEOUT if completed else FailureReason.CRASH
+        return TrialResult(hit, duration, reason, 1.0, 0, 0.1, 0.05)
 
     def test_hit_rate_division(self):
         rows = [self.result(i < 24) for i in range(50)]
@@ -302,6 +306,17 @@ class TestConfigValidation:
     def test_bad_trials(self):
         with pytest.raises(ValueError):
             ExperimentConfig(GuidanceMethod.TPN, 3.0, PathKind.STRAIGHT, 0.5, trials=0).validate()
+
+    @pytest.mark.parametrize("speed, fraction", [
+        (math.nan, 0.5), (math.inf, 0.5), (3.0, math.nan), (3.0, math.inf),
+    ])
+    def test_non_finite_speeds_rejected_before_any_trial(self, speed, fraction):
+        cfg = ExperimentConfig(GuidanceMethod.TPN, speed, PathKind.FIGURE8, fraction, trials=1)
+        with pytest.raises(ValueError):
+            cfg.validate()
+        good = ExperimentConfig(GuidanceMethod.TPN, 3.0, PathKind.STRAIGHT, 0.5, trials=1)
+        with pytest.raises(ValueError):  # not a crash row per cell
+            run_matrix([good, cfg], 1, SIM)
 
     def test_label(self):
         cfg = ExperimentConfig(GuidanceMethod.TPN, 3.0, PathKind.KNOT, 0.25)

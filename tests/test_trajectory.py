@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pursuitsim.geometry import Vec3, ZERO3
 from pursuitsim.trajectory import (
-    ForecastInputs,
     NoClosingVelocityError,
     STITCH_TOL,
     Trajectory,
@@ -19,7 +18,7 @@ from pursuitsim.trajectory import (
     stitch,
 )
 
-ORIGIN_WP = Waypoint(ZERO3, 0.0, 0.0)
+ORIGIN_WP = Waypoint(ZERO3, 0.0)
 
 
 class TestKinematicTrajectory:
@@ -28,14 +27,16 @@ class TestKinematicTrajectory:
         assert len(traj) == 11
         end = traj.waypoints[-1]
         assert (end.position - Vec3(0, 0, 0.5)).norm() < 1e-12
-        assert abs(end.speed - 1.0) < 1e-12
+        # the last step's feedforward is the mean velocity over it, a * 0.95 s
+        assert (traj.velocity_at(len(traj) - 2) - Vec3(0, 0, 0.95)).norm() < 1e-12
 
     def test_zero_acceleration_is_straight_line(self):
         v0 = Vec3(2.0, -1.0, 0.5)
         traj = gen_los_accel_trajectory(ORIGIN_WP, v0, ZERO3, 2.0, 0.1)
-        for t, wp in zip(traj.times, traj.waypoints):
+        for i, (t, wp) in enumerate(zip(traj.times, traj.waypoints)):
             assert (wp.position - v0.scale(t)).norm() < 1e-12
-            assert abs(wp.speed - v0.norm()) < 1e-12
+            if i < len(traj) - 1:
+                assert (traj.velocity_at(i) - v0).norm() < 1e-12
 
     def test_single_period_limit_matches_direct_command(self):
         # as the horizon shrinks to one step the rollout is just the
@@ -46,13 +47,13 @@ class TestKinematicTrajectory:
         traj = gen_los_accel_trajectory(ORIGIN_WP, v0, a, dt, dt)
         assert len(traj) == 2
         v_end = v0 + a.scale(dt)
-        assert abs(traj.waypoints[-1].speed - v_end.norm()) < 1e-12
+        assert (traj.velocity_at(0) - (v0 + v_end).scale(0.5)).norm() < 1e-12
         assert (traj.waypoints[-1].position - (v0.scale(dt) + a.scale(0.5 * dt * dt))).norm() < 1e-12
 
     def test_finite_difference_consistency(self):
         # exact for constant acceleration: (p_{k+1}-p_k)/dt == mean velocity
         traj = gen_los_accel_trajectory(
-            Waypoint(Vec3(3, 1, 2), 0.3, 1.0), Vec3(1.0, -0.4, 0.2), Vec3(-0.3, 0.8, 0.1), 2.0, 0.1
+            Waypoint(Vec3(3, 1, 2), 0.3), Vec3(1.0, -0.4, 0.2), Vec3(-0.3, 0.8, 0.1), 2.0, 0.1
         )
         for i in range(len(traj) - 1):
             dt = traj.times[i + 1] - traj.times[i]
@@ -69,16 +70,12 @@ class TestKinematicTrajectory:
 
 class TestForecast:
     def test_stationary_target(self):
-        v_t, t_c, p_c = forecast_target(
-            ForecastInputs(10.0, 10.0, Vec3(0, 0, 1.0), Vec3(0, 0, 1.0), 0.0, 1.0, Vec3(0, 0, 2.0))
-        )
+        v_t, t_c, p_c = forecast_target(10.0, 10.0, Vec3(0, 0, 1.0), Vec3(0, 0, 1.0), 0.0, 1.0, Vec3(0, 0, 2.0))
         assert v_t == ZERO3
         assert (p_c - Vec3(0, 0, 10.0)).norm() < 1e-12
 
     def test_time_to_collision(self):
-        _, t_c, _ = forecast_target(
-            ForecastInputs(10.0, 10.0, Vec3(0, 0, 1.0), Vec3(0, 0, 1.0), 0.0, 1.0, Vec3(0, 0, 2.0))
-        )
+        _, t_c, _ = forecast_target(10.0, 10.0, Vec3(0, 0, 1.0), Vec3(0, 0, 1.0), 0.0, 1.0, Vec3(0, 0, 2.0))
         assert abs(t_c - 5.0) < 1e-12
 
     def test_crossing_target_against_exact_arithmetic(self):
@@ -86,8 +83,7 @@ class TestForecast:
         # the exact normalized los1 components
         norm1 = math.sqrt(0.1 * 0.1 + 1.0)
         los1 = Vec3(0.1 / norm1, 0.0, 1.0 / norm1)
-        inputs = ForecastInputs(10.0, 10.0, Vec3(0, 0, 1.0), los1, 0.0, 1.0, Vec3(0, 0, 2.0))
-        v_t, t_c, p_c = forecast_target(inputs)
+        v_t, t_c, p_c = forecast_target(10.0, 10.0, Vec3(0, 0, 1.0), los1, 0.0, 1.0, Vec3(0, 0, 2.0))
 
         l1x = Fraction(los1.x)
         l1z = Fraction(los1.z)
@@ -115,49 +111,42 @@ class TestForecast:
         t0, t1 = 0.0, 0.8
         p1 = p0 + v_true.scale(t1 - t0)
         uav_vel = Vec3(0.5, 0.2, 3.0)
-        inputs = ForecastInputs(
-            p0.norm(), p1.norm(), p0.unit(), p1.unit(), t0, t1, uav_vel
-        )
-        v_t, t_c, p_c = forecast_target(inputs)
+        v_t, t_c, p_c = forecast_target(p0.norm(), p1.norm(), p0.unit(), p1.unit(), t0, t1, uav_vel)
         assert (v_t - v_true).norm() < 1e-12
         truth = p1 + v_true.scale(t_c)
         assert (p_c - truth).norm() < 1e-9
 
     def test_no_closing_component_raises(self):
         with pytest.raises(NoClosingVelocityError):
-            forecast_target(
-                ForecastInputs(10.0, 10.0, Vec3(0, 0, 1.0), Vec3(0, 0, 1.0), 0.0, 1.0, Vec3(2.0, 0, 0))
-            )
+            forecast_target(10.0, 10.0, Vec3(0, 0, 1.0), Vec3(0, 0, 1.0), 0.0, 1.0, Vec3(2.0, 0, 0))
 
     def test_slow_closing_below_threshold_raises(self):
         with pytest.raises(NoClosingVelocityError):
-            forecast_target(
-                ForecastInputs(10.0, 10.0, Vec3(0, 0, 1.0), Vec3(0, 0, 1.0), 0.0, 1.0, Vec3(0, 0, 0.05))
-            )
+            forecast_target(10.0, 10.0, Vec3(0, 0, 1.0), Vec3(0, 0, 1.0), 0.0, 1.0, Vec3(0, 0, 0.05))
 
 
 class TestForecastTrajectory:
     def test_uniform_speed(self):
         traj = gen_forecast_trajectory(ORIGIN_WP, Vec3(0, 0, 10.0), 5.0, 0.1)
-        for wp in traj.waypoints:
-            assert abs(wp.speed - 2.0) < 1e-12
+        for i in range(len(traj) - 1):
+            assert abs(traj.velocity_at(i).norm() - 2.0) < 1e-12
         assert (traj.waypoints[-1].position - Vec3(0, 0, 10.0)).norm() < 1e-9
 
     def test_degenerate_hold(self):
         traj = gen_forecast_trajectory(ORIGIN_WP, ZERO3, 5.0, 0.1)
         assert len(traj) == 2
-        assert traj.waypoints[0].speed == 0.0
+        assert traj.velocity_at(0) == ZERO3
         assert traj.waypoints[0].position == traj.waypoints[1].position
 
     def test_slow_distant_collision(self):
         traj = gen_forecast_trajectory(ORIGIN_WP, Vec3(10.0, 0, 0), 20.0, 0.1)
-        assert abs(traj.waypoints[0].speed - 0.5) < 1e-12
+        assert abs(traj.velocity_at(0).norm() - 0.5) < 1e-12
 
 
 class TestCursor:
     def traj(self):
         times = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-        wps = [Waypoint(Vec3(t, 0, 0), 0.0, 1.0) for t in times]
+        wps = [Waypoint(Vec3(t, 0, 0), 0.0) for t in times]
         return Trajectory(times, wps)
 
     def test_fresh_trajectory_tracks_first_waypoint(self):
@@ -187,7 +176,7 @@ class TestCursor:
 class TestStitch:
     def line(self, start: Vec3, direction: Vec3, n: int, dt: float) -> Trajectory:
         times = [i * dt for i in range(n)]
-        wps = [Waypoint(start + direction.scale(i * dt), 0.0, direction.norm()) for i in range(n)]
+        wps = [Waypoint(start + direction.scale(i * dt), 0.0) for i in range(n)]
         return Trajectory(times, wps)
 
     def test_prefix_replan_is_idempotent(self):
@@ -203,13 +192,13 @@ class TestStitch:
         new = self.line(Vec3(0.3, 0, 0), Vec3(0, 1, 0), 3, 0.1)
         out = stitch(old, new, 3)
         assert len(out) == 4 + 2
-        assert abs(out.duration - (0.3 + 0.2)) < 1e-12
+        assert abs(out.times[-1] - (0.3 + 0.2)) < 1e-12
 
     def test_mid_stitch_duration(self):
         old = self.line(ZERO3, Vec3(1, 0, 0), 6, 0.1)
         new = self.line(Vec3(0.2, 0, 0), Vec3(0, 1, 0), 4, 0.1)
         out = stitch(old, new, 2)
-        assert abs(out.duration - (0.2 + 0.3)) < 1e-12
+        assert abs(out.times[-1] - (0.2 + 0.3)) < 1e-12
 
     def test_position_continuity_at_seam(self):
         old = self.line(ZERO3, Vec3(1, 0, 0), 6, 0.1)
@@ -237,7 +226,7 @@ def _random_trajectory(t0: float, start: Vec3, dts: list[float], rest: list[Vec3
     for dt in dts:
         times.append(times[-1] + dt)
     positions = [start] + rest[: len(dts)]
-    return Trajectory(times, [Waypoint(p, 0.0, 1.0) for p in positions])
+    return Trajectory(times, [Waypoint(p, 0.0) for p in positions])
 
 
 class TestStitchProperties:

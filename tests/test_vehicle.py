@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pursuitsim.config import SimConfig
+from pursuitsim.config import CameraConfig, SimConfig
 from pursuitsim.engagement import IdealPilot, Pilot
 from pursuitsim.geometry import Pose, Vec3, ZERO3, attitude_rotation, wrap_angle
 from pursuitsim.trajectory import Waypoint
@@ -20,7 +20,6 @@ from pursuitsim.vehicle import (
     at_rest,
     dynamics_step,
     ideal_dynamics_step,
-    mount_pitch_for_speed,
 )
 
 
@@ -40,20 +39,20 @@ class TestPoseController:
     def test_zero_error_zero_reference(self):
         ctl = PoseController(default_gains())
         state = at_rest(Vec3(1, 2, 3))
-        v = ctl.step(Waypoint(Vec3(1, 2, 3), 0.0, 0.0), ZERO3, state, 0.02)
+        v = ctl.step(Waypoint(Vec3(1, 2, 3), 0.0), ZERO3, state, 0.02)
         assert v.norm() < 1e-12
 
     def test_pure_proportional(self):
         gains = ControllerGains(position=PidGains(kp=1.0), velocity=PidGains(kp=1.0))
         ctl = PoseController(gains)
         state = at_rest(ZERO3)
-        v = ctl.step(Waypoint(Vec3(1, 0, 0), 0.0, 0.0), ZERO3, state, 0.02)
+        v = ctl.step(Waypoint(Vec3(1, 0, 0), 0.0), ZERO3, state, 0.02)
         assert (v - Vec3(1, 0, 0)).norm() < 1e-12
 
     def test_feedforward_passthrough(self):
         ctl = PoseController(default_gains())
         state = at_rest(ZERO3)
-        v = ctl.step(Waypoint(ZERO3, 0.0, 0.0), Vec3(0, 2.0, 0), state, 0.02)
+        v = ctl.step(Waypoint(ZERO3, 0.0), Vec3(0, 2.0, 0), state, 0.02)
         assert abs(v.y - 2.0 * default_gains().ff_weight) < 1e-12
 
     def test_matches_scalar_pid_recurrence(self):
@@ -206,7 +205,7 @@ class TestDynamics:
         assert dynamics_step(pose, cmd, dt, params) == Pose(pose.position + v.scale(dt), v, r, p, y)
 
 
-HOVER = Waypoint(Vec3(0, 0, 5.0), 0.0, 0.0)
+HOVER = Waypoint(Vec3(0, 0, 5.0), 0.0)
 
 
 class TestClosedLoop:
@@ -324,7 +323,7 @@ class TestIdealPilot:
         state = at_rest(ZERO3)
         pilot.velocity(Vec3(100.0, 0.0, 0.0), 0.0, state)
         assert abs(pilot.a_world.norm() - max_accel) < 1e-12 and pilot.a_world.x > 0.0
-        pilot.waypoint(Waypoint(Vec3(0.0, -100.0, 0.0), 0.0, 0.0), ZERO3, state)
+        pilot.waypoint(Waypoint(Vec3(0.0, -100.0, 0.0), 0.0), ZERO3, state)
         assert abs(pilot.a_world.norm() - max_accel) < 1e-12 and pilot.a_world.y < 0.0
         # a small velocity error is tracked with the first-order time constant
         pilot.velocity(Vec3(0.01, 0.0, 0.0), 0.0, state)
@@ -353,7 +352,8 @@ class TestIdealDynamics:
 class TestMountPitch:
     def test_compensates_steady_state_tilt(self):
         params = default_params()
-        assert mount_pitch_for_speed(0.0, params) == 0.0
-        m5 = mount_pitch_for_speed(5.0, params)
+        mount_pitch = CameraConfig().mount_pitch
+        assert mount_pitch(0.0, params) == 0.0
+        m5 = mount_pitch(5.0, params)
         assert abs(m5 - math.atan2(params.drag * 5.0, GRAVITY)) < 1e-12
-        assert m5 > mount_pitch_for_speed(2.0, params) > 0.0
+        assert m5 > mount_pitch(2.0, params) > 0.0
