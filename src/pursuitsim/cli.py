@@ -42,7 +42,7 @@ def _parse(kind: type, s: str, what: str) -> Union[GuidanceMethod, PathKind]:
         return kind(s)
     except ValueError:
         choices = ", ".join(m.value for m in kind)
-        raise SystemExit(f"unknown {what} {s!r} (choose from: {choices})")
+        raise ValueError(f"unknown {what} {s!r} (choose from: {choices})") from None
 
 
 def cmd_trial(args: argparse.Namespace) -> int:
@@ -166,9 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand; bad input ends it with one error line and status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.exit(2, f"pursuitsim: error: {exc}\n")
 
 
 if __name__ == "__main__":

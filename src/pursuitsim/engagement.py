@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -93,23 +93,30 @@ class TracePoint(NamedTuple):
         return (self.uav_pos - self.target_pos).norm() - self.target_radius
 
 
-@dataclass(frozen=True)
-class Verdict:
+@dataclass
+class EngagementResult:
+    """A trial's record: `HitMonitor` judges the first six fields, `run_engagement` adds the rest."""
+
     hit: bool
-    reason: Optional[FailureReason]
-    time: float
-    duration: float  # pursuit clock at the terminal event
-    min_miss: float  # least surface distance over the judged steps, m
+    failure_reason: Optional[FailureReason]
+    duration: float           # pursuit clock at the terminal event
+    min_miss_distance: float  # least surface distance over the judged steps, m
+    end_time: float
+    bounds_center: Vec3       # the bounds box's anchor, as the trial was judged
+    phi_dot_handoff: float = 0.0  # first valid LOS rate at/after handoff
+    phi_dot_final: float = 0.0    # mean |LOS rate| over the last 0.5 s before the end
+    trace: Optional[list[TracePoint]] = None
 
 
 class HitMonitor:
     """The one judge of a trial: `update` takes one `TracePoint` per dynamics
-    step, in order, and returns a Verdict at the first terminal event;
-    `timeout` ends a run that reaches its last point without one. The pursuit
-    clock starts at handoff, and the box is centred on `bounds_center`, which
-    `run_engagement` computes once per trial; `harness.classify_hit` replays
-    a trace through this class. `crashed` reads velocities, which a trace
-    does not hold, so only the live loop applies it, before each update."""
+    step, in order, and returns the judged `EngagementResult` at the first
+    terminal event; `timeout` ends a run that reaches its last point without
+    one. The pursuit clock starts at handoff, and the box is centred on
+    `bounds_center`, which `run_engagement` computes once per trial;
+    `harness.classify_hit` replays a trace through this class. `crashed`
+    reads velocities, which a trace does not hold, so only the live loop
+    applies it, before each update."""
 
     def __init__(self, rules: RulesConfig, bounds_center: Vec3, handoff_time: float):
         self.rules = rules
@@ -121,25 +128,25 @@ class HitMonitor:
         self.min_miss: float = math.inf
         self.over_accel = 0.0  # how long acceleration has been above the crash limit, s
 
-    def _verdict(self, hit: bool, reason: Optional[FailureReason], t: float) -> Verdict:
+    def _result(self, hit: bool, reason: Optional[FailureReason], t: float) -> EngagementResult:
         duration = t - self.handoff
-        return Verdict(hit, reason, t, max(duration, 0.0) if hit else duration, self.min_miss)
+        return EngagementResult(hit, reason, max(duration, 0.0) if hit else duration, self.min_miss, t, self.center)
 
-    def crashed(self, t: float, pose: Pose, dv: Vec3, dt: float) -> Optional[Verdict]:
+    def crashed(self, t: float, pose: Pose, dv: Vec3, dt: float) -> Optional[EngagementResult]:
         """A non-finite state, or acceleration above `crash_accel_g` held
         longer than `crash_sustain`; `dv` is the step's velocity change."""
         r = self.rules
         if not (pose.position.is_finite() and pose.velocity.is_finite()):
-            return self._verdict(False, FailureReason.CRASH, t)
+            return self._result(False, FailureReason.CRASH, t)
         if dv.norm() / dt > r.crash_accel_g * GRAVITY:
             self.over_accel += dt
             if self.over_accel > r.crash_sustain:
-                return self._verdict(False, FailureReason.CRASH, t)
+                return self._result(False, FailureReason.CRASH, t)
         else:
             self.over_accel = 0.0
         return None
 
-    def update(self, point: TracePoint) -> Optional[Verdict]:
+    def update(self, point: TracePoint) -> Optional[EngagementResult]:
         r = self.rules
         t = self.t = point.t
         if point.detected:
@@ -150,19 +157,19 @@ class HitMonitor:
         duration = t - self.handoff
 
         if duration >= r.pursuit_timeout:
-            return self._verdict(False, FailureReason.TIMEOUT, t)
+            return self._result(False, FailureReason.TIMEOUT, t)
         if surface_dist <= r.hit_radius:
-            return self._verdict(True, None, t)
+            return self._result(True, None, t)
         d = point.uav_pos - self.center
         hx, hy, hz = self.half
         if abs(d.x) > hx or abs(d.y) > hy or abs(d.z) > hz:
-            return self._verdict(False, FailureReason.OUT_OF_BOUNDS, t)
+            return self._result(False, FailureReason.OUT_OF_BOUNDS, t)
         if t - max(self.last_seen, self.handoff) > r.fov_loss_timeout:
-            return self._verdict(False, FailureReason.FOV_LOSS, t)
+            return self._result(False, FailureReason.FOV_LOSS, t)
         return None
 
-    def timeout(self) -> Verdict:
-        return self._verdict(False, FailureReason.TIMEOUT, self.t)
+    def timeout(self) -> EngagementResult:
+        return self._result(False, FailureReason.TIMEOUT, self.t)
 
 
 @dataclass
@@ -453,19 +460,6 @@ class TrajectoryGuide:
             self.track.fly(t, uav, pilot)
 
 
-@dataclass
-class EngagementResult:
-    hit: bool
-    failure_reason: Optional[FailureReason]
-    duration: float
-    min_miss_distance: float
-    phi_dot_handoff: float    # first valid LOS rate at/after handoff
-    phi_dot_final: float      # mean |LOS rate| over the last 0.5 s before the end
-    end_time: float
-    bounds_center: Vec3       # the bounds box's anchor, as the trial was judged
-    trace: Optional[list[TracePoint]] = None
-
-
 _FINAL_PHI_WINDOW = 0.5  # s
 
 
@@ -550,33 +544,24 @@ def run_engagement(
         t_next = (k + 1) * dt
 
         # ---- judge the step --------------------------------------------
-        verdict = monitor.crashed(t_next, uav, uav.velocity - v_before, dt)
-        if verdict is not None:
+        result = monitor.crashed(t_next, uav, uav.velocity - v_before, dt)
+        if result is not None:
             break
         target = path.sample(t_next)
         point = TracePoint(t_next, uav.position, target.position, target.radius,
                            (t_next - last_seen) < seen_window, phi_last)
         if trace is not None:
             trace.append(point)
-        verdict = monitor.update(point)
-        if verdict is not None:
+        result = monitor.update(point)
+        if result is not None:
             break
     else:
-        verdict = monitor.timeout()  # the horizon ran out without a terminal event
+        result = monitor.timeout()  # the horizon ran out without a terminal event
 
-    final_phis = [abs(p) for (tt, p) in phi_log if tt >= verdict.time - _FINAL_PHI_WINDOW]
+    final_phis = [abs(p) for (tt, p) in phi_log if tt >= result.end_time - _FINAL_PHI_WINDOW]
     phi_final = sum(final_phis) / len(final_phis) if final_phis else 0.0
-    return EngagementResult(
-        hit=verdict.hit,
-        failure_reason=verdict.reason,
-        duration=verdict.duration,
-        min_miss_distance=verdict.min_miss,
-        phi_dot_handoff=phi_handoff if phi_handoff is not None else 0.0,
-        phi_dot_final=phi_final,
-        end_time=verdict.time,
-        bounds_center=bounds_center,
-        trace=trace,
-    )
+    return replace(result, phi_dot_handoff=phi_handoff if phi_handoff is not None else 0.0,
+                   phi_dot_final=phi_final, trace=trace)
 
 
 def _path_bounds_center(path: TargetPath, horizon: float) -> Vec3:

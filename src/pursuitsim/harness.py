@@ -24,7 +24,6 @@ from .engagement import (
     FailureReason,
     HitMonitor,
     TracePoint,
-    Verdict,
     run_engagement,
 )
 from .geometry import Vec3
@@ -76,12 +75,14 @@ class TrialResult:
         return self.failure_reason != FailureReason.CRASH
 
 
+def _cell_key(cfg: ExperimentConfig) -> str:
+    """The configuration's part of a trial's seed key; speeds count to 3 decimals."""
+    return f"{cfg.method.value}:{cfg.uav_speed:.3f}:{cfg.path_kind.value}:{cfg.target_fraction:.3f}"
+
+
 def trial_seed(master_seed: int, cfg: ExperimentConfig, index: int) -> int:
     """Stable 63-bit seed unique to (master seed, configuration, trial)."""
-    key = (
-        f"{master_seed}:{cfg.method.value}:{cfg.uav_speed:.3f}:"
-        f"{cfg.path_kind.value}:{cfg.target_fraction:.3f}:{index}"
-    )
+    key = f"{master_seed}:{_cell_key(cfg)}:{index}"
     digest = hashlib.sha256(key.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
@@ -111,18 +112,18 @@ def run_trial(
 
 
 def classify_hit(trace: Sequence[TracePoint], rules: RulesConfig, handoff_time: float,
-                 bounds_center: Vec3) -> Verdict:
+                 bounds_center: Vec3) -> EngagementResult:
     """Replay a recorded trace through `HitMonitor`, the live judge. With the
-    trial's `EngagementResult.bounds_center` this gives the live verdict and
-    min miss. The crash rule is skipped: a trace holds no velocities and
-    stops before a crash step."""
+    trial's `EngagementResult.bounds_center` this gives the live record
+    without its LOS-rate summary and trace. The crash rule is skipped: a
+    trace holds no velocities and stops before a crash step."""
     if not trace:
         raise ValueError("trace must be non-empty")
     monitor = HitMonitor(rules, bounds_center, handoff_time)
     for p in trace:
-        verdict = monitor.update(p)
-        if verdict is not None:
-            return verdict
+        result = monitor.update(p)
+        if result is not None:
+            return result
     return monitor.timeout()
 
 
@@ -197,9 +198,14 @@ def run_matrix(
     parallelism: int = 1,
 ) -> dict[ExperimentConfig, list[TrialResult]]:
     """Run every configuration; deterministic regardless of parallelism.
-    An invalid configuration raises before any trial runs."""
+    An invalid configuration, or two distinct ones that would draw the same
+    trial seeds, raise before any trial runs."""
+    seen: dict[tuple[str, bool], ExperimentConfig] = {}
     for cfg in configs:
         cfg.validate()
+        other = seen.setdefault((_cell_key(cfg), cfg.ideal_dynamics), cfg)
+        if other != cfg:
+            raise ValueError(f"{other.label()} and {cfg.label()} would draw the same trial seeds")
     jobs = [(cfg, master_seed, sim) for cfg in configs]
     if parallelism > 1 and len(configs) > 1:
         with Pool(processes=parallelism) as pool:

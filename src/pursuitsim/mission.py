@@ -88,6 +88,9 @@ def validate_detection(
 
 WAYPOINT_SPACING = 2.0  # m between search-plan waypoints along a leg
 RECOVERY_CLIMB = 1.5    # m climbed before a recovery returns to the registration point
+TASK1_START = Vec3(2.0, 2.0, 0.0)  # Task 1 takeoff point, m
+BALL_SLOW_AFTER = 480.0  # s into the mission, when the Task 2 ball slows
+BALL_SLOW_SPEED = 3.0    # m/s, the ball's speed from then on
 
 
 def _timed_waypoints(points: list[tuple[Vec3, float]], speed: float) -> Trajectory:
@@ -204,16 +207,18 @@ def recovery_stitch(
 # ---------------------------------------------------------------------------
 
 
+ADJUST_UP_ANGLE = math.radians(10.0)  # desired LOS elevation in Adjust
+ANGLE_TOLERANCE = math.radians(5.0)
+ADJUST_KP_Z = 1.2    # m/s per rad of elevation error
+ADJUST_KP_YAW = 1.2  # rad/s per rad of horizontal angle
+TASK2_GAIN = 1.2     # m/s per unit lateral/vertical LOS component
+
+
 @dataclass
 class MissionParams:
-    adjust_up_angle: float = math.radians(10.0)  # desired LOS elevation in Adjust
-    angle_tolerance: float = math.radians(5.0)
-    adjust_kp_z: float = 1.2       # m/s per rad of elevation error
-    adjust_kp_yaw: float = 1.2     # rad/s per rad of horizontal angle
     adjust_timeout: float = 6.0    # s without convergence or sight
     attack_speed: float = 2.0      # m/s along the LOS
     hold_after_loss: float = 1.0   # s the Attack keeps flying blind
-    task2_gain: float = 1.2        # m/s per unit lateral/vertical LOS component
     wait_timeout: float = 60.0     # s in Wait before resuming the search
     pop_contact: float = 0.65      # m center distance counting as a pop
 
@@ -269,16 +274,16 @@ def task1_step(
                 state.transition(MissionMode.RECOVER, t)
             return VelocityCommand(ZERO3, 0.0)
         up, horiz = los_angles(los_level)
-        up_err = params.adjust_up_angle - up
-        if abs(up_err) <= params.angle_tolerance and abs(horiz) <= params.angle_tolerance:
+        up_err = ADJUST_UP_ANGLE - up
+        if abs(up_err) <= ANGLE_TOLERANCE and abs(horiz) <= ANGLE_TOLERANCE:
             state.transition(MissionMode.ATTACK, t)
             return VelocityCommand(ZERO3, 0.0)
         if t - state.mode_entered > params.adjust_timeout:
             state.transition(MissionMode.RECOVER, t)
             return VelocityCommand(ZERO3, 0.0)
         # descend to raise the apparent elevation, yaw toward centering
-        v_world = Vec3(0.0, 0.0, -params.adjust_kp_z * up_err)
-        return VelocityCommand(v_world, params.adjust_kp_yaw * horiz)
+        v_world = Vec3(0.0, 0.0, -ADJUST_KP_Z * up_err)
+        return VelocityCommand(v_world, ADJUST_KP_YAW * horiz)
 
     if state.mode == MissionMode.ATTACK:
         if t - state.last_seen > params.hold_after_loss:
@@ -305,7 +310,7 @@ def task2_step(
             state.transition(MissionMode.WAIT, t)
             return VelocityCommand(ZERO3, 0.0)
         u = los_level.unit()
-        v_level = Vec3(0.0, params.task2_gain * u.y, params.task2_gain * u.z)
+        v_level = Vec3(0.0, TASK2_GAIN * u.y, TASK2_GAIN * u.z)
         return VelocityCommand(rot_z(uav.yaw).apply(v_level), 0.0)
 
     if state.mode == MissionMode.WAIT:
@@ -334,8 +339,6 @@ class BalloonSpec:
 class BallSpec:
     center: Vec3
     speed: float = 8.0
-    slow_speed: float = 3.0
-    slow_after: float = 480.0  # s into the mission
     radius: float = 0.075      # 15 cm ball
     plane_yaw_deg: float = 0.0  # orientation of the figure-8 plane
     width: float = 10.0
@@ -350,7 +353,6 @@ class FaultSpec:
     yaw_deg: float = 0.0
     delay: float = 0.1
     impulse: float = 1.5           # m/s lateral kick for downdraft
-    clear_on_recover: bool = True  # gimbal fault: cleared by the recovery reset
 
     def validate(self) -> None:
         if self.kind not in ("gimbal_offset", "camera_latency", "downdraft"):
@@ -376,7 +378,6 @@ class Scenario:
     square_altitude: float = 11.0
     square_speed: float = 1.0
     square_side: float = 12.0
-    start: Vec3 = Vec3(2.0, 2.0, 0.0)
 
     def validate(self) -> None:
         self.arena.validate()
@@ -424,18 +425,18 @@ def load_scenario(path: str) -> Scenario:
 
 
 class BallPath:
-    """Figure-8 flown by the target carrier; speed drops partway through."""
+    """Figure-8 flown by the target carrier, slowing to `BALL_SLOW_SPEED` at `BALL_SLOW_AFTER`."""
 
     def __init__(self, spec: BallSpec):
         self._path = PeriodicCurvePath(
             fig8_shape(spec.width, spec.height), rot_z(math.radians(spec.plane_yaw_deg)), spec.center,
             spec.speed, spec.radius, spec.phase, 1.0,
         )
-        self.spec = spec
+        self.speed = spec.speed
 
     def sample(self, t: float) -> TargetState:
-        sp = self.spec
-        s = sp.speed * t if t <= sp.slow_after else sp.speed * sp.slow_after + sp.slow_speed * (t - sp.slow_after)
+        speed = self.speed
+        s = speed * t if t <= BALL_SLOW_AFTER else speed * BALL_SLOW_AFTER + BALL_SLOW_SPEED * (t - BALL_SLOW_AFTER)
         return self._path.sample_arc(s)
 
 
@@ -477,15 +478,13 @@ class BalloonTask:
     """Task 1: a lawnmower sweep over tethered balloons. After a pop or a
     miss the vehicle climbs, returns to the registration point and resumes."""
 
-    number = 1
-
     def __init__(self, mission: MissionSimulator):
         sc = mission.sc
         self.mission = mission
         self.params = sc.params
         self.dt = mission.sim.rates.dt
         self.mount_pitch = mission.sim.camera.mount_pitch(sc.search_speed, mission.sim.vehicle)
-        plan = lawnmower_plan(sc.arena, sc.sweep_width, sc.search_altitude, sc.search_speed, sc.start)
+        plan = lawnmower_plan(sc.arena, sc.sweep_width, sc.search_altitude, sc.search_speed, TASK1_START)
         self.track = PlanTrack(plan, 0.0, mission.sim.trajectory)
         self.rejoin_index = 0  # first resumed-plan waypoint of the recovery plan
         self.balloons = [_Balloon(spec=b) for b in sc.balloons]
@@ -533,7 +532,7 @@ class BalloonTask:
         if old == MissionMode.ATTACK:
             if not self.attack_saw_pop:
                 mission.result.misses += 1
-                mission._emit(t, "miss", task=self.number)
+                mission._emit(t, "miss", task=mission.sc.task)
             self.attack_saw_pop = False
         if state.mode == MissionMode.RECOVER:
             # later pauses index into the stitched plan
@@ -542,15 +541,12 @@ class BalloonTask:
                 self.track.plan, state.pause_index, mission.sc.search_speed,
             )
             self.track = PlanTrack(plan, t, mission.sim.trajectory)
-            if mission.gimbal is not None and mission.gimbal.clear_on_recover:
-                mission.gimbal = None
+            mission.gimbal = None
 
 
 class BallTask:
     """Task 2: a square loop above the moving ball's figure-8. Alignment
     ends in Wait, and a Wait that times out resumes the paused loop."""
-
-    number = 2
 
     def __init__(self, mission: MissionSimulator):
         sc = mission.sc
@@ -634,7 +630,7 @@ class MissionSimulator:
                         state.pause_time = t - task.track.start
                         state.transition(MissionMode.ADJUST, t)
                         position = [round(c, 3) for c in uav.position]
-                        self._emit(t, "registered", task=task.number, position=position)
+                        self._emit(t, "registered", task=sc.task, position=position)
 
             if control_due:
                 if state.mode in (MissionMode.GLOBAL_PLAN, MissionMode.RECOVER):
@@ -681,7 +677,7 @@ class MissionSimulator:
                 best = det
         if best is None:
             return None, None, False
-        valid = validate_detection(best, self.sc.gate, self.k_cam.width, self.k_cam.height, task.number)
+        valid = validate_detection(best, self.sc.gate, self.k_cam.width, self.k_cam.height, self.sc.task)
         ray = pixel_to_los(best.centroid[0], best.centroid[1], self.k_cam)
         los_world = camera_to_world(ray, uav, task.mount_pitch).unit()
         return rot_z(uav.yaw).apply_inverse(los_world), los_world, valid

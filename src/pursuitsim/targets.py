@@ -58,13 +58,10 @@ class TargetPathSpec:
     kind: PathKind
     speed: float                   # m/s; 0 is the stationary-target override
     seed: int
-    radius: float = DEFAULT_TARGET_RADIUS
 
     def validate(self) -> None:
         if self.speed < 0.0:
             raise ValueError("speed must be >= 0")
-        if self.radius <= 0.0:
-            raise ValueError("target radius must be positive")
 
 
 class TargetPath:
@@ -260,7 +257,7 @@ def _build_straight(spec: TargetPathSpec, rng: random.Random) -> TargetPath:
     aim_frac = rng.uniform(0.7, 1.0)
     slope = rng.uniform(-SLOPE_LIMIT, SLOPE_LIMIT)
     if spec.speed == 0.0:
-        return StationaryPath(start, spec.radius)
+        return StationaryPath(start, DEFAULT_TARGET_RADIUS)
     aim = Vec3(rrange * aim_frac, 0.0, z0)
     flat = aim - start
     flat_n = flat.norm()
@@ -269,7 +266,7 @@ def _build_straight(spec: TargetPathSpec, rng: random.Random) -> TargetPath:
         flat_n = 1.0
     horiz = flat.scale(1.0 / flat_n)
     direction = Vec3(horiz.x * math.cos(slope), horiz.y * math.cos(slope), math.sin(slope))
-    return StraightPath(start, direction.scale(spec.speed), spec.radius)
+    return StraightPath(start, direction.scale(spec.speed), DEFAULT_TARGET_RADIUS)
 
 
 def _build_curve(spec: TargetPathSpec, rng: random.Random) -> TargetPath:
@@ -280,9 +277,10 @@ def _build_curve(spec: TargetPathSpec, rng: random.Random) -> TargetPath:
     rotation = _uniform_rotation(rng, FIG8_MAX_TILT) if fig8 else IDENTITY_ROT
     phase = rng.uniform(0.0, 2.0 * math.pi)
     direction = 1.0 if rng.random() < 0.5 else -1.0
-    path = PeriodicCurvePath(matrix_shape(spec.kind), rotation, center, spec.speed, spec.radius, phase, direction)
+    radius = DEFAULT_TARGET_RADIUS
+    path = PeriodicCurvePath(matrix_shape(spec.kind), rotation, center, spec.speed, radius, phase, direction)
     if spec.speed == 0.0:
-        return StationaryPath(path.sample_arc(0.0).position, spec.radius)
+        return StationaryPath(path.sample_arc(0.0).position, radius)
     return path
 
 

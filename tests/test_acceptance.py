@@ -224,13 +224,13 @@ def test_criterion_6_hit_classifier_table():
     v = classify_hit(approach(0.9, 5.0, 6.0), rules, handoff, target)
     checks.append(("0.4 m surface pass is a hit", v.hit))
     v = classify_hit(approach(1.1, 5.0, 25.0), rules, handoff, target)
-    checks.append(("0.6 m surface pass times out", not v.hit and v.reason == FailureReason.TIMEOUT))
+    checks.append(("0.6 m surface pass times out", not v.hit and v.failure_reason == FailureReason.TIMEOUT))
     v = classify_hit(approach(0.9, handoff + 19.9, handoff + 20.4), rules, handoff, target)
     checks.append(("hit at 19.9 s counts", v.hit))
     v = classify_hit(approach(0.9, handoff + 20.1, handoff + 20.4), rules, handoff, target)
-    checks.append(("hit at 20.1 s is a timeout", not v.hit and v.reason == FailureReason.TIMEOUT))
+    checks.append(("hit at 20.1 s is a timeout", not v.hit and v.failure_reason == FailureReason.TIMEOUT))
     v = classify_hit(approach(0.9, 7.5, 8.0, lose=(3.0, 6.2)), rules, handoff, target)
-    checks.append(("3.2 s of lost sight fails", v.reason == FailureReason.FOV_LOSS))
+    checks.append(("3.2 s of lost sight fails", v.failure_reason == FailureReason.FOV_LOSS))
     v = classify_hit(approach(0.9, 7.5, 8.0, lose=(3.0, 5.5)), rules, handoff, target)
     checks.append(("2.5 s of lost sight is fine", v.hit))
     out = trace(
@@ -240,7 +240,7 @@ def test_criterion_6_hit_classifier_table():
         ]
     )
     v = classify_hit(out, rules, handoff, target)
-    checks.append(("leaving the 35x100x40 box fails", v.reason == FailureReason.OUT_OF_BOUNDS))
+    checks.append(("leaving the 35x100x40 box fails", v.failure_reason == FailureReason.OUT_OF_BOUNDS))
     edge = trace(
         [
             (0.0, (0.0, 0.0, 0.0), (10.0, 0.0, 0.0), True),

@@ -79,12 +79,29 @@ def test_matrix_runs_a_repeated_value_once(tmp_path, capsys):
     assert len((tmp_path / "trials.csv").read_text().splitlines()) == 2
 
 
+def error_line(capsys, argv):
+    """The one stderr line of a command that bad input stops with status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("pursuitsim: error: ")
+    return err
+
+
 @pytest.mark.parametrize("flags", [
     ["--uav-speed", "nan"], ["--target-fraction", "nan"], ["--target-fraction", "inf", "--path", "figure8"],
 ])
-def test_trial_rejects_non_finite_speeds(tmp_path, flags):
-    with pytest.raises(ValueError, match="finite"):
-        main(["trial", *flags, "--out", str(tmp_path)])
+def test_trial_rejects_non_finite_speeds(tmp_path, capsys, flags):
+    assert "finite" in error_line(capsys, ["trial", *flags, "--out", str(tmp_path)])
+
+
+def test_matrix_rejects_cells_that_would_share_seeds(tmp_path, capsys):
+    argv = ["matrix", "--trials", "1", "--method", "tpn", "--path", "straight", "--uav-speed", "3",
+            "--uav-speed", "3.0001", "--target-fraction", "0.5", "--out", str(tmp_path)]
+    err = error_line(capsys, argv)
+    assert "tpn/straight/uav3/frac0.5 and tpn/straight/uav3.0001/frac0.5" in err
+    assert not (tmp_path / "trials.csv").exists()
 
 
 def test_mission_scenario_file(tmp_path, capsys):
@@ -124,16 +141,23 @@ def test_config_flag_loads_overrides(tmp_path, capsys):
     assert rc == 0
 
 
-def test_unknown_method_is_an_error(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["trial", "--method", "zigzag", "--out", str(tmp_path)])
+def test_unknown_method_is_an_error(tmp_path, capsys):
+    assert "'zigzag'" in error_line(capsys, ["trial", "--method", "zigzag", "--out", str(tmp_path)])
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"guidance": {"not_a_knob": 1.0}}))
-    with pytest.raises(ValueError):
-        main(["trial", "--config", str(bad), "--out", str(tmp_path)])
+    err = error_line(capsys, ["trial", "--config", str(bad), "--out", str(tmp_path)])
+    assert "not_a_knob" in err
+
+
+def test_bad_scenario_file_is_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps({"task": 1, "balloon": [{"anchor": [25.0, 3.0, 2.2]}]}))
+    err = error_line(capsys, ["mission", "--scenario", str(bad), "--out", str(tmp_path)])
+    assert "balloon" in err
+    assert not (tmp_path / "mission_events.jsonl").exists()
 
 
 def test_mission_has_no_seed_option(tmp_path):

@@ -168,8 +168,8 @@ class TestCrashRule:
     def test_non_finite_state_is_a_crash(self):
         monitor = HitMonitor(SimConfig().rules, ZERO3, 2.0)
         pose = Pose(Vec3(float("nan"), 0.0, 0.0), ZERO3, 0.0, 0.0, 0.0)
-        verdict = monitor.crashed(0.005, pose, ZERO3, 0.005)
-        assert (verdict.hit, verdict.reason, verdict.time) == (False, FailureReason.CRASH, 0.005)
+        result = monitor.crashed(0.005, pose, ZERO3, 0.005)
+        assert (result.hit, result.failure_reason, result.end_time) == (False, FailureReason.CRASH, 0.005)
         assert monitor.crashed(0.005, POSE, ZERO3, 0.005) is None
 
 

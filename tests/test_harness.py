@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -52,10 +54,10 @@ def hover_trace(dist_from_center, t_hit, detected=True, t_end=None):
 
 
 def replay_is_live(res):
-    """Whether replaying a recorded trace gives the live verdict and min miss."""
-    v = classify_hit(res.trace, RULES, HANDOFF, res.bounds_center)
-    return (v.hit, v.reason, v.time, v.duration, v.min_miss) == (
-        res.hit, res.failure_reason, res.end_time, res.duration, res.min_miss_distance)
+    """Whether replaying a recorded trace gives the live record, less the
+    LOS-rate summary and the trace that only the live loop adds."""
+    live = dataclasses.replace(res, phi_dot_handoff=0.0, phi_dot_final=0.0, trace=None)
+    return classify_hit(res.trace, RULES, HANDOFF, res.bounds_center) == live
 
 
 class TestClassifyHit:
@@ -65,7 +67,7 @@ class TestClassifyHit:
         assert verdict.hit
         # center distance 1.1 -> 0.6 m surface: no contact, runs to timeout
         verdict = classify_hit(hover_trace(1.1, 5.0, t_end=25.0), RULES, HANDOFF, TARGET)
-        assert not verdict.hit and verdict.reason == FailureReason.TIMEOUT
+        assert not verdict.hit and verdict.failure_reason == FailureReason.TIMEOUT
 
     def test_duration_boundaries(self):
         hit_early = classify_hit(hover_trace(0.9, HANDOFF + 19.9, t_end=HANDOFF + 20.5), RULES, HANDOFF, TARGET)
@@ -73,7 +75,7 @@ class TestClassifyHit:
         assert abs(hit_early.duration - 19.9) < 0.06
         hit_late = classify_hit(hover_trace(0.9, HANDOFF + 20.1, t_end=HANDOFF + 20.5), RULES, HANDOFF, TARGET)
         assert not hit_late.hit
-        assert hit_late.reason == FailureReason.TIMEOUT
+        assert hit_late.failure_reason == FailureReason.TIMEOUT
 
     def test_fov_loss_rule(self):
         # continuous loss of sight for 3.2 s before the would-be hit
@@ -86,8 +88,8 @@ class TestClassifyHit:
             t += 0.1
         verdict = classify_hit(trace_from(pts), RULES, HANDOFF, TARGET)
         assert not verdict.hit
-        assert verdict.reason == FailureReason.FOV_LOSS
-        assert verdict.time < 7.5
+        assert verdict.failure_reason == FailureReason.FOV_LOSS
+        assert verdict.end_time < 7.5
 
     def test_loss_shorter_than_limit_is_fine(self):
         pts = []
@@ -107,7 +109,7 @@ class TestClassifyHit:
             (2.0, (28.0, 0.0, 0.0), (10.0, 0.0, 0.0), True),
         ]
         verdict = classify_hit(trace_from(pts), RULES, HANDOFF, TARGET)
-        assert verdict.reason == FailureReason.OUT_OF_BOUNDS
+        assert verdict.failure_reason == FailureReason.OUT_OF_BOUNDS
 
     def test_bounds_edge_inside(self):
         pts = [
@@ -321,6 +323,20 @@ class TestConfigValidation:
     def test_label(self):
         cfg = ExperimentConfig(GuidanceMethod.TPN, 3.0, PathKind.KNOT, 0.25)
         assert cfg.label() == "tpn/knot/uav3/frac0.25"
+
+    def test_cells_that_would_share_seeds_rejected_before_any_trial(self, monkeypatch):
+        # the seed key holds speeds to 3 decimals, so these two distinct cells draw the same seeds
+        a = ExperimentConfig(GuidanceMethod.TPN, 3.0, PathKind.STRAIGHT, 0.5, trials=1)
+        b = dataclasses.replace(a, uav_speed=3.0001)
+        assert trial_seed(0, a, 0) == trial_seed(0, b, 0)
+        ran = []
+        monkeypatch.setattr(harness, "_run_config", lambda job: ran.append(job[0]) or [])
+        with pytest.raises(ValueError, match=re.escape(f"{a.label()} and {b.label()} would draw the same")):
+            run_matrix([a, b], 0, SIM)
+        assert ran == []
+        # the same cell under the other dynamics model, or repeated, is no collision
+        ideal = dataclasses.replace(b, ideal_dynamics=True)
+        assert list(run_matrix([a, ideal, a], 0, SIM)) == [a, ideal]
 
 
 class TestHeatmapGrid:

@@ -10,9 +10,12 @@ import pytest
 from pursuitsim.config import SimConfig
 from pursuitsim.geometry import Vec3, ZERO3
 from pursuitsim.mission import (
+    BALL_SLOW_AFTER,
+    BALL_SLOW_SPEED,
     Arena,
     BalloonSpec,
     BalloonTask,
+    BallPath,
     BallSpec,
     FaultSpec,
     MissionMode,
@@ -419,6 +422,24 @@ def test_pop_outside_an_attack_does_not_hide_the_next_miss():
     assert (res.pops, res.misses) == (2, 1)
     misses = [ev for ev in res.events if ev.event == "miss"]
     assert [round(ev.t, 3) for ev in misses] == [18.645]
+
+
+def test_ball_slows_down_without_a_jump():
+    """The ball flies its figure-8 at `speed` until `BALL_SLOW_AFTER` and at
+    `BALL_SLOW_SPEED` from then on; no scenario runs that long."""
+    spec = BallSpec(center=Vec3(50.0, 20.0, 12.5))
+    ball = BallPath(spec)
+
+    def ground_speed(t, h=0.01):
+        return (ball.sample(t + h).position - ball.sample(t).position).norm() / h
+
+    for t in (0.0, 7.3, 250.0, BALL_SLOW_AFTER - 0.01):
+        assert ground_speed(t) == pytest.approx(spec.speed, rel=0.01)
+    for t in (BALL_SLOW_AFTER, BALL_SLOW_AFTER + 7.3, BALL_SLOW_AFTER + 250.0):
+        assert ground_speed(t) == pytest.approx(BALL_SLOW_SPEED, rel=0.01)
+    eps = 1e-6
+    jump = (ball.sample(BALL_SLOW_AFTER + eps).position - ball.sample(BALL_SLOW_AFTER - eps).position).norm()
+    assert jump <= 2.0 * eps * spec.speed * 1.01
 
 
 def test_perfbench_tracer_wraps_the_mission():

@@ -19,7 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pursuitsim"
 # (class, member) -> why it stays although nothing in src/ reads it
 ALLOWED_UNREAD = {
     ("PerceptionFrame", "detection"): "perfbench/tracer.py reads a detected frame's blob size and box",
-    ("EngagementResult", "end_time"): "perfbench/run.py reads it as the simulated time of a trial",
     ("EngagementResult", "bounds_center"): "the replay input of harness.classify_hit",
     ("AggregateRow", "completion_rate"): "defines `unstable`, and is reported with it",
     ("SegmentationImage", "mask"): "the full frame that the PGM pins in the tests hash",
