@@ -171,7 +171,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"pursuitsim: error: {exc}\n")
 
 

@@ -1,8 +1,10 @@
 """Configuration tree for the simulator, and the typed JSON loader.
 
-Every tunable named across the modules lives in exactly one dataclass with
-its default; the guidance and vehicle sections are the runtime parameter
-types themselves. `from_dict` builds any of these dataclasses, and the
+Every settable parameter lives in exactly one dataclass with its default;
+the guidance and vehicle sections are the runtime parameter types
+themselves. Fixed values (the cascade's gains, the path shapes, the ideal
+model's time constant) are module constants next to the code that reads
+them, not keys here. `from_dict` builds any of these dataclasses, and the
 mission scenario, from parsed JSON by the field annotations: unknown keys
 and wrongly typed values are rejected at any depth, and the result is
 validated before a run can start.
@@ -15,7 +17,7 @@ import json
 import math
 import types
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, Union, get_args, get_origin, get_type_hints
 
 from .geometry import CameraIntrinsics, Vec3
 from .guidance import GuidanceParams
@@ -27,8 +29,6 @@ class CameraConfig:
     width: int = 680
     height: int = 480
     hfov_deg: float = 105.0
-    # None -> tilt up by the steady-state pitch-down at the trial's UAV speed
-    mount_pitch_deg: Optional[float] = None
 
     def validate(self) -> None:
         if not 0.0 < self.hfov_deg < 180.0:
@@ -39,11 +39,9 @@ class CameraConfig:
         return CameraIntrinsics.from_hfov(math.radians(self.hfov_deg), self.width, self.height)
 
     def mount_pitch(self, speed: float, vehicle: VehicleParams) -> float:
-        """Camera mount tilt up, rad, for a UAV cruising at `speed`: by default
-        the one canceling the steady-state nose-down pitch at that speed, so a
-        level target stays near the image center."""
-        if self.mount_pitch_deg is not None:
-            return math.radians(self.mount_pitch_deg)
+        """Camera mount tilt up, rad, for a UAV cruising at `speed`: the one
+        canceling the steady-state nose-down pitch at that speed, so a level
+        target stays near the image center."""
         return math.atan2(vehicle.drag * speed, GRAVITY)
 
 
@@ -119,11 +117,10 @@ class RulesConfig:
     fov_loss_timeout: float = 3.0    # s of continuous lost sight
     crash_accel_g: float = 10.0
     crash_sustain: float = 0.5       # s above the limit before declaring a crash
-    ideal_velocity_tau: float = 0.3  # s, velocity-command tracking in ideal mode
 
     def validate(self) -> None:
         for name in ("hit_radius", "pursuit_timeout", "bounds_x", "bounds_y", "bounds_z",
-                     "fov_loss_timeout", "crash_accel_g", "ideal_velocity_tau"):
+                     "fov_loss_timeout", "crash_accel_g"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"rules.{name} must be positive")
         if not self.crash_sustain >= 0.0:

@@ -62,8 +62,8 @@ from .trajectory import (
 )
 from .vehicle import (
     GRAVITY,
+    YAW_KP,
     AttitudeCommand,
-    ControllerGains,
     PoseController,
     VelocityController,
     at_rest,
@@ -217,13 +217,13 @@ def camera_view(
     return seg, centroid(seg)
 
 
-def _yaw_rate_toward(wp: Waypoint, uav: Pose, gains: ControllerGains) -> float:
-    return gains.yaw_kp * wrap_angle(wp.yaw - uav.yaw)
+def _yaw_rate_toward(wp: Waypoint, uav: Pose) -> float:
+    return YAW_KP * wrap_angle(wp.yaw - uav.yaw)
 
 
 class Pilot:
     """The vehicle front end: one setpoint per control tick, flown through
-    the cascaded pose/velocity PID loops into `dynamics_step`.
+    the cascaded position (P) and velocity (PI) loops into `dynamics_step`.
 
     Setpoints are a world velocity, a tracked waypoint with its feedforward
     velocity, or a world acceleration. The velocity reference carries over
@@ -235,8 +235,8 @@ class Pilot:
         self.params = cfg.vehicle
         self.dt = cfg.rates.dt
         self.dt_ctrl = cfg.rates.control_dt
-        self.pose_ctl = PoseController(self.params.gains)
-        self.vel_ctl = VelocityController(self.params.gains, self.params)
+        self.pose_ctl = PoseController()
+        self.vel_ctl = VelocityController(self.params)
         self.v_ref = ZERO3
         self.cmd = AttitudeCommand(0.0, 0.0, 0.0, self.params.hover_thrust)
 
@@ -245,8 +245,8 @@ class Pilot:
         self.cmd = self.vel_ctl.step(v, ZERO3, yaw_rate, uav, self.dt_ctrl)
 
     def waypoint(self, wp: Waypoint, v_ff: Vec3, uav: Pose) -> None:
-        yaw_rate = _yaw_rate_toward(wp, uav, self.params.gains)
-        self.v_ref = self.pose_ctl.step(wp, v_ff, uav, self.dt_ctrl)
+        yaw_rate = _yaw_rate_toward(wp, uav)
+        self.v_ref = self.pose_ctl.step(wp, v_ff, uav)
         self.cmd = self.vel_ctl.step(self.v_ref, ZERO3, yaw_rate, uav, self.dt_ctrl)
 
     def accel(self, a_world: Vec3, yaw_rate: float, v_limit: float, uav: Pose) -> None:
@@ -265,23 +265,23 @@ class IdealPilot:
 
     WAYPOINT_KP = 2.5
     WAYPOINT_KV = 3.0
+    VELOCITY_TAU = 0.3  # s, first-order tracking of a velocity setpoint
 
     def __init__(self, cfg: SimConfig):
         self.params = cfg.vehicle
         self.dt = cfg.rates.dt
-        self.tau = cfg.rules.ideal_velocity_tau
         self.max_accel = cfg.guidance.max_accel
         self.a_world = ZERO3
         self.yaw_rate = 0.0
 
     def velocity(self, v: Vec3, yaw_rate: float, uav: Pose) -> None:
-        self.a_world = (v - uav.velocity).scale(1.0 / self.tau).clamp_norm(self.max_accel)
+        self.a_world = (v - uav.velocity).scale(1.0 / self.VELOCITY_TAU).clamp_norm(self.max_accel)
         self.yaw_rate = yaw_rate
 
     def waypoint(self, wp: Waypoint, v_ff: Vec3, uav: Pose) -> None:
         a = (wp.position - uav.position).scale(self.WAYPOINT_KP) + (v_ff - uav.velocity).scale(self.WAYPOINT_KV)
         self.a_world = a.clamp_norm(self.max_accel)
-        self.yaw_rate = _yaw_rate_toward(wp, uav, self.params.gains)
+        self.yaw_rate = _yaw_rate_toward(wp, uav)
 
     def accel(self, a_world: Vec3, yaw_rate: float, v_limit: float, uav: Pose) -> None:
         self.a_world = a_world

@@ -10,7 +10,7 @@ the single knob controlling that fidelity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import Pose, Vec3, ZERO3, body_z_axis, rot_z, wrap_angle
 from .trajectory import Waypoint
@@ -31,24 +31,13 @@ class AttitudeCommand:
     thrust: float  # normalized 0..1
 
 
-@dataclass
-class PidGains:
-    kp: float
-    ki: float = 0.0
-    kd: float = 0.0
-
-
-@dataclass
-class ControllerGains:
-    position: PidGains = field(default_factory=lambda: PidGains(kp=1.2))
-    velocity: PidGains = field(default_factory=lambda: PidGains(kp=5.0, ki=0.3))
-    ff_weight: float = 1.0
-    yaw_kp: float = 1.5          # trajectory yaw tracking
-    integrator_limit: float = 2.0
-
-    def validate(self) -> None:
-        if self.position.kp <= 0.0 or self.velocity.kp <= 0.0:
-            raise ValueError("proportional gains must be positive")
+# The cascade's gains: the paper varies the guidance method, the UAV speed
+# and the target path, never the loops that fly them.
+POSITION_KP = 1.2        # 1/s, position error -> velocity reference
+VELOCITY_KP = 5.0        # 1/s, velocity error -> acceleration
+VELOCITY_KI = 0.3        # 1/s^2
+INTEGRATOR_LIMIT = 2.0   # m, per-axis clamp of the velocity-error integral
+YAW_KP = 1.5             # 1/s, trajectory yaw tracking
 
 
 @dataclass
@@ -58,7 +47,6 @@ class VehicleParams:
     tilt_limit_deg: float = 35.0
     hover_thrust: float = 0.5    # normalized thrust that balances gravity
     max_yaw_rate: float = 2.0    # rad/s actuation limit
-    gains: ControllerGains = field(default_factory=ControllerGains)
 
     @property
     def tilt_limit(self) -> float:
@@ -80,46 +68,33 @@ class VehicleParams:
             raise ValueError("vehicle.drag must be >= 0")
         if not self.max_yaw_rate > 0.0:
             raise ValueError("vehicle.max_yaw_rate must be positive")
-        self.gains.validate()
 
 
 class VectorPid:
-    """Independent PID per axis with a clamped integrator."""
+    """Independent PI loop per axis with a clamped integrator."""
 
-    def __init__(self, gains: PidGains, integrator_limit: float):
-        self.gains = gains
+    def __init__(self, kp: float, ki: float, integrator_limit: float):
+        self.kp = kp
+        self.ki = ki
         self.integrator_limit = integrator_limit
         self._integral = [0.0, 0.0, 0.0]
-        self._prev_error: Vec3 | None = None
 
     def step(self, error: Vec3, dt: float) -> Vec3:
-        g = self.gains
         out = [0.0, 0.0, 0.0]
         err = (error.x, error.y, error.z)
-        prev = self._prev_error
+        lim = self.integrator_limit
         for i in range(3):
-            p = g.kp * err[i]
-            self._integral[i] += err[i] * dt
-            lim = self.integrator_limit
-            self._integral[i] = min(lim, max(-lim, self._integral[i]))
-            d = 0.0
-            if g.kd != 0.0 and prev is not None:
-                d = g.kd * (err[i] - prev[i]) / dt
-            out[i] = p + g.ki * self._integral[i] + d
-        self._prev_error = err
+            self._integral[i] = min(lim, max(-lim, self._integral[i] + err[i] * dt))
+            out[i] = self.kp * err[i] + self.ki * self._integral[i]
         return Vec3(out[0], out[1], out[2])
 
 
 class PoseController:
-    """Position loop: tracking-point error -> velocity reference."""
+    """Position loop: tracking-point error -> velocity reference, a
+    proportional term plus the feedforward velocity."""
 
-    def __init__(self, gains: ControllerGains):
-        self.gains = gains
-        self.pid = VectorPid(gains.position, gains.integrator_limit)
-
-    def step(self, tracking: Waypoint, ff_vel: Vec3, pose: Pose, dt: float) -> Vec3:
-        error = tracking.position - pose.position
-        return self.pid.step(error, dt) + ff_vel.scale(self.gains.ff_weight)
+    def step(self, tracking: Waypoint, ff_vel: Vec3, pose: Pose) -> Vec3:
+        return (tracking.position - pose.position).scale(POSITION_KP) + ff_vel
 
 
 class VelocityController:
@@ -131,16 +106,15 @@ class VelocityController:
     vertical balance is preserved.
     """
 
-    def __init__(self, gains: ControllerGains, params: VehicleParams):
-        self.gains = gains
+    def __init__(self, params: VehicleParams):
         self.params = params
-        self.pid = VectorPid(gains.velocity, gains.integrator_limit)
+        self.pid = VectorPid(VELOCITY_KP, VELOCITY_KI, INTEGRATOR_LIMIT)
 
     def step(
         self, v_ref: Vec3, a_ff: Vec3, yaw_rate: float, pose: Pose, dt: float
     ) -> AttitudeCommand:
         error = v_ref - pose.velocity
-        a_des = self.pid.step(error, dt) + a_ff.scale(self.gains.ff_weight)
+        a_des = self.pid.step(error, dt) + a_ff
         a_total = Vec3(a_des.x, a_des.y, a_des.z + GRAVITY)
 
         ax, ay, _ = rot_z(pose.yaw).apply_inverse(a_total)

@@ -360,11 +360,10 @@ def test_criterion_9_matrix_determinism(tmp_path):
 
 def test_criterion_10_controller_sanity():
     params = SIM.vehicle
-    gains = SIM.vehicle.gains
 
     # hover convergence from a 1 m offset
-    pose_ctl = PoseController(gains)
-    vel_ctl = VelocityController(gains, params)
+    pose_ctl = PoseController()
+    vel_ctl = VelocityController(params)
     target = Waypoint(Vec3(0, 0, 5.0), 0.0)
     state = at_rest(Vec3(1.0, 0.0, 4.5))
     dt = 1.0 / SIM.rates.dynamics_hz
@@ -372,7 +371,7 @@ def test_criterion_10_controller_sanity():
     att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
     for k in range(int(3.0 / dt)):
         if k % every == 0:
-            v_ref = pose_ctl.step(target, ZERO3, state, every * dt)
+            v_ref = pose_ctl.step(target, ZERO3, state)
             att = vel_ctl.step(v_ref, ZERO3, 0.0, state, every * dt)
         state = dynamics_step(state, att, dt, params)
     hover_err = (state.position - Vec3(0, 0, 5.0)).norm()

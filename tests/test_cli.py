@@ -160,6 +160,18 @@ def test_bad_scenario_file_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "mission_events.jsonl").exists()
 
 
+def test_missing_scenario_file_is_one_error_line(tmp_path, capsys):
+    err = error_line(capsys, ["mission", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+    assert "nope.json" in err
+    assert not (tmp_path / "mission_events.jsonl").exists()
+
+
+def test_missing_config_file_is_one_error_line(tmp_path, capsys):
+    err = error_line(capsys, ["trial", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+    assert "nope.json" in err
+    assert not (tmp_path / "trial_trace.csv").exists()
+
+
 def test_mission_has_no_seed_option(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["mission", "--scenario", "s.json", "--seed", "1", "--out", str(tmp_path)])

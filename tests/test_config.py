@@ -64,6 +64,9 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
         (load_config, {"trajectory": {"lookahead_buffer": -0.05}}),
         (load_config, {"vehicle": {"max_yaw_rate": -1}}),
         (load_config, {"vehicle": {"max_yaw_rate": 0}}),
+        (load_config, {"rules": {"ideal_velocity_tau": 0.3}}),
+        (load_config, {"vehicle": {"gains": {"position": {"kp": 1.2}}}}),
+        (load_config, {"camera": {"mount_pitch_deg": 5.0}}),
     ],
     ids=["string-gain", "slow-dynamics", "zero-window", "flat-gain-key", "misspelt-key", "short-anchor",
          "zero-hover-thrust", "zero-attitude-lag", "zero-trajectory-dt", "zero-replan-rate", "zero-width",
@@ -74,7 +77,8 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
          "nan-drag", "nan-mount-pitch", "inf-pursuit-timeout", "inf-horizon", "nan-arena-length", "nan-anchor",
          "nan-pn-gain", "nan-max-accel", "nan-lookahead-buffer", "huge-integer", "negative-init-duration",
          "negative-dropout-hold", "negative-dropout-decay", "negative-drag", "negative-lookahead-buffer",
-         "negative-max-yaw-rate", "zero-max-yaw-rate"],
+         "negative-max-yaw-rate", "zero-max-yaw-rate", "removed-ideal-velocity-tau", "removed-gains",
+         "removed-mount-pitch"],
 )
 def test_bad_file_rejected_at_load(tmp_path, loader, data):
     path = tmp_path / "bad.json"
@@ -85,14 +89,36 @@ def test_bad_file_rejected_at_load(tmp_path, loader, data):
 
 def test_nested_override_keeps_field_defaults(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"vehicle": {"gains": {"position": {"kd": 0.1}}, "tilt_limit_deg": 30}}))
+    path.write_text(json.dumps({"vehicle": {"tilt_limit_deg": 30}}))
     cfg = load_config(str(path))
-    default = SimConfig().vehicle
-    assert cfg.vehicle.gains.position.kd == 0.1
-    assert cfg.vehicle.gains.position.kp == default.gains.position.kp
-    assert cfg.vehicle.gains.velocity == default.gains.velocity
-    assert cfg.vehicle.tilt_limit_deg == 30.0
-    assert cfg.vehicle.drag == default.drag
+    default = SimConfig()
+    assert type(cfg.vehicle.tilt_limit_deg) is float
+    assert cfg.vehicle == dataclasses.replace(default.vehicle, tilt_limit_deg=30.0)
+    assert cfg == dataclasses.replace(default, vehicle=cfg.vehicle)
+
+
+def test_config_leaves_are_pinned():
+    # every settable key, as dump-config writes it: a new knob is a test edit
+    def leaves(tree, prefix=""):
+        for key, value in tree.items():
+            if isinstance(value, dict):
+                yield from leaves(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    assert list(leaves(dataclasses.asdict(SimConfig()))) == [
+        "camera.width", "camera.height", "camera.hfov_deg",
+        "perception.filter_window",
+        "guidance.pn_gain", "guidance.kp_yaw", "guidance.k_heading", "guidance.suppression",
+        "guidance.init_duration", "guidance.max_accel", "guidance.max_yaw_rate",
+        "guidance.dropout_hold", "guidance.dropout_decay",
+        "trajectory.horizon", "trajectory.dt", "trajectory.replan_hz", "trajectory.lookahead_buffer",
+        "vehicle.tau_attitude", "vehicle.drag", "vehicle.tilt_limit_deg", "vehicle.hover_thrust",
+        "vehicle.max_yaw_rate",
+        "rates.dynamics_hz", "rates.control_hz", "rates.perception_hz",
+        "rules.hit_radius", "rules.pursuit_timeout", "rules.bounds_x", "rules.bounds_y", "rules.bounds_z",
+        "rules.fov_loss_timeout", "rules.crash_accel_g", "rules.crash_sustain",
+    ]
 
 
 def test_scenario_search_group_maps_onto_fields(tmp_path):

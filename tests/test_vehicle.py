@@ -10,9 +10,8 @@ from pursuitsim.geometry import Pose, Vec3, ZERO3, attitude_rotation, wrap_angle
 from pursuitsim.trajectory import Waypoint
 from pursuitsim.vehicle import (
     GRAVITY,
+    POSITION_KP,
     AttitudeCommand,
-    ControllerGains,
-    PidGains,
     PoseController,
     VectorPid,
     VehicleParams,
@@ -21,10 +20,6 @@ from pursuitsim.vehicle import (
     dynamics_step,
     ideal_dynamics_step,
 )
-
-
-def default_gains() -> ControllerGains:
-    return SimConfig().vehicle.gains
 
 
 def default_params() -> VehicleParams:
@@ -37,42 +32,38 @@ def hover_cmd(params: VehicleParams) -> AttitudeCommand:
 
 class TestPoseController:
     def test_zero_error_zero_reference(self):
-        ctl = PoseController(default_gains())
+        ctl = PoseController()
         state = at_rest(Vec3(1, 2, 3))
-        v = ctl.step(Waypoint(Vec3(1, 2, 3), 0.0), ZERO3, state, 0.02)
+        v = ctl.step(Waypoint(Vec3(1, 2, 3), 0.0), ZERO3, state)
         assert v.norm() < 1e-12
 
     def test_pure_proportional(self):
-        gains = ControllerGains(position=PidGains(kp=1.0), velocity=PidGains(kp=1.0))
-        ctl = PoseController(gains)
+        ctl = PoseController()
         state = at_rest(ZERO3)
-        v = ctl.step(Waypoint(Vec3(1, 0, 0), 0.0), ZERO3, state, 0.02)
-        assert (v - Vec3(1, 0, 0)).norm() < 1e-12
+        v = ctl.step(Waypoint(Vec3(1, 0, 0), 0.0), ZERO3, state)
+        assert (v - Vec3(POSITION_KP, 0, 0)).norm() < 1e-12
 
     def test_feedforward_passthrough(self):
-        ctl = PoseController(default_gains())
+        ctl = PoseController()
         state = at_rest(ZERO3)
-        v = ctl.step(Waypoint(ZERO3, 0.0), Vec3(0, 2.0, 0), state, 0.02)
-        assert abs(v.y - 2.0 * default_gains().ff_weight) < 1e-12
+        v = ctl.step(Waypoint(ZERO3, 0.0), Vec3(0, 2.0, 0), state)
+        assert v.y == 2.0
 
     def test_matches_scalar_pid_recurrence(self):
-        # independent discrete PID oracle per axis
-        kp, ki, kd = 1.3, 0.4, 0.08
-        pid = VectorPid(PidGains(kp, ki, kd), integrator_limit=100.0)
+        # independent discrete PI oracle per axis
+        kp, ki = 1.3, 0.4
+        pid = VectorPid(kp, ki, integrator_limit=100.0)
         dt = 0.05
         errors = [0.0, 1.0, 1.0, 0.6, -0.2, 0.1]
         integral = 0.0
-        prev = None
         for e in errors:
             got = pid.step(Vec3(e, 0.0, 0.0), dt)
             integral += e * dt
-            d = 0.0 if prev is None else kd * (e - prev) / dt
-            expected = kp * e + ki * integral + d
-            prev = e
+            expected = kp * e + ki * integral
             assert abs(got.x - expected) < 1e-12
 
     def test_integrator_clamp(self):
-        pid = VectorPid(PidGains(kp=0.0, ki=1.0), integrator_limit=0.5)
+        pid = VectorPid(kp=0.0, ki=1.0, integrator_limit=0.5)
         for _ in range(100):
             out = pid.step(Vec3(10.0, 0, 0), 0.1)
         assert out.x <= 0.5 + 1e-12
@@ -81,7 +72,7 @@ class TestPoseController:
 class TestVelocityController:
     def test_hover_equilibrium(self):
         params = default_params()
-        ctl = VelocityController(ControllerGains(velocity=PidGains(kp=5.0)), params)
+        ctl = VelocityController(params)
         state = at_rest(ZERO3)
         cmd = ctl.step(ZERO3, ZERO3, 0.0, state, 0.02)
         assert cmd.roll == 0.0 and cmd.pitch == 0.0
@@ -89,7 +80,7 @@ class TestVelocityController:
 
     def test_forward_accel_pitches_forward(self):
         params = default_params()
-        ctl = VelocityController(ControllerGains(velocity=PidGains(kp=1.0)), params)
+        ctl = VelocityController(params)
         state = at_rest(ZERO3)
         cmd = ctl.step(ZERO3, Vec3(3.0, 0, 0), 0.0, state, 0.02)
         assert cmd.pitch < 0.0  # nose down to accelerate +x
@@ -97,7 +88,7 @@ class TestVelocityController:
 
     def test_tilt_clamp_preserves_vertical_balance(self):
         params = default_params()
-        ctl = VelocityController(ControllerGains(velocity=PidGains(kp=1.0)), params)
+        ctl = VelocityController(params)
         state = at_rest(ZERO3)
         # huge lateral demand: tilt saturates at the limit, thrust keeps the
         # vertical channel balanced (analytic clamped-tilt model)
@@ -107,7 +98,7 @@ class TestVelocityController:
         assert abs(vertical - GRAVITY) / GRAVITY < 0.05
 
     def test_yaw_rate_passthrough(self):
-        ctl = VelocityController(default_gains(), default_params())
+        ctl = VelocityController(default_params())
         cmd = ctl.step(ZERO3, ZERO3, 0.7, at_rest(ZERO3), 0.02)
         assert cmd.yaw_rate == 0.7
 
@@ -212,9 +203,8 @@ class TestClosedLoop:
     def hover_states(self, offset: Vec3, seconds: float) -> list[Pose]:
         sim = SimConfig()
         params = sim.vehicle
-        gains = sim.vehicle.gains
-        pose_ctl = PoseController(gains)
-        vel_ctl = VelocityController(gains, params)
+        pose_ctl = PoseController()
+        vel_ctl = VelocityController(params)
         state = at_rest(HOVER.position + offset)
         dt = 1.0 / sim.rates.dynamics_hz
         ctrl_every = sim.rates.dynamics_hz // sim.rates.control_hz
@@ -223,7 +213,7 @@ class TestClosedLoop:
         states = []
         for k in range(n):
             if k % ctrl_every == 0:
-                v_ref = pose_ctl.step(HOVER, ZERO3, state, ctrl_every * dt)
+                v_ref = pose_ctl.step(HOVER, ZERO3, state)
                 att = vel_ctl.step(v_ref, ZERO3, 0.0, state, ctrl_every * dt)
             state = dynamics_step(state, att, dt, params)
             states.append(state)
@@ -232,7 +222,7 @@ class TestClosedLoop:
     def velocity_step_states(self, target: Vec3, seconds: float) -> list[Pose]:
         sim = SimConfig()
         params = sim.vehicle
-        vel_ctl = VelocityController(params.gains, params)
+        vel_ctl = VelocityController(params)
         state = at_rest(Vec3(0, 0, 5.0))
         dt = 1.0 / sim.rates.dynamics_hz
         ctrl_every = sim.rates.dynamics_hz // sim.rates.control_hz
@@ -294,7 +284,7 @@ class TestPilot:
         sim = SimConfig()
         dt_ctrl = sim.rates.control_dt
         pilot = Pilot(sim)
-        vel_ctl = VelocityController(sim.vehicle.gains, sim.vehicle)
+        vel_ctl = VelocityController(sim.vehicle)
         state = at_rest(ZERO3)
         pilot.velocity(Vec3(1.0, 0.0, 0.0), 0.0, state)
         vel_ctl.step(Vec3(1.0, 0.0, 0.0), ZERO3, 0.0, state, dt_ctrl)
@@ -327,7 +317,7 @@ class TestIdealPilot:
         assert abs(pilot.a_world.norm() - max_accel) < 1e-12 and pilot.a_world.y < 0.0
         # a small velocity error is tracked with the first-order time constant
         pilot.velocity(Vec3(0.01, 0.0, 0.0), 0.0, state)
-        assert pilot.a_world == Vec3(0.01, 0.0, 0.0).scale(1.0 / sim.rules.ideal_velocity_tau)
+        assert pilot.a_world == Vec3(0.01, 0.0, 0.0).scale(1.0 / IdealPilot.VELOCITY_TAU)
 
     def test_fly_is_ideal_dynamics_step(self):
         sim = SimConfig()
