@@ -12,7 +12,6 @@ from .guidance import GuidanceCommand, GuidanceMethod, GuidanceParams
 from .harness import (
     AggregateRow,
     ExperimentConfig,
-    TrialResult,
     aggregate,
     classify_hit,
     full_matrix,
@@ -41,7 +40,6 @@ __all__ = [
     "SimConfig",
     "TargetPathSpec",
     "Trajectory",
-    "TrialResult",
     "Vec3",
     "Waypoint",
     "aggregate",

@@ -56,7 +56,7 @@ def cmd_trial(args: argparse.Namespace) -> int:
         ideal_dynamics=args.ideal_dynamics,
     )
     seed = trial_seed(args.seed, cfg, args.trial_index)
-    trial, res = run_trial(cfg, seed, sim, record_trace=True)
+    _, res = run_trial(cfg, seed, sim, record_trace=True)
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trial_trace.csv")
     with open(trace_path, "w", encoding="utf-8") as fh:
@@ -68,10 +68,10 @@ def cmd_trial(args: argparse.Namespace) -> int:
                 f"{g.x:.4f},{g.y:.4f},{g.z:.4f},{p.surface_dist:.4f},"
                 f"{int(p.detected)},{p.phi_dot:.6f}\n"
             )
-    outcome = "HIT" if trial.hit else f"MISS ({trial.failure_reason.value})"
+    outcome = "HIT" if res.hit else f"MISS ({res.failure_reason.value})"
     print(f"{cfg.label()} seed={seed}: {outcome}")
-    print(f"  pursuit duration: {trial.duration:.2f} s")
-    print(f"  min miss distance: {trial.min_miss_distance:.3f} m")
+    print(f"  pursuit duration: {res.duration:.2f} s")
+    print(f"  min miss distance: {res.min_miss_distance:.3f} m")
     print(f"  trace: {trace_path}")
     return 0
 

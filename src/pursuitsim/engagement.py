@@ -95,7 +95,9 @@ class TracePoint(NamedTuple):
 
 @dataclass
 class EngagementResult:
-    """A trial's record: `HitMonitor` judges the first six fields, `run_engagement` adds the rest."""
+    """A trial's record: `HitMonitor` judges the first six fields,
+    `run_engagement` adds the LOS-rate summary and the trace, and
+    `harness.run_trial` the seed."""
 
     hit: bool
     failure_reason: Optional[FailureReason]
@@ -106,6 +108,7 @@ class EngagementResult:
     phi_dot_handoff: float = 0.0  # first valid LOS rate at/after handoff
     phi_dot_final: float = 0.0    # mean |LOS rate| over the last 0.5 s before the end
     trace: Optional[list[TracePoint]] = None
+    seed: Optional[int] = None    # the trial seed that built the target path
 
 
 class HitMonitor:

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
 
@@ -59,22 +59,6 @@ class ExperimentConfig:
         )
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    hit: bool
-    duration: float
-    failure_reason: Optional[FailureReason]
-    min_miss_distance: float
-    seed: int
-    phi_dot_handoff: float
-    phi_dot_final: float
-
-    @property
-    def completed(self) -> bool:
-        """False when the simulator crashed."""
-        return self.failure_reason != FailureReason.CRASH
-
-
 def _cell_key(cfg: ExperimentConfig) -> str:
     """The configuration's part of a trial's seed key; speeds count to 3 decimals."""
     return f"{cfg.method.value}:{cfg.uav_speed:.3f}:{cfg.path_kind.value}:{cfg.target_fraction:.3f}"
@@ -89,7 +73,10 @@ def trial_seed(master_seed: int, cfg: ExperimentConfig, index: int) -> int:
 
 def run_trial(
     cfg: ExperimentConfig, seed: int, sim: SimConfig, record_trace: bool = False
-) -> tuple[TrialResult, EngagementResult]:
+) -> tuple[EngagementResult, EngagementResult]:
+    """The trial's judged record with its seed: first without the trace, then
+    with it if one was recorded. The pair exists only for `perfbench/run.py`,
+    which unpacks it."""
     cfg.validate()
     spec = TargetPathSpec(
         kind=cfg.path_kind, speed=cfg.target_fraction * cfg.uav_speed, seed=seed
@@ -99,16 +86,8 @@ def run_trial(
         cfg.method, cfg.uav_speed, path, sim,
         ideal_dynamics=cfg.ideal_dynamics, record_trace=record_trace,
     )
-    trial = TrialResult(
-        hit=res.hit,
-        duration=res.duration,
-        failure_reason=res.failure_reason,
-        min_miss_distance=res.min_miss_distance,
-        seed=seed,
-        phi_dot_handoff=res.phi_dot_handoff,
-        phi_dot_final=res.phi_dot_final,
-    )
-    return trial, res
+    res = replace(res, seed=seed)
+    return replace(res, trace=None), res
 
 
 def classify_hit(trace: Sequence[TracePoint], rules: RulesConfig, handoff_time: float,
@@ -131,25 +110,22 @@ def classify_hit(trace: Sequence[TracePoint], rules: RulesConfig, handoff_time: 
 class AggregateRow:
     hit_rate: float
     mean_pursuit_duration: Optional[float]  # None when no trial hit
-    completion_rate: float
-    unstable: bool
+    unstable: bool  # under 95% of trials completed (did not crash)
 
 
 COMPLETION_STABILITY_THRESHOLD = 0.95
 
 
-def aggregate(results: Sequence[TrialResult]) -> AggregateRow:
+def aggregate(results: Sequence[EngagementResult]) -> AggregateRow:
     if not results:
         raise ValueError("need at least one trial result")
     n = len(results)
     hits = [r for r in results if r.hit]
-    completed = sum(1 for r in results if r.completed)
-    completion = completed / n
+    completed = sum(1 for r in results if r.failure_reason != FailureReason.CRASH)
     return AggregateRow(
         hit_rate=len(hits) / n,
         mean_pursuit_duration=(sum(r.duration for r in hits) / len(hits)) if hits else None,
-        completion_rate=completion,
-        unstable=completion < COMPLETION_STABILITY_THRESHOLD,
+        unstable=completed / n < COMPLETION_STABILITY_THRESHOLD,
     )
 
 
@@ -171,10 +147,10 @@ def full_matrix(
     ]
 
 
-def _run_config(args: tuple[ExperimentConfig, int, SimConfig]) -> list[TrialResult]:
+def _run_config(args: tuple[ExperimentConfig, int, SimConfig]) -> list[EngagementResult]:
     """One configuration's trials. A trial that raises is recorded as a
-    crash (not completed), so it counts against the completion rate instead
-    of aborting the sweep; its seed and traceback go to stderr."""
+    crash, with `nan` numbers, so it counts against the completion rate
+    instead of aborting the sweep; its seed and traceback go to stderr."""
     cfg, master_seed, sim = args
     out = []
     for i in range(cfg.trials):
@@ -183,10 +159,9 @@ def _run_config(args: tuple[ExperimentConfig, int, SimConfig]) -> list[TrialResu
             trial, _ = run_trial(cfg, seed, sim)
         except Exception:
             sys.stderr.write(f"{cfg.label()} trial {i} seed={seed} crashed:\n{traceback.format_exc()}")
-            trial = TrialResult(
-                hit=False, duration=math.nan, failure_reason=FailureReason.CRASH, min_miss_distance=math.nan,
-                seed=seed, phi_dot_handoff=math.nan, phi_dot_final=math.nan,
-            )
+            nan = math.nan
+            trial = EngagementResult(False, FailureReason.CRASH, nan, nan, nan, Vec3(nan, nan, nan),
+                                     phi_dot_handoff=nan, phi_dot_final=nan, seed=seed)
         out.append(trial)
     return out
 
@@ -196,10 +171,12 @@ def run_matrix(
     master_seed: int,
     sim: SimConfig,
     parallelism: int = 1,
-) -> dict[ExperimentConfig, list[TrialResult]]:
+) -> dict[ExperimentConfig, list[EngagementResult]]:
     """Run every configuration; deterministic regardless of parallelism.
-    An invalid configuration, or two distinct ones that would draw the same
-    trial seeds, raise before any trial runs."""
+    A parallelism below 1, an invalid configuration, or two distinct ones
+    that would draw the same trial seeds, raise before any trial runs."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     seen: dict[tuple[str, bool], ExperimentConfig] = {}
     for cfg in configs:
         cfg.validate()
@@ -207,8 +184,9 @@ def run_matrix(
         if other != cfg:
             raise ValueError(f"{other.label()} and {cfg.label()} would draw the same trial seeds")
     jobs = [(cfg, master_seed, sim) for cfg in configs]
-    if parallelism > 1 and len(configs) > 1:
-        with Pool(processes=parallelism) as pool:
+    workers = min(parallelism, len(configs))
+    if workers > 1:
+        with Pool(processes=workers) as pool:
             rows = pool.map(_run_config, jobs, chunksize=1)
     else:
         rows = [_run_config(j) for j in jobs]
@@ -220,7 +198,7 @@ def _fmt(x: float) -> str:
 
 
 def write_trials_csv(
-    results: dict[ExperimentConfig, list[TrialResult]], path: str
+    results: dict[ExperimentConfig, list[EngagementResult]], path: str
 ) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -245,7 +223,7 @@ def write_trials_csv(
 
 
 def write_heatmaps(
-    results: dict[ExperimentConfig, list[TrialResult]], out_dir: str
+    results: dict[ExperimentConfig, list[EngagementResult]], out_dir: str
 ) -> list[str]:
     """One CSV per (method, path): hit rate / mean duration / instability grid
     with target-speed fractions as rows and UAV speeds as columns."""
@@ -280,7 +258,7 @@ def write_heatmaps(
 
 
 def write_matrix_outputs(
-    results: dict[ExperimentConfig, list[TrialResult]],
+    results: dict[ExperimentConfig, list[EngagementResult]],
     out_dir: str,
     master_seed: int,
 ) -> None:

@@ -104,6 +104,14 @@ def test_matrix_rejects_cells_that_would_share_seeds(tmp_path, capsys):
     assert not (tmp_path / "trials.csv").exists()
 
 
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_matrix_rejects_parallelism_below_one(tmp_path, capsys, parallel):
+    argv = ["matrix", "--trials", "1", "--method", "tpn", "--path", "straight", "--uav-speed", "3",
+            "--target-fraction", "0.5", "--parallel", parallel, "--out", str(tmp_path)]
+    assert f"parallelism must be >= 1, got {parallel}" in error_line(capsys, argv)
+    assert not (tmp_path / "trials.csv").exists()
+
+
 def test_mission_scenario_file(tmp_path, capsys):
     scenario = {
         "task": 1,

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from pursuitsim import harness
 from pursuitsim.config import SimConfig
-from pursuitsim.engagement import FailureReason, TracePoint, run_engagement
+from pursuitsim.engagement import EngagementResult, FailureReason, TracePoint, run_engagement
 from pursuitsim.geometry import Vec3
 from pursuitsim.guidance import GuidanceMethod
 from pursuitsim.harness import (
     TARGET_FRACTIONS,
     UAV_SPEEDS,
     ExperimentConfig,
-    TrialResult,
     aggregate,
     classify_hit,
     full_matrix,
@@ -55,8 +54,8 @@ def hover_trace(dist_from_center, t_hit, detected=True, t_end=None):
 
 def replay_is_live(res):
     """Whether replaying a recorded trace gives the live record, less the
-    LOS-rate summary and the trace that only the live loop adds."""
-    live = dataclasses.replace(res, phi_dot_handoff=0.0, phi_dot_final=0.0, trace=None)
+    LOS-rate summary, the trace and the seed that only the live run adds."""
+    live = dataclasses.replace(res, phi_dot_handoff=0.0, phi_dot_final=0.0, trace=None, seed=None)
     return classify_hit(res.trace, RULES, HANDOFF, res.bounds_center) == live
 
 
@@ -152,7 +151,7 @@ class TestClassifyHit:
 class TestAggregate:
     def result(self, hit, duration=5.0, completed=True):
         reason = None if hit else FailureReason.TIMEOUT if completed else FailureReason.CRASH
-        return TrialResult(hit, duration, reason, 1.0, 0, 0.1, 0.05)
+        return EngagementResult(hit, reason, duration, 1.0, duration + HANDOFF, TARGET, 0.1, 0.05, seed=0)
 
     def test_hit_rate_division(self):
         rows = [self.result(i < 24) for i in range(50)]
@@ -169,9 +168,7 @@ class TestAggregate:
 
     def test_instability_flag(self):
         rows = [self.result(False, completed=(i >= 4)) for i in range(50)]
-        agg = aggregate(rows)  # 46/50 completed
-        assert abs(agg.completion_rate - 0.92) < 1e-12
-        assert agg.unstable
+        assert aggregate(rows).unstable  # 46/50 = 0.92
         rows = [self.result(False, completed=(i >= 2)) for i in range(50)]
         assert not aggregate(rows).unstable  # 48/50 = 0.96
 
@@ -240,6 +237,51 @@ class TestMatrix:
         parallel = run_matrix(configs, 7, SIM, parallelism=2)
         assert serial == parallel
 
+    def test_rows_are_the_judges_records(self):
+        configs = self.small_configs(trials=2)
+        results = run_matrix(configs, 7, SIM)
+        for cfg in configs:
+            for i, row in enumerate(results[cfg]):
+                seed = trial_seed(7, cfg, i)
+                assert row == run_trial(cfg, seed, SIM)[0]
+                assert (row.seed, row.trace) == (seed, None)
+                spec = TargetPathSpec(cfg.path_kind, cfg.target_fraction * cfg.uav_speed, seed=seed)
+                live = run_engagement(cfg.method, cfg.uav_speed, build_path(spec), SIM)
+                assert (row.end_time, row.bounds_center) == (live.end_time, live.bounds_center)
+        assert classify_hit(hover_trace(0.9, 5.0), RULES, HANDOFF, TARGET).seed is None
+
+    def test_parallelism_below_one_rejected_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_run_config", lambda job: ran.append(job[0]) or [])
+        for parallelism in (0, -3):
+            with pytest.raises(ValueError, match="parallelism must be >= 1"):
+                run_matrix(self.small_configs(), 7, SIM, parallelism=parallelism)
+        assert ran == []
+
+    @pytest.mark.parametrize("parallelism, workers", [(8, 4), (3, 3), (1, None)])
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, parallelism, workers):
+        started = []
+
+        class InlinePool:  # records its size and maps in this process
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return [fn(j) for j in jobs]
+
+        monkeypatch.setattr(harness, "Pool", InlinePool)
+        monkeypatch.setattr(harness, "_run_config", lambda job: [job[0].label()])
+        configs = self.small_configs()  # four cells
+        results = run_matrix(configs, 7, SIM, parallelism=parallelism)
+        assert started == ([workers] if workers else [])
+        assert results == {c: [c.label()] for c in configs}
+
     def test_trial_seeds_are_per_config_and_index(self):
         c1 = self.small_configs()[0]
         c2 = self.small_configs()[1]
@@ -274,7 +316,7 @@ class TestMatrix:
 
 class TestCrashIsolation:
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_raising_trial_is_recorded_as_crash(self, monkeypatch, capsys, parallelism):
+    def test_raising_trial_is_recorded_as_crash(self, monkeypatch, capsys, tmp_path, parallelism):
         configs = full_matrix(
             trials=2, methods=[GuidanceMethod.TPN], speeds=[3.0],
             paths=[PathKind.STRAIGHT], fractions=[0.25, 0.5],
@@ -295,13 +337,18 @@ class TestCrashIsolation:
         results = run_matrix(configs, 3, SIM, parallelism=parallelism)
         crashed = results[bad_cfg][0]
         assert crashed.failure_reason == FailureReason.CRASH
-        assert (crashed.completed, crashed.hit, crashed.seed) == (False, False, bad_seed)
+        assert (crashed.hit, crashed.seed) == (False, bad_seed)
         assert results[configs[0]] == clean[configs[0]]
         assert results[bad_cfg][1] == clean[bad_cfg][1]
-        assert aggregate(results[bad_cfg]).completion_rate == 0.5
+        assert aggregate(results[bad_cfg]).unstable  # 1 of 2 trials completed
+        assert not aggregate(clean[bad_cfg]).unstable
         if parallelism == 1:  # forked workers write to their own stderr
             err = capsys.readouterr().err
             assert f"seed={bad_seed}" in err and "RuntimeError: injected failure" in err
+        # the crash row in trials.csv: its seed, no hit, and `nan` numbers
+        write_matrix_outputs(results, str(tmp_path), 3)
+        rows = (tmp_path / "trials.csv").read_text().splitlines()
+        assert rows[3] == f"tpn,straight,3,0.5,0,{bad_seed},0,crash,nan,nan,nan,nan"
 
 
 class TestConfigValidation:
