@@ -87,9 +87,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     )
     if args.ideal_dynamics:
         configs = [dataclasses.replace(c, ideal_dynamics=True) for c in configs]
-    print(f"running {len(configs)} configurations x {args.trials} trials "
-          f"(parallel={args.parallel}, master seed={args.seed})")
     results = run_matrix(configs, args.seed, sim, parallelism=args.parallel)
+    print(f"ran {len(configs)} configurations x {args.trials} trials "
+          f"(parallel={args.parallel}, master seed={args.seed})")
     write_matrix_outputs(results, args.out, args.seed)
     for cfg in configs:
         agg = aggregate(results[cfg])

@@ -130,20 +130,23 @@ class HitMonitor:
         self.last_seen: float = -math.inf
         self.min_miss: float = math.inf
         self.over_accel = 0.0  # how long acceleration has been above the crash limit, s
+        self.crash_limit = rules.crash_accel_g * GRAVITY  # m/s^2
 
     def _result(self, hit: bool, reason: Optional[FailureReason], t: float) -> EngagementResult:
         duration = t - self.handoff
         return EngagementResult(hit, reason, max(duration, 0.0) if hit else duration, self.min_miss, t, self.center)
 
-    def crashed(self, t: float, pose: Pose, dv: Vec3, dt: float) -> Optional[EngagementResult]:
-        """A non-finite state, or acceleration above `crash_accel_g` held
-        longer than `crash_sustain`; `dv` is the step's velocity change."""
-        r = self.rules
-        if not (pose.position.is_finite() and pose.velocity.is_finite()):
+    def crashed(self, t: float, pose: Pose, v_before: Vec3, dt: float) -> Optional[EngagementResult]:
+        """A non-finite state, or acceleration |v - v_before| / dt over the step
+        above `crash_accel_g` held longer than `crash_sustain`."""
+        (px, py, pz), (vx, vy, vz) = pose.position, pose.velocity
+        finite = math.isfinite
+        if not (finite(px) and finite(py) and finite(pz) and finite(vx) and finite(vy) and finite(vz)):
             return self._result(False, FailureReason.CRASH, t)
-        if dv.norm() / dt > r.crash_accel_g * GRAVITY:
+        ax, ay, az = vx - v_before.x, vy - v_before.y, vz - v_before.z
+        if math.sqrt(ax * ax + ay * ay + az * az) / dt > self.crash_limit:
             self.over_accel += dt
-            if self.over_accel > r.crash_sustain:
+            if self.over_accel > self.rules.crash_sustain:
                 return self._result(False, FailureReason.CRASH, t)
         else:
             self.over_accel = 0.0
@@ -151,10 +154,13 @@ class HitMonitor:
 
     def update(self, point: TracePoint) -> Optional[EngagementResult]:
         r = self.rules
-        t = self.t = point.t
-        if point.detected:
+        t, (px, py, pz), (tx, ty, tz), radius, detected, _ = point
+        self.t = t
+        if detected:
             self.last_seen = t
-        surface_dist = point.surface_dist
+        # TracePoint.surface_dist, written out
+        dx, dy, dz = px - tx, py - ty, pz - tz
+        surface_dist = math.sqrt(dx * dx + dy * dy + dz * dz) - radius
         if surface_dist < self.min_miss:
             self.min_miss = surface_dist
         duration = t - self.handoff
@@ -163,9 +169,9 @@ class HitMonitor:
             return self._result(False, FailureReason.TIMEOUT, t)
         if surface_dist <= r.hit_radius:
             return self._result(True, None, t)
-        d = point.uav_pos - self.center
+        cx, cy, cz = self.center
         hx, hy, hz = self.half
-        if abs(d.x) > hx or abs(d.y) > hy or abs(d.z) > hz:
+        if abs(px - cx) > hx or abs(py - cy) > hy or abs(pz - cz) > hz:
             return self._result(False, FailureReason.OUT_OF_BOUNDS, t)
         if t - max(self.last_seen, self.handoff) > r.fov_loss_timeout:
             return self._result(False, FailureReason.FOV_LOSS, t)
@@ -547,7 +553,7 @@ def run_engagement(
         t_next = (k + 1) * dt
 
         # ---- judge the step --------------------------------------------
-        result = monitor.crashed(t_next, uav, uav.velocity - v_before, dt)
+        result = monitor.crashed(t_next, uav, v_before, dt)
         if result is not None:
             break
         target = path.sample(t_next)

@@ -57,9 +57,6 @@ class Vec3(NamedTuple):
         n = self.norm()
         return self.scale(limit / n) if n > limit else self
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-
 
 ZERO3 = Vec3(0.0, 0.0, 0.0)
 

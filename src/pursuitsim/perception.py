@@ -9,6 +9,7 @@ along the line through the principal point.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .geometry import CameraIntrinsics, Vec3, pixel_to_los
 class SegmentationImage:
     """Binary image of one frame, stored as the sub-mask of a window (u0, v0,
     u1, v1), end-exclusive, that holds every set pixel. `render_sphere` uses
-    the closed-form box of the silhouette's image conic; a hand-built image
+    the padded box of the silhouette's image conic; a hand-built image
     passes the full-frame mask and no window, and its window is the frame."""
 
     width: int
@@ -74,30 +75,52 @@ class DepthEstimate:
 _WINDOW_PAD = 2  # px around the conic's bounding box, against rounding
 _NO_PIXELS = np.zeros((0, 0), dtype=bool)
 _EMPTY_WINDOW = (0, 0, 0, 0)
-# A cone must clear a face of the frame's pyramid by this much more than its
-# half-angle to count as missing it. Pixel rays rise at least 90 degrees less
-# the corner angle above the horizon, so a cone that reaches both the horizon
-# and a pixel has a half-angle of several degrees, at which the render
-# predicate's rounding is ~1e-16 rad.
-_MISS_MARGIN = 1e-9  # rad
+_TANGENT_SLACK = 1e-9  # keeps the rows at the cone's tangent, where rounding decides the predicate
 
 
-def _cone_misses_frame(c: Vec3, beta: float, k: CameraIntrinsics) -> bool:
-    """Whether the cone of half-angle beta about the unit direction c lies
-    outside one face of the pyramid through the extreme pixel centres
-    (u = 0 and W-1, v = 0 and H-1), so that no pixel ray is inside it."""
-    limit = -math.sin(beta + _MISS_MARGIN)
-    for a, f, c0, n in ((c.x, k.fx, k.cx, k.width), (c.y, k.fy, k.cy, k.height)):
-        lo, hi = -c0 / f, (n - 1 - c0) / f
-        # sine of c's angle inside the faces a = lo z and a = hi z
-        if (a - lo * c.z) / math.hypot(1.0, lo) < limit or (hi * c.z - a) / math.hypot(1.0, hi) < limit:
-            return True
-    return False
+@functools.cache
+def _camera_rays(k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The camera's column rays (u - cx) / fx, row rays (v - cy) / fy and
+    per-pixel sqrt(x^2 + y^2 + 1), built on its first render: a render
+    slices its window out of them, so each pixel gets the same floats."""
+    ray_x = (np.arange(k.width, dtype=np.float64) - k.cx) / k.fx
+    ray_y = (np.arange(k.height, dtype=np.float64) - k.cy) / k.fy
+    x, y = ray_x[np.newaxis, :], ray_y[:, np.newaxis]
+    root = np.sqrt(x * x + y * y + 1.0)
+    return ray_x, ray_y, root
 
 
-def _silhouette_window(
-    center_cam: Vec3, beta: float, k: CameraIntrinsics
-) -> Optional[tuple[int, int, int, int]]:
+@functools.cache
+def _pixel_index(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column and row numbers of a width x height frame."""
+    return np.arange(width), np.arange(height)
+
+
+def _row_window(c: Vec3, beta: float, k: CameraIntrinsics) -> tuple[int, int, int, int]:
+    """Padded pixel bounding box of the cone's image, solved row by row: along
+    the row y, with s = sqrt(y^2 + 1) and x = s tan(theta), c.d >= cos(beta) |d|
+    reads R cos(theta - phi) >= cos(beta) s, where R sin(phi) = c_x s and
+    R cos(phi) = y c_y + c_z, one interval of theta within (-pi/2, pi/2)."""
+    ray_y = _camera_rays(k)[1]
+    s = np.sqrt(ray_y * ray_y + 1.0)
+    ax, b = c.x * s, ray_y * c.y + c.z
+    r, cos_s = np.hypot(ax, b), math.cos(beta) * s
+    rows = np.flatnonzero(cos_s <= r * (1.0 + _TANGENT_SLACK))
+    half = np.arccos(np.minimum(cos_s[rows] / r[rows], 1.0))
+    phi = np.arctan2(ax[rows], b[rows])
+    lo = np.maximum(phi - half, -math.pi / 2)
+    hi = np.minimum(phi + half, math.pi / 2)
+    u_lo = np.floor(k.fx * (s[rows] * np.tan(lo)) + k.cx) - _WINDOW_PAD
+    u_hi = np.ceil(k.fx * (s[rows] * np.tan(hi)) + k.cx) + _WINDOW_PAD
+    seen = (lo <= hi) & (u_hi >= 0) & (u_lo < k.width)
+    if not seen.any():
+        return _EMPTY_WINDOW
+    rows = rows[seen]
+    return (max(0, int(u_lo[seen].min())), max(0, int(rows[0]) - _WINDOW_PAD),
+            min(k.width, int(u_hi[seen].max()) + 1), min(k.height, int(rows[-1]) + _WINDOW_PAD + 1))
+
+
+def _silhouette_window(center_cam: Vec3, beta: float, k: CameraIntrinsics) -> tuple[int, int, int, int]:
     """Padded pixel bounding box of the silhouette cone's image, clipped.
 
     In normalized coordinates d = (x, y, 1) the image is the conic
@@ -105,13 +128,12 @@ def _silhouette_window(
     extremes solve dQ/dy = 0 and its v extremes dQ/dx = 0, which leaves
     (c_z^2 - sin^2 beta) x^2 - 2 c_x c_z x + c_x^2 - sin^2 beta = 0 (and
     the same in c_y for y). When c_z <= sin(beta) the cone reaches the
-    horizon and its image is unbounded: the window is empty if the cone
-    misses the frame, else None and callers scan the full frame.
+    horizon and its image is unbounded, so the frame's rows bound it.
     """
     c = center_cam.unit()
     sb = math.sin(beta)
     if c.z <= sb:
-        return _EMPTY_WINDOW if _cone_misses_frame(c, beta, k) else None
+        return _row_window(c, beta, k)
     lead = (c.z - sb) * (c.z + sb)
 
     def span(a: float, f: float, c0: float, n: int) -> tuple[int, int]:
@@ -143,30 +165,31 @@ def render_sphere(center_cam: Vec3, radius: float, k: CameraIntrinsics) -> Segme
         return SegmentationImage(k.width, k.height, np.ones((k.height, k.width), dtype=bool))
 
     beta = math.asin(radius / dist)
-    u0, v0, u1, v1 = _silhouette_window(center_cam, beta, k) or (0, 0, k.width, k.height)
+    u0, v0, u1, v1 = _silhouette_window(center_cam, beta, k)
     if u0 >= u1 or v0 >= v1:
         return SegmentationImage(k.width, k.height, _NO_PIXELS, _EMPTY_WINDOW)
 
-    ray_x = ((np.arange(u0, u1, dtype=np.float64) - k.cx) / k.fx)[np.newaxis, :]
-    ray_y = ((np.arange(v0, v1, dtype=np.float64) - k.cy) / k.fy)[:, np.newaxis]
+    ray_x, ray_y, root = _camera_rays(k)
     # cos(angle) >= cos(beta), with ray z == 1
-    lhs = (ray_x * center_cam.x + ray_y * center_cam.y + center_cam.z)
-    rhs = math.cos(beta) * dist * np.sqrt(ray_x * ray_x + ray_y * ray_y + 1.0)
-    return SegmentationImage(k.width, k.height, lhs >= rhs, (u0, v0, u1, v1))
+    lhs = ray_x[u0:u1] * center_cam.x + ray_y[v0:v1, np.newaxis] * center_cam.y + center_cam.z
+    return SegmentationImage(k.width, k.height, lhs >= math.cos(beta) * dist * root[v0:v1, u0:u1], (u0, v0, u1, v1))
 
 
 def centroid(seg: SegmentationImage) -> Optional[Detection]:
-    """First-moment centroid over mask pixels; None when the mask is empty."""
-    if seg.window_mask.size == 0:  # an empty window holds no pixel to scan for
-        return None
-    us, vs = seg.pixel_coords()
-    m00 = us.size
+    """First-moment centroid, as exact integer sums over the window's row and
+    column counts (no pixel scan); None when the mask is empty."""
+    rows = seg.window_mask.sum(axis=1)
+    m00 = int(rows.sum())
     if m00 == 0:
         return None
-    cx = float(us.sum()) / m00
-    cy = float(vs.sum()) / m00
-    bbox = (int(us.min()), int(vs.min()), int(us.max()), int(vs.max()))
-    return Detection(centroid=(cx, cy), pixel_count=int(m00), bbox=bbox)
+    cols = seg.window_mask.sum(axis=0)
+    u0, v0, u1, v1 = seg.window
+    u_index, v_index = _pixel_index(seg.width, seg.height)
+    cx = float(cols @ u_index[u0:u1]) / m00
+    cy = float(rows @ v_index[v0:v1]) / m00
+    us, vs = np.flatnonzero(cols), np.flatnonzero(rows)
+    bbox = (u0 + int(us[0]), v0 + int(vs[0]), u0 + int(us[-1]), v0 + int(vs[-1]))
+    return Detection(centroid=(cx, cy), pixel_count=m00, bbox=bbox)
 
 
 MIN_DEPTH_BLOB_PIXELS = 3

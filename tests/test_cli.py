@@ -74,7 +74,7 @@ def test_matrix_runs_a_repeated_value_once(tmp_path, capsys):
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert "running 1 configurations" in out
+    assert "ran 1 configurations" in out
     assert out.count("tpn/straight/uav3/frac0.5") == 1
     assert len((tmp_path / "trials.csv").read_text().splitlines()) == 2
 
@@ -110,6 +110,15 @@ def test_matrix_rejects_parallelism_below_one(tmp_path, capsys, parallel):
             "--target-fraction", "0.5", "--parallel", parallel, "--out", str(tmp_path)]
     assert f"parallelism must be >= 1, got {parallel}" in error_line(capsys, argv)
     assert not (tmp_path / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--parallel", "0"], ["--uav-speed", "3.0001"]])
+def test_rejected_matrix_writes_nothing_to_stdout(tmp_path, capsys, flags):
+    argv = ["matrix", "--trials", "1", "--method", "tpn", "--path", "straight", "--uav-speed", "3",
+            "--target-fraction", "0.5", "--out", str(tmp_path)] + flags
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr().out == ""
 
 
 def test_mission_scenario_file(tmp_path, capsys):

@@ -3,6 +3,8 @@ import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pursuitsim import engagement
 from pursuitsim.config import SimConfig
@@ -11,6 +13,7 @@ from pursuitsim.engagement import (
     FailureReason,
     HitMonitor,
     PerceptionPipeline,
+    TracePoint,
     TrajectoryGuide,
     camera_view,
     run_engagement,
@@ -170,7 +173,28 @@ class TestCrashRule:
         pose = Pose(Vec3(float("nan"), 0.0, 0.0), ZERO3, 0.0, 0.0, 0.0)
         result = monitor.crashed(0.005, pose, ZERO3, 0.005)
         assert (result.hit, result.failure_reason, result.end_time) == (False, FailureReason.CRASH, 0.005)
-        assert monitor.crashed(0.005, POSE, ZERO3, 0.005) is None
+        assert monitor.crashed(0.005, POSE, POSE.velocity, 0.005) is None
+
+    def test_acceleration_is_the_step_from_the_velocity_before(self):
+        sim = SimConfig()
+        monitor = HitMonitor(dataclasses.replace(sim.rules, crash_sustain=0.0), ZERO3, 2.0)
+        # 3 m/s in one 5 ms step is 600 m/s^2, over the default 10 g
+        assert monitor.crashed(0.005, POSE, POSE.velocity, 0.005) is None
+        result = monitor.crashed(0.005, POSE, ZERO3, 0.005)
+        assert (result.hit, result.failure_reason) == (False, FailureReason.CRASH)
+
+
+coords = st.floats(-1e3, 1e3)
+points = st.builds(Vec3, coords, coords, coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points, points, st.floats(0.01, 5.0))
+def test_monitor_surface_distance_is_the_trace_points(uav, target, radius):
+    point = TracePoint(2.5, uav, target, radius, True)
+    monitor = HitMonitor(SimConfig().rules, ZERO3, 2.0)
+    monitor.update(point)
+    assert monitor.min_miss == point.surface_dist
 
 
 def test_perfbench_tracer_wraps_the_engagement():

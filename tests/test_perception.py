@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from pursuitsim.geometry import CameraIntrinsics, Vec3, los_rate, pixel_to_los
 from pursuitsim.perception import (
+    Detection,
     MovingAverageFilter,
     SegmentationImage,
+    _camera_rays,
     centroid,
     depth_from_subtended_angle,
     estimate_depth,
@@ -96,6 +98,31 @@ class TestCentroid:
         assert abs(det_ab.centroid[0] - cx) < 1e-9
         assert abs(det_ab.centroid[1] - cy) < 1e-9
         assert det_ab.pixel_count == n_a + n_b
+
+    def test_two_runs_in_one_row(self):
+        mask = blank_mask()
+        mask[7, 3:6] = True
+        mask[7, 40:42] = True
+        mask[9, 10] = True
+        det = centroid(SegmentationImage(680, 480, mask))
+        assert det == scanned_detection(mask)
+        assert det == Detection((103 / 6, 44 / 6), 6, (3, 7, 41, 9))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 479), st.integers(0, 679), st.integers(1, 60)), max_size=12),
+           st.tuples(*[st.integers(0, 5)] * 4))
+    def test_row_runs_equal_pixel_scan(self, runs, pad):
+        # several runs to a row, in the full frame and in a padded window as render_sphere stores one
+        mask = blank_mask()
+        for v, u, n in runs:
+            mask[v, u:u + n] = True
+        assert centroid(SegmentationImage(680, 480, mask)) == scanned_detection(mask)
+        if mask.any():
+            vs, us = np.nonzero(mask)
+            u0, v0 = max(0, int(us.min()) - pad[0]), max(0, int(vs.min()) - pad[1])
+            u1, v1 = min(680, int(us.max()) + 1 + pad[2]), min(480, int(vs.max()) + 1 + pad[3])
+            seg = SegmentationImage(680, 480, mask[v0:v1, u0:u1].copy(), (u0, v0, u1, v1))
+            assert centroid(seg) == scanned_detection(mask)
 
 
 class TestEstimateDepth:
@@ -213,7 +240,7 @@ class TestMovingAverageFilter:
 
 
 # A 150-degree lens puts the horizon close to the frame edge, where the
-# closed-form window falls back to scanning the full frame.
+# closed-form window gives way to the row-by-row one.
 WIDE = CameraIntrinsics.from_hfov(math.radians(150.0), 96, 72)
 
 
@@ -231,6 +258,16 @@ def full_frame_predicate(center, radius, k):
     lhs = (ray_x * center.x + ray_y * center.y + center.z)
     rhs = math.cos(beta) * dist * np.sqrt(ray_x * ray_x + ray_y * ray_y + 1.0)
     return lhs >= rhs
+
+
+def scanned_detection(mask):
+    """The moments from a scan of every set pixel."""
+    vs, us = np.nonzero(mask)
+    n = us.size
+    if n == 0:
+        return None
+    bbox = (int(us.min()), int(vs.min()), int(us.max()), int(vs.max()))
+    return Detection((float(us.sum()) / n, float(vs.sum()) / n), n, bbox)
 
 
 @st.composite
@@ -300,6 +337,22 @@ class TestRenderProperties:
         if det is not None:
             assert estimate_depth(seg, det, k, 2.0 * radius) == estimate_depth(hand, det, k, 2.0 * radius)
 
+    @settings(max_examples=300, deadline=None)
+    @given(sphere_views())
+    def test_centroid_equals_pixel_scan(self, view):
+        center, radius, k = view
+        seg = render_sphere(center, radius, k)
+        assert centroid(seg) == scanned_detection(seg.mask)
+        assert seg._coords is None  # the moments did not scan for pixels
+
+    def test_ray_table_slices_equal_per_call_rays(self):
+        for k, (u0, v0, u1, v1) in ((K, (0, 0, K.width, K.height)), (K, (301, 17, 388, 95)), (WIDE, (5, 60, 96, 72))):
+            table_x, table_y, root = _camera_rays(k)
+            ray_x = ((np.arange(u0, u1, dtype=np.float64) - k.cx) / k.fx)[np.newaxis, :]
+            ray_y = ((np.arange(v0, v1, dtype=np.float64) - k.cy) / k.fy)[:, np.newaxis]
+            assert np.array_equal(table_x[u0:u1], ray_x[0]) and np.array_equal(table_y[v0:v1], ray_y[:, 0])
+            assert np.array_equal(root[v0:v1, u0:u1], np.sqrt(ray_x * ray_x + ray_y * ray_y + 1.0))
+
     def test_pixel_coords_scan_once(self):
         seg = render_sphere(Vec3(0.3, -0.2, 6.0), 0.5, K)
         assert seg.pixel_coords() is seg.pixel_coords()
@@ -311,6 +364,15 @@ class TestRenderProperties:
         seg = render_sphere(center, 0.5, K)
         assert seg.window == (0, 0, 0, 0)
         assert not full_frame_predicate(center, 0.5, K).any()
+
+    def test_cone_past_the_horizon_scans_its_rows_only(self):
+        # the cone reaches the horizon and the frame's right edge: the frame
+        # was scanned in full, and the row-by-row window holds 3.4% of it
+        center = Vec3(1.2, 0.3, 0.4)
+        seg = render_sphere(center, 0.5, K)
+        assert seg.window == (630, 243, 680, 466)
+        assert np.array_equal(seg.mask, full_frame_predicate(center, 0.5, K))
+        assert centroid(seg).bbox == (633, 248, 679, 459)
 
     def test_window_bounds_the_blob_tightly(self):
         seg = render_sphere(Vec3(1.0, 0.5, 8.0), 0.5, K)
