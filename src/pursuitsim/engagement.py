@@ -65,10 +65,13 @@ from .vehicle import (
     YAW_KP,
     AttitudeCommand,
     PoseController,
+    State,
+    StepConstants,
     VelocityController,
     at_rest,
     dynamics_step,
     ideal_dynamics_step,
+    pose_of,
 )
 
 
@@ -112,11 +115,11 @@ class EngagementResult:
 
 
 class HitMonitor:
-    """The one judge of a trial: `update` takes one `TracePoint` per dynamics
-    step, in order, and returns the judged `EngagementResult` at the first
-    terminal event; `timeout` ends a run that reaches its last point without
-    one. The pursuit clock starts at handoff, and the box is centred on
-    `bounds_center`, which `run_engagement` computes once per trial;
+    """The one judge of a trial: `update` takes one `TracePoint`'s fields per
+    dynamics step, in order, and returns the judged `EngagementResult` at the
+    first terminal event; `timeout` ends a run that reaches its last point
+    without one. The pursuit clock starts at handoff, and the box is centred
+    on `bounds_center`, which `run_engagement` computes once per trial;
     `harness.classify_hit` replays a trace through this class. `crashed`
     reads velocities, which a trace does not hold, so only the live loop
     applies it, before each update."""
@@ -136,14 +139,15 @@ class HitMonitor:
         duration = t - self.handoff
         return EngagementResult(hit, reason, max(duration, 0.0) if hit else duration, self.min_miss, t, self.center)
 
-    def crashed(self, t: float, pose: Pose, v_before: Vec3, dt: float) -> Optional[EngagementResult]:
-        """A non-finite state, or acceleration |v - v_before| / dt over the step
-        above `crash_accel_g` held longer than `crash_sustain`."""
-        (px, py, pz), (vx, vy, vz) = pose.position, pose.velocity
+    def crashed(self, t: float, s: State, before: State, dt: float) -> Optional[EngagementResult]:
+        """A non-finite state `s`, or acceleration |v - v_before| / dt over the
+        step from the state `before` above `crash_accel_g` held longer than
+        `crash_sustain`."""
+        px, py, pz, vx, vy, vz, _, _, _ = s
         finite = math.isfinite
         if not (finite(px) and finite(py) and finite(pz) and finite(vx) and finite(vy) and finite(vz)):
             return self._result(False, FailureReason.CRASH, t)
-        ax, ay, az = vx - v_before.x, vy - v_before.y, vz - v_before.z
+        ax, ay, az = vx - before[3], vy - before[4], vz - before[5]
         if math.sqrt(ax * ax + ay * ay + az * az) / dt > self.crash_limit:
             self.over_accel += dt
             if self.over_accel > self.rules.crash_sustain:
@@ -152,9 +156,11 @@ class HitMonitor:
             self.over_accel = 0.0
         return None
 
-    def update(self, point: TracePoint) -> Optional[EngagementResult]:
+    def update(self, t: float, px: float, py: float, pz: float, tx: float, ty: float, tz: float,
+               radius: float, detected: bool) -> Optional[EngagementResult]:
+        """One step: the UAV at (px, py, pz) and the target's centre at
+        (tx, ty, tz), as a `TracePoint` holds them."""
         r = self.rules
-        t, (px, py, pz), (tx, ty, tz), radius, detected, _ = point
         self.t = t
         if detected:
             self.last_seen = t
@@ -242,7 +248,7 @@ class Pilot:
 
     def __init__(self, cfg: SimConfig):
         self.params = cfg.vehicle
-        self.dt = cfg.rates.dt
+        self.step = StepConstants.of(self.params, cfg.rates.dt)
         self.dt_ctrl = cfg.rates.control_dt
         self.pose_ctl = PoseController()
         self.vel_ctl = VelocityController(self.params)
@@ -263,8 +269,8 @@ class Pilot:
         self.v_ref = (self.v_ref + a_world.scale(self.dt_ctrl)).clamp_norm(v_limit)
         self.cmd = self.vel_ctl.step(self.v_ref, a_world, yaw_rate, uav, self.dt_ctrl)
 
-    def fly(self, uav: Pose) -> Pose:
-        return dynamics_step(uav, self.cmd, self.dt, self.params)
+    def fly(self, uav: State) -> State:
+        return dynamics_step(uav, self.cmd, self.step)
 
 
 class IdealPilot:
@@ -296,7 +302,7 @@ class IdealPilot:
         self.a_world = a_world
         self.yaw_rate = yaw_rate
 
-    def fly(self, uav: Pose) -> Pose:
+    def fly(self, uav: State) -> State:
         return ideal_dynamics_step(uav, self.a_world, self.yaw_rate, self.dt, self.params)
 
 
@@ -367,7 +373,7 @@ class DirectGuide:
             law = pn_heading_command if self.method == GuidanceMethod.PN_HEADING else hybrid_command
             self.command = law(los, los_accel(los, v_c, gp, mp), gp, mp)
 
-    def replan(self, k: int, t: float, uav: Pose, fresh: bool) -> None:
+    def replan(self, k: int, t: float, s: State, fresh: bool) -> None:
         pass
 
     def steer(self, t: float, uav: Pose, pilot: Union[Pilot, IdealPilot], scale: float) -> None:
@@ -414,13 +420,14 @@ class TrajectoryGuide:
         if self.forecast and frame.depth_valid:
             self.d_f = self._f_depth.step(frame.d_center)
 
-    def replan(self, k: int, t: float, uav: Pose, fresh: bool) -> None:
+    def replan(self, k: int, t: float, s: State, fresh: bool) -> None:
         mark = int((k * self.tcfg.replan_hz) // self.dynamics_hz)
         if mark == self.mark:
             return
         self.mark = mark
         if not fresh:
             return
+        uav = pose_of(s)
         track = self.track
         if track is None:
             start, v0 = Waypoint(uav.position, uav.yaw), uav.velocity
@@ -485,9 +492,8 @@ def run_engagement(
     gp = cfg.guidance
     mount_pitch = cfg.camera.mount_pitch(uav_speed, cfg.vehicle)
 
-    # perception reads the judge step's last sample: its (k + 1) * dt is the next tick's t, bit for bit
-    target = path.sample(0.0)
-    pipeline = PerceptionPipeline(cfg, mount_pitch, 2.0 * target.radius)
+    radius = path.radius
+    pipeline = PerceptionPipeline(cfg, mount_pitch, 2.0 * radius)
     pilot = IdealPilot(cfg) if ideal_dynamics else Pilot(cfg)
     if method.is_trajectory:
         guide: Union[DirectGuide, TrajectoryGuide] = TrajectoryGuide(cfg, method, mount_pitch)
@@ -514,12 +520,15 @@ def run_engagement(
     phi_last = 0.0
     trace: Optional[list[TracePoint]] = [] if record_trace else None
 
+    # `uav` is the flat vehicle state; the ticks that read a `Pose` build one
     for k, t, perception_due, control_due in rates.ticks(horizon):
         pursuing = t >= handoff
+        if perception_due or control_due:
+            pose = pose_of(uav)
 
         # ---- perception + guidance tick -------------------------------
         if perception_due:
-            frame = pipeline.observe(t, target, uav)
+            frame = pipeline.observe(t, path.sample(t), pose)
             if frame.detected:
                 last_seen = t
                 sample = frame.sample
@@ -528,10 +537,10 @@ def run_engagement(
                     phi_log.append((t, phi_last))
                     if pursuing and phi_handoff is None:
                         phi_handoff = sample.phi_dot
-                los_world = camera_to_world(sample.r, uav, mount_pitch).unit()
+                los_world = camera_to_world(sample.r, pose, mount_pitch).unit()
                 if not pursuing:
                     init_cmd_vel = init_velocity(los_world, uav_speed)
-                guide.see(frame, los_world, uav, pursuing)
+                guide.see(frame, los_world, pose, pursuing)
             # the frame, and any pixels it holds, ends with this tick
             del frame
             since_seen = t - last_seen
@@ -543,25 +552,25 @@ def run_engagement(
         # ---- control tick ----------------------------------------------
         if control_due:
             if pursuing:
-                guide.steer(t, uav, pilot, cmd_scale)
+                guide.steer(t, pose, pilot, cmd_scale)
             else:
-                pilot.velocity(init_cmd_vel if since_seen <= gp.dropout_hold else ZERO3, 0.0, uav)
+                pilot.velocity(init_cmd_vel if since_seen <= gp.dropout_hold else ZERO3, 0.0, pose)
 
         # ---- dynamics ---------------------------------------------------
-        v_before = uav.velocity
+        before = uav
         uav = pilot.fly(uav)
         t_next = (k + 1) * dt
 
         # ---- judge the step --------------------------------------------
-        result = monitor.crashed(t_next, uav, v_before, dt)
+        result = monitor.crashed(t_next, uav, before, dt)
         if result is not None:
             break
-        target = path.sample(t_next)
-        point = TracePoint(t_next, uav.position, target.position, target.radius,
-                           (t_next - last_seen) < seen_window, phi_last)
+        tx, ty, tz = path.position_at(t_next)
+        detected = (t_next - last_seen) < seen_window
         if trace is not None:
-            trace.append(point)
-        result = monitor.update(point)
+            trace.append(TracePoint(t_next, Vec3(uav[0], uav[1], uav[2]), Vec3(tx, ty, tz), radius,
+                                    detected, phi_last))
+        result = monitor.update(t_next, uav[0], uav[1], uav[2], tx, ty, tz, radius, detected)
         if result is not None:
             break
     else:
@@ -577,5 +586,5 @@ def _path_bounds_center(path: TargetPath, horizon: float) -> Vec3:
     """The bounds box's anchor: the center of the axis-aligned bounding box of
     the path at t = i * span / 64, i = 0..64, over one period (or `horizon`)."""
     span = path.period if path.period is not None else horizon
-    xs, ys, zs = zip(*(path.sample(span * i / 64).position for i in range(65)))
+    xs, ys, zs = zip(*(path.position_at(span * i / 64) for i in range(65)))
     return Vec3((min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0, (min(zs) + max(zs)) / 2.0)

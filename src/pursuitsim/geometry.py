@@ -85,11 +85,12 @@ class Rot3(NamedTuple):
     m22: float
 
     def apply(self, v: Vec3) -> Vec3:
-        return Vec3(
-            self.m00 * v.x + self.m01 * v.y + self.m02 * v.z,
-            self.m10 * v.x + self.m11 * v.y + self.m12 * v.z,
-            self.m20 * v.x + self.m21 * v.y + self.m22 * v.z,
-        )
+        return Vec3(*self.apply_xyz(*v))
+
+    def apply_xyz(self, x: float, y: float, z: float) -> tuple[float, float, float]:
+        """`apply` on plain floats, without building a `Vec3`."""
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = self
+        return m00 * x + m01 * y + m02 * z, m10 * x + m11 * y + m12 * z, m20 * x + m21 * y + m22 * z
 
     def apply_inverse(self, v: Vec3) -> Vec3:
         # rotation inverse == transpose

@@ -99,8 +99,8 @@ def classify_hit(trace: Sequence[TracePoint], rules: RulesConfig, handoff_time: 
     if not trace:
         raise ValueError("trace must be non-empty")
     monitor = HitMonitor(rules, bounds_center, handoff_time)
-    for p in trace:
-        result = monitor.update(p)
+    for t, uav, target, radius, detected, _ in trace:
+        result = monitor.update(t, *uav, *target, radius, detected)
         if result is not None:
             return result
     return monitor.timeout()

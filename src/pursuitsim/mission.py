@@ -31,7 +31,7 @@ from .engagement import Pilot, PlanTrack, camera_view
 from .engagement import cursor_step, dynamics_step  # noqa: F401  unused; perfbench/tracer.py wraps them by name here
 from .targets import PeriodicCurvePath, TargetState, fig8_shape
 from .trajectory import Trajectory, Waypoint
-from .vehicle import at_rest
+from .vehicle import at_rest, pose_of
 
 
 @dataclass
@@ -497,13 +497,13 @@ class BalloonTask:
     def step(self, state: MissionState, seen: Optional[Vec3], uav: Pose, t: float) -> VelocityCommand:
         return task1_step(state, seen, uav, self.params, t)
 
-    def after_step(self, t: float, uav: Pose, state: MissionState) -> None:
-        """Balloon tethers, the downdraft fault and pops."""
+    def after_step(self, t: float, uav: Vec3, state: MissionState) -> None:
+        """Balloon tethers, the downdraft fault and pops, with the UAV at `uav`."""
         for i, b in enumerate(self.balloons):
             if not b.alive:
                 continue
             if self.downdraft is not None:
-                d = uav.position - b.position
+                d = uav - b.position
                 horiz = math.hypot(d.x, d.y)
                 if horiz < 1.0 and 0.0 < d.z < 2.0 and b.offset_vel.norm() < 0.1:
                     away = Vec3(-d.x, -d.y, 0.0)
@@ -516,7 +516,7 @@ class BalloonTask:
                 b.offset_vel = b.offset_vel + acc.scale(self.dt)
                 b.offset = (b.offset + b.offset_vel.scale(self.dt)).clamp_norm(0.5)
                 b.position = b.spec.anchor + b.offset
-            if (uav.position - b.position).norm() <= self.params.pop_contact:
+            if (uav - b.position).norm() <= self.params.pop_contact:
                 b.alive = False
                 self.mission.result.pops += 1
                 if state.mode == MissionMode.ATTACK:
@@ -525,9 +525,10 @@ class BalloonTask:
                 if state.mode in (MissionMode.ADJUST, MissionMode.ATTACK):
                     state.transition(MissionMode.RECOVER, t)
 
-    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Pose) -> None:
+    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Vec3) -> None:
         """An attack that ends without a pop is a miss; a recovery plans the
-        way back to the registration point and clears a gimbal fault."""
+        way back to the registration point, from the UAV at `uav`, and clears
+        a gimbal fault."""
         mission = self.mission
         if old == MissionMode.ATTACK:
             if not self.attack_saw_pop:
@@ -537,7 +538,7 @@ class BalloonTask:
         if state.mode == MissionMode.RECOVER:
             # later pauses index into the stitched plan
             plan, self.rejoin_index = recovery_stitch(
-                uav.position, state.pause_point or uav.position,
+                uav, state.pause_point or uav,
                 self.track.plan, state.pause_index, mission.sc.search_speed,
             )
             self.track = PlanTrack(plan, t, mission.sim.trajectory)
@@ -564,13 +565,13 @@ class BallTask:
     def step(self, state: MissionState, seen: Optional[Vec3], uav: Pose, t: float) -> VelocityCommand:
         return task2_step(state, seen, uav, self.params, t)
 
-    def after_step(self, t: float, uav: Pose, state: MissionState) -> None:
+    def after_step(self, t: float, uav: Vec3, state: MissionState) -> None:
         result = self.mission.result
         self.ball_state = self.ball.sample(t)
-        d = (uav.position - self.ball_state.position).norm()
+        d = (uav - self.ball_state.position).norm()
         result.min_ball_distance = min(result.min_ball_distance, d)
 
-    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Pose) -> None:
+    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Vec3) -> None:
         if old == MissionMode.WAIT and state.mode == MissionMode.GLOBAL_PLAN:
             # resume the paused search plan where it was left
             self.track.start = t - state.pause_time
@@ -615,9 +616,12 @@ class MissionSimulator:
         frame_queue: list[tuple[float, Optional[Vec3], Optional[Vec3], bool]] = []
         logged_mode = state.mode
 
+        # `uav` is the flat vehicle state; the ticks that read a `Pose` build one
         for k, t, perception_due, control_due in rates.ticks(sc.duration):
+            if perception_due or control_due:
+                pose = pose_of(uav)
             if perception_due:
-                frame_queue.append((t, *self._observe(uav, task)))
+                frame_queue.append((t, *self._observe(pose, task)))
                 los_level, los_world, los_valid = None, None, False
                 while frame_queue and frame_queue[0][0] <= t - latency:
                     _, los_level, los_world, los_valid = frame_queue.pop(0)
@@ -625,34 +629,35 @@ class MissionSimulator:
                     state.last_seen = t
                     state.last_los_world = los_world
                     if state.mode == MissionMode.GLOBAL_PLAN and los_valid:
-                        state.pause_point = uav.position
+                        state.pause_point = pose.position
                         state.pause_index = task.track.index
                         state.pause_time = t - task.track.start
                         state.transition(MissionMode.ADJUST, t)
-                        position = [round(c, 3) for c in uav.position]
+                        position = [round(c, 3) for c in pose.position]
                         self._emit(t, "registered", task=sc.task, position=position)
 
             if control_due:
                 if state.mode in (MissionMode.GLOBAL_PLAN, MissionMode.RECOVER):
-                    task.track.fly(t, uav, pilot)
+                    task.track.fly(t, pose, pilot)
                     # only Task 1 recovers, and its recovery plan sets the rejoin index
                     if state.mode == MissionMode.RECOVER and task.track.index >= task.rejoin_index:
                         state.transition(MissionMode.GLOBAL_PLAN, t)
                 else:
                     stale = (t - state.last_seen) > (2.5 / rates.perception_hz)
-                    v_cmd = task.step(state, None if stale else los_level, uav, t)
-                    self.result.command_log.append((t, state.mode.value, v_cmd.velocity_world, uav.position.z))
-                    pilot.velocity(v_cmd.velocity_world, v_cmd.yaw_rate, uav)
+                    v_cmd = task.step(state, None if stale else los_level, pose, t)
+                    self.result.command_log.append((t, state.mode.value, v_cmd.velocity_world, pose.position.z))
+                    pilot.velocity(v_cmd.velocity_world, v_cmd.yaw_rate, pose)
 
             uav = pilot.fly(uav)
             t_next = (k + 1) * dt
-            task.after_step(t_next, uav, state)
+            position = Vec3(uav[0], uav[1], uav[2])
+            task.after_step(t_next, position, state)
 
             # centralized transition bookkeeping: transitions may originate in
             # the perception tick, the state machines, or a pop event
             if state.mode != logged_mode:
                 self._emit(t_next, "mode", **{"from": logged_mode.value, "to": state.mode.value})
-                task.mode_changed(logged_mode, state, t_next, uav)
+                task.mode_changed(logged_mode, state, t_next, position)
                 logged_mode = state.mode
 
         self.result.final_mode = state.mode.value

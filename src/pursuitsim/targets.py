@@ -65,13 +65,18 @@ class TargetPathSpec:
 
 
 class TargetPath:
-    """Time-parametric target motion; sample() and velocity() are pure."""
+    """Time-parametric target motion; position_at(), sample() and velocity()
+    are pure."""
 
     period: Optional[float]
     radius: float
 
-    def sample(self, t: float) -> TargetState:
+    def position_at(self, t: float) -> tuple[float, float, float]:
+        """The centre's coordinates at t, without building a `TargetState`."""
         raise NotImplementedError
+
+    def sample(self, t: float) -> TargetState:
+        return TargetState(Vec3(*self.position_at(t)), self.radius)
 
     def velocity(self, t: float) -> Vec3:
         raise NotImplementedError
@@ -83,8 +88,10 @@ class StationaryPath(TargetPath):
         self.radius = radius
         self.period = None
 
-    def sample(self, t: float) -> TargetState:
-        return TargetState(self.position, self.radius)
+    def position_at(self, t: float) -> tuple[float, float, float]:
+        return self.position
+
+    sample = TargetPath.sample  # each path class has its own `sample`, which perfbench's tracer wraps
 
     def velocity(self, t: float) -> Vec3:
         return ZERO3
@@ -97,8 +104,11 @@ class StraightPath(TargetPath):
         self.radius = radius
         self.period = None
 
-    def sample(self, t: float) -> TargetState:
-        return TargetState(self.start + self._velocity.scale(t), self.radius)
+    def position_at(self, t: float) -> tuple[float, float, float]:
+        (sx, sy, sz), (ux, uy, uz) = self.start, self._velocity
+        return sx + ux * t, sy + uy * t, sz + uz * t
+
+    sample = TargetPath.sample
 
     def velocity(self, t: float) -> Vec3:
         return self._velocity
@@ -117,7 +127,7 @@ class CurveShape:
     """
 
     def __init__(self, curve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-                 point: Callable[[float], Vec3], tangent: Callable[[float], Vec3]):
+                 point: Callable[[float], tuple[float, float, float]], tangent: Callable[[float], Vec3]):
         self.point = point
         self.tangent = tangent
         thetas = np.linspace(0.0, 2.0 * math.pi, ARC_TABLE_SIZE + 1)
@@ -160,12 +170,20 @@ class PeriodicCurvePath(TargetPath):
         length = self.shape.length
         return self.shape.theta((self._phase / (2.0 * math.pi) * length + self._direction * s) % length)
 
-    def sample(self, t: float) -> TargetState:
-        return self.sample_arc(self._speed * t)
+    def position_at(self, t: float) -> tuple[float, float, float]:
+        return self.arc_position(self._speed * t)
+
+    sample = TargetPath.sample
+
+    def arc_position(self, s: float) -> tuple[float, float, float]:
+        """The centre's coordinates at signed arc position s."""
+        x, y, z = self._rot.apply_xyz(*self.shape.point(self._theta_at(s)))
+        c = self._center
+        return c.x + x, c.y + y, c.z + z
 
     def sample_arc(self, s: float) -> TargetState:
         """State at signed arc position s."""
-        return TargetState(self._center + self._rot.apply(self.shape.point(self._theta_at(s))), self.radius)
+        return TargetState(Vec3(*self.arc_position(s)), self.radius)
 
     def velocity(self, t: float) -> Vec3:
         tan = self.shape.tangent(self._theta_at(self._speed * t))
@@ -183,8 +201,8 @@ def fig8_shape(width: float, height: float) -> CurveShape:
     def curve(theta: np.ndarray):
         return a * np.sin(theta), np.zeros_like(theta), b * np.sin(theta) * np.cos(theta)
 
-    def point(theta: float) -> Vec3:
-        return Vec3(a * math.sin(theta), 0.0, b * math.sin(theta) * math.cos(theta))
+    def point(theta: float) -> tuple[float, float, float]:
+        return a * math.sin(theta), 0.0, b * math.sin(theta) * math.cos(theta)
 
     def tangent(theta: float) -> Vec3:
         return Vec3(a * math.cos(theta), 0.0, b * math.cos(2.0 * theta))
@@ -209,8 +227,8 @@ def knot_shape(cube: float) -> CurveShape:
         x, y, z = _knot_unit(theta)
         return x * sx, y * sy, z * sz
 
-    def point(theta: float) -> Vec3:
-        return Vec3(
+    def point(theta: float) -> tuple[float, float, float]:
+        return (
             sx * (math.sin(theta) + 2.0 * math.sin(2.0 * theta)),
             sy * (math.cos(theta) - 2.0 * math.cos(2.0 * theta)),
             sz * (-math.sin(3.0 * theta)),

@@ -11,16 +11,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .geometry import Pose, Vec3, ZERO3, body_z_axis, rot_z, wrap_angle
+from .geometry import Pose, Vec3, body_z_axis, wrap_angle
 from .trajectory import Waypoint
 
 GRAVITY = 9.81
 
+# The vehicle state that the simulation loops carry from step to step:
+# (px, py, pz, vx, vy, vz, roll, pitch, yaw). `pose_of` gives the `Pose` that
+# controllers, guidance and perception read, on the ticks that read one.
+State = tuple[float, float, float, float, float, float, float, float, float]
 
-def at_rest(position: Vec3, yaw: float = 0.0) -> Pose:
+
+def at_rest(position: Vec3, yaw: float = 0.0) -> State:
     """A level vehicle at rest at `position`, heading `yaw`."""
-    return Pose(position, ZERO3, 0.0, 0.0, yaw)
+    x, y, z = position
+    return (x, y, z, 0.0, 0.0, 0.0, 0.0, 0.0, yaw)
+
+
+def pose_of(s: State) -> Pose:
+    """The state as a `Pose`."""
+    return Pose(Vec3(s[0], s[1], s[2]), Vec3(s[3], s[4], s[5]), s[6], s[7], s[8])
 
 
 @dataclass(frozen=True)
@@ -77,16 +89,14 @@ class VectorPid:
         self.kp = kp
         self.ki = ki
         self.integrator_limit = integrator_limit
-        self._integral = [0.0, 0.0, 0.0]
+        self._ix = self._iy = self._iz = 0.0
 
-    def step(self, error: Vec3, dt: float) -> Vec3:
-        out = [0.0, 0.0, 0.0]
-        err = (error.x, error.y, error.z)
-        lim = self.integrator_limit
-        for i in range(3):
-            self._integral[i] = min(lim, max(-lim, self._integral[i] + err[i] * dt))
-            out[i] = self.kp * err[i] + self.ki * self._integral[i]
-        return Vec3(out[0], out[1], out[2])
+    def step(self, ex: float, ey: float, ez: float, dt: float) -> tuple[float, float, float]:
+        kp, ki, lim = self.kp, self.ki, self.integrator_limit
+        ix = self._ix = min(lim, max(-lim, self._ix + ex * dt))
+        iy = self._iy = min(lim, max(-lim, self._iy + ey * dt))
+        iz = self._iz = min(lim, max(-lim, self._iz + ez * dt))
+        return kp * ex + ki * ix, kp * ey + ki * iy, kp * ez + ki * iz
 
 
 class PoseController:
@@ -107,66 +117,86 @@ class VelocityController:
     """
 
     def __init__(self, params: VehicleParams):
-        self.params = params
         self.pid = VectorPid(VELOCITY_KP, VELOCITY_KI, INTEGRATOR_LIMIT)
+        # computed once: they depend only on the config
+        self.sin_tilt_limit = math.sin(params.tilt_limit)
+        self.thrust_scale = params.thrust_scale
 
     def step(
         self, v_ref: Vec3, a_ff: Vec3, yaw_rate: float, pose: Pose, dt: float
     ) -> AttitudeCommand:
-        error = v_ref - pose.velocity
-        a_des = self.pid.step(error, dt) + a_ff
-        a_total = Vec3(a_des.x, a_des.y, a_des.z + GRAVITY)
+        vx, vy, vz = pose.velocity
+        ox, oy, oz = self.pid.step(v_ref.x - vx, v_ref.y - vy, v_ref.z - vz, dt)
+        # the desired acceleration plus gravity compensation
+        x, y, z = ox + a_ff.x, oy + a_ff.y, oz + a_ff.z + GRAVITY
 
-        ax, ay, _ = rot_z(pose.yaw).apply_inverse(a_total)
-        az = max(a_total.z, 0.5)  # thrust cannot pull down
+        # into the yaw frame: rot_z(yaw).apply_inverse's first two rows, written out
+        c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+        ax = c * x + s * y + 0.0 * z
+        ay = -s * x + c * y + 0.0 * z
+        az = max(z, 0.5)  # thrust cannot pull down
 
         mag = math.sqrt(ax * ax + ay * ay + az * az)
-        lim = self.params.tilt_limit
-        s_lim = math.sin(lim)
+        s_lim = self.sin_tilt_limit
         roll = -math.asin(min(s_lim, max(-s_lim, ay / mag)))
         cos_roll = math.cos(roll)
         pitch = -math.asin(min(s_lim, max(-s_lim, ax / (mag * cos_roll))))
         thrust_accel = az / (math.cos(pitch) * cos_roll)
-        thrust = min(1.0, max(0.0, thrust_accel / self.params.thrust_scale))
+        thrust = min(1.0, max(0.0, thrust_accel / self.thrust_scale))
         return AttitudeCommand(roll=roll, pitch=pitch, yaw_rate=yaw_rate, thrust=thrust)
 
 
 MAX_DYNAMICS_DT = 0.02
 
 
-def dynamics_step(pose: Pose, cmd: AttitudeCommand, dt: float, params: VehicleParams) -> Pose:
+class StepConstants(NamedTuple):
+    """What `dynamics_step` reads of the config, computed once per vehicle
+    and step size by `of`."""
+
+    dt: float
+    alpha: float         # the attitude lag's blend per step, 1 - exp(-dt / tau)
+    thrust_scale: float
+    drag: float
+    max_yaw_rate: float
+
+    @classmethod
+    def of(cls, params: VehicleParams, dt: float) -> "StepConstants":
+        if not (0.0 < dt <= MAX_DYNAMICS_DT):
+            raise ValueError(f"dt must be in (0, {MAX_DYNAMICS_DT}]")
+        alpha = 1.0 - math.exp(-dt / params.tau_attitude)
+        return cls(dt, alpha, params.thrust_scale, params.drag, params.max_yaw_rate)
+
+
+def dynamics_step(s: State, cmd: AttitudeCommand, k: StepConstants) -> State:
     """Semi-implicit Euler step of the lagged point-mass model."""
-    if not (0.0 < dt <= MAX_DYNAMICS_DT):
-        raise ValueError(f"dt must be in (0, {MAX_DYNAMICS_DT}]")
-    alpha = 1.0 - math.exp(-dt / params.tau_attitude)
-    roll = pose.roll + (cmd.roll - pose.roll) * alpha
-    pitch = pose.pitch + (cmd.pitch - pose.pitch) * alpha
-    rate_lim = params.max_yaw_rate
+    px, py, pz, vx, vy, vz, roll, pitch, yaw = s
+    dt, alpha, rate_lim = k.dt, k.alpha, k.max_yaw_rate
+    roll = roll + (cmd.roll - roll) * alpha
+    pitch = pitch + (cmd.pitch - pitch) * alpha
     yaw_rate = min(rate_lim, max(-rate_lim, cmd.yaw_rate))
-    yaw = wrap_angle(pose.yaw + yaw_rate * dt)
+    yaw = wrap_angle(yaw + yaw_rate * dt)
 
     # thrust along the body z axis, in world coordinates for the new attitude
     zx, zy, zz = body_z_axis(roll, pitch, yaw)
-    t = cmd.thrust * params.thrust_scale
+    t = cmd.thrust * k.thrust_scale
 
-    vx, vy, vz = pose.velocity
-    k = params.drag
-    vx += (t * zx - k * vx) * dt
-    vy += (t * zy - k * vy) * dt
-    vz += (t * zz - GRAVITY - k * vz) * dt
-    px, py, pz = pose.position
-    return Pose(Vec3(px + vx * dt, py + vy * dt, pz + vz * dt), Vec3(vx, vy, vz), roll, pitch, yaw)
+    drag = k.drag
+    vx += (t * zx - drag * vx) * dt
+    vy += (t * zy - drag * vy) * dt
+    vz += (t * zz - GRAVITY - drag * vz) * dt
+    return (px + vx * dt, py + vy * dt, pz + vz * dt, vx, vy, vz, roll, pitch, yaw)
 
 
 def ideal_dynamics_step(
-    pose: Pose, accel_world: Vec3, yaw_rate: float, dt: float, params: VehicleParams
-) -> Pose:
+    s: State, accel_world: Vec3, yaw_rate: float, dt: float, params: VehicleParams
+) -> State:
     """Perfect acceleration tracking: the double-integrator limit used to
     check guidance-law properties without controller/attitude lag."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     rate_lim = params.max_yaw_rate
     yaw_rate = min(rate_lim, max(-rate_lim, yaw_rate))
-    yaw = wrap_angle(pose.yaw + yaw_rate * dt)
-    new_vel = pose.velocity + accel_world.scale(dt)
-    return Pose(pose.position + new_vel.scale(dt), new_vel, 0.0, 0.0, yaw)
+    yaw = wrap_angle(s[8] + yaw_rate * dt)
+    ax, ay, az = accel_world
+    vx, vy, vz = s[3] + ax * dt, s[4] + ay * dt, s[5] + az * dt
+    return (s[0] + vx * dt, s[1] + vy * dt, s[2] + vz * dt, vx, vy, vz, 0.0, 0.0, yaw)

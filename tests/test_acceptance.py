@@ -41,9 +41,11 @@ from pursuitsim.trajectory import forecast_target
 from pursuitsim.vehicle import (
     AttitudeCommand,
     PoseController,
+    StepConstants,
     VelocityController,
     at_rest,
     dynamics_step,
+    pose_of,
 )
 from pursuitsim.trajectory import Waypoint
 
@@ -368,13 +370,15 @@ def test_criterion_10_controller_sanity():
     state = at_rest(Vec3(1.0, 0.0, 4.5))
     dt = 1.0 / SIM.rates.dynamics_hz
     every = SIM.rates.dynamics_hz // SIM.rates.control_hz
+    step_constants = StepConstants.of(params, dt)
     att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
     for k in range(int(3.0 / dt)):
         if k % every == 0:
-            v_ref = pose_ctl.step(target, ZERO3, state)
-            att = vel_ctl.step(v_ref, ZERO3, 0.0, state, every * dt)
-        state = dynamics_step(state, att, dt, params)
-    hover_err = (state.position - Vec3(0, 0, 5.0)).norm()
+            pose = pose_of(state)
+            v_ref = pose_ctl.step(target, ZERO3, pose)
+            att = vel_ctl.step(v_ref, ZERO3, 0.0, pose, every * dt)
+        state = dynamics_step(state, att, step_constants)
+    hover_err = (pose_of(state).position - Vec3(0, 0, 5.0)).norm()
     hover_ok = hover_err < 0.05
 
     # first-order attitude step response at tau, 2tau, 3tau
@@ -386,11 +390,11 @@ def test_criterion_10_controller_sanity():
     details = []
     checkpoints = {round(k * tau / dt): k for k in (1, 2, 3)}
     for step in range(1, max(checkpoints) + 1):
-        st = dynamics_step(st, cmd, dt, params)
+        st = dynamics_step(st, cmd, step_constants)
         if step in checkpoints:
             k = checkpoints[step]
             expected = target_roll * (1.0 - math.exp(-k))
-            rel = abs(st.roll - expected) / expected
+            rel = abs(pose_of(st).roll - expected) / expected
             details.append(f"{k}tau {100*rel:.2f}%")
             step_ok = step_ok and rel < 0.02
     ok = hover_ok and step_ok

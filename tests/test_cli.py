@@ -1,10 +1,16 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from pursuitsim.cli import main
-from pursuitsim.config import load_config
+from pursuitsim.config import SimConfig, load_config
+from pursuitsim.engagement import EngagementResult, FailureReason
+from pursuitsim.geometry import Vec3
+from pursuitsim.guidance import GuidanceMethod
+from pursuitsim.harness import ExperimentConfig, run_trial
+from pursuitsim.targets import PathKind
 
 
 def test_trial_writes_trace(tmp_path, capsys):
@@ -24,7 +30,8 @@ def test_trial_writes_trace(tmp_path, capsys):
 
 # sha256 of `trial_trace.csv` from `pursuitsim trial --path knot --seed 3`,
 # per (method, --ideal-dynamics), measured with numpy 2.4.6. The ten cover a
-# hit and every kind of miss but a crash. pn-heading never moves the vehicle
+# hit and every kind of miss but a crash, which `CRASH_RECORDS` below pins.
+# pn-heading never moves the vehicle
 # in either model (the target is first seen after handoff, with no closing
 # velocity), so its two traces are the same file.
 TRACE_SHA256 = {
@@ -47,6 +54,28 @@ def test_trial_trace_is_pinned(tmp_path, capsys, method, ideal):
     assert main(argv + ["--ideal-dynamics"] * ideal) == 0
     digest = hashlib.sha256((tmp_path / "trial_trace.csv").read_bytes()).hexdigest()
     assert digest == TRACE_SHA256[(method, ideal)]
+
+
+# `los-traj` on a figure-8 at 5 m/s, target fraction 0.5, trial seed 11, under
+# a 0.8 g crash limit held for 0.2 s: the trial crashes at 3.0 s, after
+# handoff, and with --ideal-dynamics at 0.2 s, before it. Each record is pinned
+# whole, every float with ==.
+CRASH_BOUNDS_CENTER = Vec3(15.61792462035327, 0.47587399389227253, 1.6934025664119248)
+CRASH_RECORDS = {
+    False: EngagementResult(False, FailureReason.CRASH, 1.0, 2.163410237962402, 3.0, CRASH_BOUNDS_CENTER,
+                            0.19071827482652579, 1.1814955685487265, seed=11),
+    True: EngagementResult(False, FailureReason.CRASH, -1.8, 19.766464052815767, 0.2, CRASH_BOUNDS_CENTER,
+                           0.0, 0.11639699310852078, seed=11),
+}
+
+
+@pytest.mark.parametrize("ideal", list(CRASH_RECORDS))
+def test_crash_record_is_pinned(ideal):
+    sim = SimConfig()
+    sim.rules = dataclasses.replace(sim.rules, crash_accel_g=0.8, crash_sustain=0.2)
+    cfg = ExperimentConfig(GuidanceMethod.LOS_TRAJ, 5.0, PathKind.FIGURE8, 0.5, ideal_dynamics=ideal)
+    record, _ = run_trial(cfg, 11, sim)
+    assert record == CRASH_RECORDS[ideal]
 
 
 def test_matrix_partial_sweep(tmp_path, capsys):

@@ -18,14 +18,16 @@ from pursuitsim.engagement import (
     camera_view,
     run_engagement,
 )
-from pursuitsim.geometry import Pose, Vec3, ZERO3, camera_to_world
+from pursuitsim.geometry import Vec3, ZERO3, camera_to_world
 from pursuitsim.guidance import GuidanceCommand, GuidanceMethod
 from pursuitsim.harness import ExperimentConfig, run_trial
 from pursuitsim.perception import estimate_depth
 from pursuitsim.targets import PathKind, StationaryPath, TargetState
+from pursuitsim.vehicle import at_rest, pose_of
 
 MOUNT_PITCH = 0.1
-POSE = Pose(Vec3(0.0, 0.0, 2.0), Vec3(3.0, 0.0, 0.0), 0.0, 0.05, 0.1)
+STATE = (0.0, 0.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.05, 0.1)  # the flat vehicle state
+POSE = pose_of(STATE)
 ON_AXIS = Vec3(0.0, 0.0, 1.0)
 
 
@@ -115,13 +117,13 @@ class TestTrajectoryGuide:
     def test_rejected_forecast_still_becomes_the_reference_fix(self, monkeypatch, cause):
         guide = make_guide(GuidanceMethod.FORECAST_TRAJ)
         guide.ray_f, guide.d_f = ON_AXIS, 10.0
-        guide.replan(0, 0.0, POSE, fresh=True)  # the first fix has nothing to pair with
+        guide.replan(0, 0.0, STATE, fresh=True)  # the first fix has nothing to pair with
         assert guide.track is None and guide.last_fix[:2] == (0.0, 10.0)
 
         if cause == "no-closing-velocity":
-            uav, guide.d_f = POSE._replace(velocity=ZERO3), 9.0
+            uav, guide.d_f = STATE[:3] + (0.0, 0.0, 0.0) + STATE[6:], 9.0
         else:  # 1 cm away at about 3 m/s
-            uav, guide.d_f = POSE, 0.01
+            uav, guide.d_f = STATE, 0.01
         guide.replan(20, 0.1, uav, fresh=True)
         assert guide.track is None and guide.last_fix[:2] == (0.1, guide.d_f)
 
@@ -134,22 +136,22 @@ class TestTrajectoryGuide:
 
         monkeypatch.setattr(engagement, "forecast_target", spy)
         rejected_d, guide.d_f = guide.d_f, 9.4
-        guide.replan(40, 0.2, POSE, fresh=True)
+        guide.replan(40, 0.2, STATE, fresh=True)
         assert guide.track is not None
         assert forecasts == [(0.1, rejected_d, 0.2, 9.4)]
 
     def test_plan_is_held_without_a_fresh_detection_but_the_mark_advances(self):
         guide = make_guide(GuidanceMethod.LOS_TRAJ)
         guide.ray_f, guide.n_f, guide.phi_f = ON_AXIS, Vec3(1.0, 0.0, 0.0), 0.2
-        guide.replan(0, 0.0, POSE, fresh=True)
+        guide.replan(0, 0.0, STATE, fresh=True)
         plan = guide.track.plan
         assert plan is not None and guide.mark == 0
-        guide.replan(20, 0.1, POSE, fresh=False)
+        guide.replan(20, 0.1, STATE, fresh=False)
         assert guide.track.plan is plan and guide.mark == 1
         # a detection later in the same replan period waits for the next one
-        guide.replan(21, 0.105, POSE, fresh=True)
+        guide.replan(21, 0.105, STATE, fresh=True)
         assert guide.track.plan is plan
-        guide.replan(40, 0.2, POSE, fresh=True)
+        guide.replan(40, 0.2, STATE, fresh=True)
         assert guide.track.plan is not plan and guide.mark == 2
 
 
@@ -170,17 +172,17 @@ class TestCrashRule:
 
     def test_non_finite_state_is_a_crash(self):
         monitor = HitMonitor(SimConfig().rules, ZERO3, 2.0)
-        pose = Pose(Vec3(float("nan"), 0.0, 0.0), ZERO3, 0.0, 0.0, 0.0)
-        result = monitor.crashed(0.005, pose, ZERO3, 0.005)
+        state = at_rest(Vec3(float("nan"), 0.0, 0.0))
+        result = monitor.crashed(0.005, state, at_rest(ZERO3), 0.005)
         assert (result.hit, result.failure_reason, result.end_time) == (False, FailureReason.CRASH, 0.005)
-        assert monitor.crashed(0.005, POSE, POSE.velocity, 0.005) is None
+        assert monitor.crashed(0.005, STATE, STATE, 0.005) is None
 
     def test_acceleration_is_the_step_from_the_velocity_before(self):
         sim = SimConfig()
         monitor = HitMonitor(dataclasses.replace(sim.rules, crash_sustain=0.0), ZERO3, 2.0)
         # 3 m/s in one 5 ms step is 600 m/s^2, over the default 10 g
-        assert monitor.crashed(0.005, POSE, POSE.velocity, 0.005) is None
-        result = monitor.crashed(0.005, POSE, ZERO3, 0.005)
+        assert monitor.crashed(0.005, STATE, STATE, 0.005) is None
+        result = monitor.crashed(0.005, STATE, at_rest(ZERO3), 0.005)
         assert (result.hit, result.failure_reason) == (False, FailureReason.CRASH)
 
 
@@ -193,7 +195,7 @@ points = st.builds(Vec3, coords, coords, coords)
 def test_monitor_surface_distance_is_the_trace_points(uav, target, radius):
     point = TracePoint(2.5, uav, target, radius, True)
     monitor = HitMonitor(SimConfig().rules, ZERO3, 2.0)
-    monitor.update(point)
+    monitor.update(2.5, *uav, *target, radius, True)
     assert monitor.min_miss == point.surface_dist
 
 

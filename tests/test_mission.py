@@ -36,7 +36,7 @@ from pursuitsim.mission import (
     validate_detection,
 )
 from pursuitsim.perception import Detection
-from pursuitsim.vehicle import at_rest
+from pursuitsim.vehicle import at_rest, pose_of
 
 
 SIM = SimConfig()
@@ -168,20 +168,20 @@ class TestTask1StateMachine:
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
         los = self.level_los(13.0, 2.0)  # within 5 deg of the 10 deg target, horiz ok
-        task1_step(state, los, at_rest(ZERO3), self.params(), 1.0)
+        task1_step(state, los, pose_of(at_rest(ZERO3)), self.params(), 1.0)
         assert state.mode == MissionMode.ATTACK
 
     def test_large_horizontal_angle_keeps_adjusting(self):
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
-        cmd = task1_step(state, self.level_los(10.0, 20.0), at_rest(ZERO3), self.params(), 1.0)
+        cmd = task1_step(state, self.level_los(10.0, 20.0), pose_of(at_rest(ZERO3)), self.params(), 1.0)
         assert state.mode == MissionMode.ADJUST
         assert cmd.yaw_rate > 0.0  # target to the left -> yaw left
 
     def test_descends_when_target_appears_too_low(self):
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
-        cmd = task1_step(state, self.level_los(0.0, 0.0), at_rest(ZERO3), self.params(), 1.0)
+        cmd = task1_step(state, self.level_los(0.0, 0.0), pose_of(at_rest(ZERO3)), self.params(), 1.0)
         assert cmd.velocity_world.z < 0.0
         assert cmd.velocity_world.x == 0.0 and cmd.velocity_world.y == 0.0
 
@@ -189,7 +189,7 @@ class TestTask1StateMachine:
         p = self.params()
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
-        task1_step(state, None, at_rest(ZERO3), p, p.adjust_timeout + 0.5)
+        task1_step(state, None, pose_of(at_rest(ZERO3)), p, p.adjust_timeout + 0.5)
         assert state.mode == MissionMode.RECOVER
 
     def test_attack_flies_the_los_then_times_out(self):
@@ -197,9 +197,9 @@ class TestTask1StateMachine:
         state = MissionState(mode=MissionMode.ATTACK, mode_entered=0.0)
         state.last_seen = 0.0
         state.last_los_world = Vec3(1.0, 0.0, 0.2).unit()
-        cmd = task1_step(state, None, at_rest(ZERO3), p, 0.5)
+        cmd = task1_step(state, None, pose_of(at_rest(ZERO3)), p, 0.5)
         assert abs(cmd.velocity_world.norm() - p.attack_speed) < 1e-9
-        task1_step(state, None, at_rest(ZERO3), p, p.hold_after_loss + 0.6)
+        task1_step(state, None, pose_of(at_rest(ZERO3)), p, p.hold_after_loss + 0.6)
         assert state.mode == MissionMode.RECOVER
 
 
@@ -208,7 +208,7 @@ class TestTask2StateMachine:
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
         los = Vec3(1.0, 0.2, 0.1).unit()
-        cmd = task2_step(state, los, at_rest(ZERO3), MissionParams(), 0.0)
+        cmd = task2_step(state, los, pose_of(at_rest(ZERO3)), MissionParams(), 0.0)
         assert abs(cmd.velocity_world.x) < 1e-12
         assert cmd.velocity_world.y > 0.0 and cmd.velocity_world.z > 0.0
 
@@ -216,16 +216,16 @@ class TestTask2StateMachine:
         p = MissionParams()
         state = MissionState(mode=MissionMode.ADJUST)
         state.last_seen = 0.0
-        task2_step(state, None, at_rest(ZERO3), p, 1.0)
+        task2_step(state, None, pose_of(at_rest(ZERO3)), p, 1.0)
         assert state.mode == MissionMode.WAIT
         # re-detection at 30 s resumes alignment, resetting the wait clock
-        task2_step(state, Vec3(1, 0, 0), at_rest(ZERO3), p, 30.0)
+        task2_step(state, Vec3(1, 0, 0), pose_of(at_rest(ZERO3)), p, 30.0)
         assert state.mode == MissionMode.ADJUST
 
     def test_wait_timeout_returns_to_global_plan(self):
         p = MissionParams()
         state = MissionState(mode=MissionMode.WAIT, mode_entered=0.0)
-        task2_step(state, None, at_rest(ZERO3), p, p.wait_timeout + 1.0)
+        task2_step(state, None, pose_of(at_rest(ZERO3)), p, p.wait_timeout + 1.0)
         assert state.mode == MissionMode.GLOBAL_PLAN
 
 
@@ -336,7 +336,7 @@ class TestBalloonTether:
     def test_resting_balloon_stays_on_its_anchor(self):
         anchor = Vec3(25.0, 3.0, 2.2)
         task = _task1([BalloonSpec(anchor=anchor)], [FaultSpec(kind="downdraft")])
-        state, uav = MissionState(), at_rest(Vec3(2.0, 2.0, 2.0))
+        state, uav = MissionState(), Vec3(2.0, 2.0, 2.0)
         for k in range(2000):
             task.after_step(k * 0.005, uav, state)
             b = task.balloons[0]
@@ -345,7 +345,7 @@ class TestBalloonTether:
     def test_kicked_balloon_position_follows_its_offset(self):
         anchor = Vec3(2.0, 2.8, 0.3)
         task = _task1([BalloonSpec(anchor=anchor)], [FaultSpec(kind="downdraft", impulse=2.0)])
-        state, over, away = MissionState(), at_rest(Vec3(2.0, 2.0, 1.4)), at_rest(Vec3(9.0, 2.0, 1.4))
+        state, over, away = MissionState(), Vec3(2.0, 2.0, 1.4), Vec3(9.0, 2.0, 1.4)
         for k in range(2000):
             task.after_step(k * 0.005, over if k == 0 else away, state)
             b = task.balloons[0]

@@ -178,6 +178,29 @@ class TestApi:
         assert (direct.position - via_arc.position).norm() < 1e-9
 
 
+class TestPositionAt:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        kind=st.sampled_from(list(PathKind)),
+        seed=st.integers(0, 2**63 - 1),
+        speed=st.just(0.0) | st.floats(0.1, 10.0),
+        t=st.floats(0.0, 60.0),
+    )
+    def test_is_the_sampled_position_bit_for_bit(self, kind, seed, speed, t):
+        """The judge's float accessor and `sample` give one position: a speed
+        of 0 builds a stationary path, and otherwise the kind's own path."""
+        path = build_path(spec(kind, speed=speed, seed=seed))
+        xyz = path.position_at(t)
+        assert xyz == path.sample(t).position
+        if isinstance(path, StationaryPath):
+            assert xyz == path.position
+        elif isinstance(path, StraightPath):
+            # the straight line's Vec3 expression, which position_at writes out
+            assert xyz == path.start + path.velocity(t).scale(t)
+        else:
+            assert isinstance(path, PeriodicCurvePath) and xyz == path.sample_arc(speed * t).position
+
+
 class TestSharedShape:
     @pytest.mark.parametrize("kind", [PathKind.FIGURE8, PathKind.KNOT])
     def test_builds_share_one_table(self, kind):

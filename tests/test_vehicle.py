@@ -1,24 +1,29 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pursuitsim.config import CameraConfig, SimConfig
 from pursuitsim.engagement import IdealPilot, Pilot
-from pursuitsim.geometry import Pose, Vec3, ZERO3, attitude_rotation, wrap_angle
+from pursuitsim.geometry import Pose, Vec3, ZERO3, attitude_rotation, rot_z, wrap_angle
 from pursuitsim.trajectory import Waypoint
 from pursuitsim.vehicle import (
     GRAVITY,
+    INTEGRATOR_LIMIT,
     POSITION_KP,
+    VELOCITY_KI,
+    VELOCITY_KP,
     AttitudeCommand,
     PoseController,
+    StepConstants,
     VectorPid,
     VehicleParams,
     VelocityController,
     at_rest,
     dynamics_step,
     ideal_dynamics_step,
+    pose_of,
 )
 
 
@@ -30,22 +35,31 @@ def hover_cmd(params: VehicleParams) -> AttitudeCommand:
     return AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
 
 
+def state_of(pose: Pose) -> tuple:
+    """The flat vehicle state that `pose_of` reads back as `pose`."""
+    return (*pose.position, *pose.velocity, pose.roll, pose.pitch, pose.yaw)
+
+
+def level_at(position: Vec3) -> Pose:
+    return pose_of(at_rest(position))
+
+
 class TestPoseController:
     def test_zero_error_zero_reference(self):
         ctl = PoseController()
-        state = at_rest(Vec3(1, 2, 3))
+        state = level_at(Vec3(1, 2, 3))
         v = ctl.step(Waypoint(Vec3(1, 2, 3), 0.0), ZERO3, state)
         assert v.norm() < 1e-12
 
     def test_pure_proportional(self):
         ctl = PoseController()
-        state = at_rest(ZERO3)
+        state = level_at(ZERO3)
         v = ctl.step(Waypoint(Vec3(1, 0, 0), 0.0), ZERO3, state)
         assert (v - Vec3(POSITION_KP, 0, 0)).norm() < 1e-12
 
     def test_feedforward_passthrough(self):
         ctl = PoseController()
-        state = at_rest(ZERO3)
+        state = level_at(ZERO3)
         v = ctl.step(Waypoint(ZERO3, 0.0), Vec3(0, 2.0, 0), state)
         assert v.y == 2.0
 
@@ -57,23 +71,23 @@ class TestPoseController:
         errors = [0.0, 1.0, 1.0, 0.6, -0.2, 0.1]
         integral = 0.0
         for e in errors:
-            got = pid.step(Vec3(e, 0.0, 0.0), dt)
+            got = pid.step(e, 0.0, 0.0, dt)
             integral += e * dt
             expected = kp * e + ki * integral
-            assert abs(got.x - expected) < 1e-12
+            assert abs(got[0] - expected) < 1e-12
 
     def test_integrator_clamp(self):
         pid = VectorPid(kp=0.0, ki=1.0, integrator_limit=0.5)
         for _ in range(100):
-            out = pid.step(Vec3(10.0, 0, 0), 0.1)
-        assert out.x <= 0.5 + 1e-12
+            out = pid.step(10.0, 0.0, 0.0, 0.1)
+        assert out[0] <= 0.5 + 1e-12
 
 
 class TestVelocityController:
     def test_hover_equilibrium(self):
         params = default_params()
         ctl = VelocityController(params)
-        state = at_rest(ZERO3)
+        state = level_at(ZERO3)
         cmd = ctl.step(ZERO3, ZERO3, 0.0, state, 0.02)
         assert cmd.roll == 0.0 and cmd.pitch == 0.0
         assert abs(cmd.thrust - params.hover_thrust) < 1e-9
@@ -81,7 +95,7 @@ class TestVelocityController:
     def test_forward_accel_pitches_forward(self):
         params = default_params()
         ctl = VelocityController(params)
-        state = at_rest(ZERO3)
+        state = level_at(ZERO3)
         cmd = ctl.step(ZERO3, Vec3(3.0, 0, 0), 0.0, state, 0.02)
         assert cmd.pitch < 0.0  # nose down to accelerate +x
         assert cmd.roll == 0.0
@@ -89,7 +103,7 @@ class TestVelocityController:
     def test_tilt_clamp_preserves_vertical_balance(self):
         params = default_params()
         ctl = VelocityController(params)
-        state = at_rest(ZERO3)
+        state = level_at(ZERO3)
         # huge lateral demand: tilt saturates at the limit, thrust keeps the
         # vertical channel balanced (analytic clamped-tilt model)
         cmd = ctl.step(ZERO3, Vec3(50.0, 0, 0), 0.0, state, 0.02)
@@ -99,8 +113,35 @@ class TestVelocityController:
 
     def test_yaw_rate_passthrough(self):
         ctl = VelocityController(default_params())
-        cmd = ctl.step(ZERO3, ZERO3, 0.7, at_rest(ZERO3), 0.02)
+        cmd = ctl.step(ZERO3, ZERO3, 0.7, level_at(ZERO3), 0.02)
         assert cmd.yaw_rate == 0.7
+
+    @settings(max_examples=200, deadline=None)
+    @given(*(st.floats(-30.0, 30.0),) * 9, st.floats(-math.pi, math.pi))
+    def test_step_matches_the_vector_formula(self, rx, ry, rz, fx, fy, fz, vx, vy, vz, yaw):
+        """Two ticks on floats equal, bit for bit, the loop written with
+        `Vec3`, a per-axis integral and `rot_z(yaw).apply_inverse`."""
+        params = default_params()
+        ctl = VelocityController(params)
+        v_ref, a_ff = Vec3(rx, ry, rz), Vec3(fx, fy, fz)
+        pose = Pose(ZERO3, Vec3(vx, vy, vz), 0.1, -0.2, yaw)
+        dt = 0.02
+        integral = [0.0, 0.0, 0.0]
+        lim = INTEGRATOR_LIMIT
+        s_lim = math.sin(math.radians(params.tilt_limit_deg))
+        for _ in range(2):
+            error = v_ref - pose.velocity
+            for i in range(3):
+                integral[i] = min(lim, max(-lim, integral[i] + error[i] * dt))
+            a_des = Vec3(*(VELOCITY_KP * error[i] + VELOCITY_KI * integral[i] for i in range(3))) + a_ff
+            a_total = Vec3(a_des.x, a_des.y, a_des.z + GRAVITY)
+            ax, ay, _ = rot_z(pose.yaw).apply_inverse(a_total)
+            az = max(a_total.z, 0.5)
+            mag = math.sqrt(ax * ax + ay * ay + az * az)
+            roll = -math.asin(min(s_lim, max(-s_lim, ay / mag)))
+            pitch = -math.asin(min(s_lim, max(-s_lim, ax / (mag * math.cos(roll)))))
+            thrust = min(1.0, max(0.0, az / (math.cos(pitch) * math.cos(roll)) / (GRAVITY / params.hover_thrust)))
+            assert ctl.step(v_ref, a_ff, 0.3, pose, dt) == AttitudeCommand(roll, pitch, 0.3, thrust)
 
 
 class TestDynamics:
@@ -108,9 +149,10 @@ class TestDynamics:
         params = default_params()
         state = at_rest(Vec3(0, 0, 5.0))
         cmd = hover_cmd(params)
+        k = StepConstants.of(params, 0.005)
         for _ in range(2000):  # 10 s at 200 Hz
-            state = dynamics_step(state, cmd, 0.005, params)
-        assert (state.position - Vec3(0, 0, 5.0)).norm() < 1e-3
+            state = dynamics_step(state, cmd, k)
+        assert (pose_of(state).position - Vec3(0, 0, 5.0)).norm() < 1e-3
 
     def test_attitude_step_response_is_first_order(self):
         params = default_params()
@@ -119,32 +161,34 @@ class TestDynamics:
         cmd = AttitudeCommand(target, 0.0, 0.0, params.hover_thrust)
         dt = 0.005
         state = at_rest(ZERO3)
+        constants = StepConstants.of(params, dt)
         checkpoints = {round(k * tau / dt): k for k in (1, 2, 3)}
         step = 0
         while step <= max(checkpoints):
-            state = dynamics_step(state, cmd, dt, params)
+            state = dynamics_step(state, cmd, constants)
             step += 1
             if step in checkpoints:
                 k = checkpoints[step]
                 expected = target * (1.0 - math.exp(-k))
-                assert abs(state.roll - expected) / expected < 0.02
+                assert abs(pose_of(state).roll - expected) / expected < 0.02
 
     def test_zero_thrust_free_fall(self):
         params = VehicleParams(drag=0.0)
         state = at_rest(Vec3(0, 0, 50.0))
         cmd = AttitudeCommand(0.0, 0.0, 0.0, 0.0)
-        dt = 0.005
+        k = StepConstants.of(params, 0.005)
         for _ in range(200):  # 1 s
-            state = dynamics_step(state, cmd, dt, params)
-        assert abs(state.velocity.z + GRAVITY * 1.0) < 1e-9
+            state = dynamics_step(state, cmd, k)
+        assert abs(pose_of(state).velocity.z + GRAVITY * 1.0) < 1e-9
 
     def test_vertical_velocity_conserved_without_drag(self):
         params = VehicleParams(drag=0.0)
-        state = Pose(Vec3(0, 0, 5.0), Vec3(0, 0, 1.5), 0.0, 0.0, 0.0)
+        state = state_of(Pose(Vec3(0, 0, 5.0), Vec3(0, 0, 1.5), 0.0, 0.0, 0.0))
         cmd = hover_cmd(params)
+        k = StepConstants.of(params, 0.005)
         for _ in range(400):
-            state = dynamics_step(state, cmd, 0.005, params)
-        assert abs(state.velocity.z - 1.5) < 1e-9
+            state = dynamics_step(state, cmd, k)
+        assert abs(pose_of(state).velocity.z - 1.5) < 1e-9
 
     def test_yaw_rate_limit(self):
         params = default_params()
@@ -152,26 +196,26 @@ class TestDynamics:
         state = at_rest(ZERO3, yaw=3.14)
         cmd = AttitudeCommand(0.0, 0.0, 100.0, params.hover_thrust)
         dt = 0.005
-        after = dynamics_step(state, cmd, dt, params)
+        after = pose_of(dynamics_step(state, cmd, StepConstants.of(params, dt)))
         assert after.yaw < 0.0
-        step = abs(wrap_angle(after.yaw - state.yaw))
+        step = abs(wrap_angle(after.yaw - pose_of(state).yaw))
         assert 0.99 * params.max_yaw_rate * dt < step <= params.max_yaw_rate * dt + 1e-12
 
     def test_dt_bounds(self):
-        params = default_params()
         with pytest.raises(ValueError):
-            dynamics_step(at_rest(ZERO3), hover_cmd(params), 0.05, params)
+            StepConstants.of(default_params(), 0.05)
 
     def test_determinism(self):
         params = default_params()
         cmds = [
             AttitudeCommand(0.01 * i, -0.005 * i, 0.1, 0.55) for i in range(50)
         ]
+        k = StepConstants.of(params, 0.005)
         runs = []
         for _ in range(2):
             state = at_rest(ZERO3)
             for cmd in cmds:
-                state = dynamics_step(state, cmd, 0.005, params)
+                state = dynamics_step(state, cmd, k)
             runs.append(state)
         assert runs[0] == runs[1]
 
@@ -193,7 +237,8 @@ class TestDynamics:
         k = params.drag
         a = Vec3(t * rot.m02 - k * vx, t * rot.m12 - k * vy, t * rot.m22 - GRAVITY - k * vz)
         v = Vec3(vx + a.x * dt, vy + a.y * dt, vz + a.z * dt)
-        assert dynamics_step(pose, cmd, dt, params) == Pose(pose.position + v.scale(dt), v, r, p, y)
+        got = dynamics_step(state_of(pose), cmd, StepConstants.of(params, dt))
+        assert pose_of(got) == Pose(pose.position + v.scale(dt), v, r, p, y)
 
 
 HOVER = Waypoint(Vec3(0, 0, 5.0), 0.0)
@@ -207,15 +252,17 @@ class TestClosedLoop:
         vel_ctl = VelocityController(params)
         state = at_rest(HOVER.position + offset)
         dt = 1.0 / sim.rates.dynamics_hz
+        constants = StepConstants.of(params, dt)
         ctrl_every = sim.rates.dynamics_hz // sim.rates.control_hz
         att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
         n = int(seconds / dt)
         states = []
         for k in range(n):
             if k % ctrl_every == 0:
-                v_ref = pose_ctl.step(HOVER, ZERO3, state)
-                att = vel_ctl.step(v_ref, ZERO3, 0.0, state, ctrl_every * dt)
-            state = dynamics_step(state, att, dt, params)
+                pose = pose_of(state)
+                v_ref = pose_ctl.step(HOVER, ZERO3, pose)
+                att = vel_ctl.step(v_ref, ZERO3, 0.0, pose, ctrl_every * dt)
+            state = dynamics_step(state, att, constants)
             states.append(state)
         return states
 
@@ -225,19 +272,20 @@ class TestClosedLoop:
         vel_ctl = VelocityController(params)
         state = at_rest(Vec3(0, 0, 5.0))
         dt = 1.0 / sim.rates.dynamics_hz
+        constants = StepConstants.of(params, dt)
         ctrl_every = sim.rates.dynamics_hz // sim.rates.control_hz
         att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
         states = []
         for k in range(int(seconds / dt)):
             if k % ctrl_every == 0:
-                att = vel_ctl.step(target, ZERO3, 0.0, state, ctrl_every * dt)
-            state = dynamics_step(state, att, dt, params)
+                att = vel_ctl.step(target, ZERO3, 0.0, pose_of(state), ctrl_every * dt)
+            state = dynamics_step(state, att, constants)
             states.append(state)
         return states
 
     def test_hover_converges_within_three_seconds(self):
         state = self.hover_states(Vec3(1.0, 0.0, -0.5), 3.0)[-1]
-        err = (state.position - Vec3(0, 0, 5.0)).norm()
+        err = (pose_of(state).position - Vec3(0, 0, 5.0)).norm()
         assert err < 0.05
 
     def test_velocity_step_response(self):
@@ -245,7 +293,7 @@ class TestClosedLoop:
         reached = None
         peak = 0.0
         for k, state in enumerate(self.velocity_step_states(Vec3(2.0, 0, 0), 4.0)):
-            vx = state.velocity.x
+            vx = pose_of(state).velocity.x
             peak = max(peak, vx)
             if reached is None and abs(vx - 2.0) <= 0.2:
                 reached = (k + 1) * dt
@@ -253,13 +301,13 @@ class TestClosedLoop:
         assert peak <= 2.0 * 1.2
 
 
-def fly_pilot(pilot, state: Pose, n: int, setpoint) -> list[Pose]:
-    """`n` dynamics steps, giving `setpoint(pilot, state)` on each control tick."""
+def fly_pilot(pilot, state: tuple, n: int, setpoint) -> list[tuple]:
+    """`n` dynamics steps, giving `setpoint(pilot, pose)` on each control tick."""
     every = SimConfig().rates.control_every
     states = []
     for k in range(n):
         if k % every == 0:
-            setpoint(pilot, state)
+            setpoint(pilot, pose_of(state))
         state = pilot.fly(state)
         states.append(state)
     return states
@@ -285,7 +333,7 @@ class TestPilot:
         dt_ctrl = sim.rates.control_dt
         pilot = Pilot(sim)
         vel_ctl = VelocityController(sim.vehicle)
-        state = at_rest(ZERO3)
+        state = level_at(ZERO3)
         pilot.velocity(Vec3(1.0, 0.0, 0.0), 0.0, state)
         vel_ctl.step(Vec3(1.0, 0.0, 0.0), ZERO3, 0.0, state, dt_ctrl)
         a = Vec3(0.0, 2.0, 0.0)
@@ -297,7 +345,7 @@ class TestPilot:
 
     def test_accel_reference_clamped_at_v_limit(self):
         pilot = Pilot(SimConfig())
-        state = at_rest(ZERO3)
+        state = level_at(ZERO3)
         for _ in range(200):
             pilot.accel(Vec3(3.0, -4.0, 0.0), 0.0, 6.0, state)
             assert pilot.v_ref.norm() <= 6.0 + 1e-12
@@ -310,7 +358,7 @@ class TestIdealPilot:
         sim = SimConfig()
         max_accel = sim.guidance.max_accel
         pilot = IdealPilot(sim)
-        state = at_rest(ZERO3)
+        state = level_at(ZERO3)
         pilot.velocity(Vec3(100.0, 0.0, 0.0), 0.0, state)
         assert abs(pilot.a_world.norm() - max_accel) < 1e-12 and pilot.a_world.x > 0.0
         pilot.waypoint(Waypoint(Vec3(0.0, -100.0, 0.0), 0.0), ZERO3, state)
@@ -322,9 +370,9 @@ class TestIdealPilot:
     def test_fly_is_ideal_dynamics_step(self):
         sim = SimConfig()
         pilot = IdealPilot(sim)
-        state = Pose(Vec3(1, 2, 3), Vec3(0.5, 0, 0), 0.0, 0.0, 0.2)
+        state = state_of(Pose(Vec3(1, 2, 3), Vec3(0.5, 0, 0), 0.0, 0.0, 0.2))
         a = Vec3(30.0, 0.0, 0.0)  # accelerations pass through unclamped
-        pilot.accel(a, 0.4, 6.0, state)
+        pilot.accel(a, 0.4, 6.0, pose_of(state))
         assert pilot.fly(state) == ideal_dynamics_step(state, a, 0.4, sim.rates.dt, sim.vehicle)
 
 
@@ -335,8 +383,9 @@ class TestIdealDynamics:
         a = Vec3(1.0, 0.0, 0.0)
         for _ in range(200):
             state = ideal_dynamics_step(state, a, 0.0, 0.005, params)
-        assert abs(state.velocity.x - 1.0) < 1e-9
-        assert state.roll == 0.0 and state.pitch == 0.0
+        pose = pose_of(state)
+        assert abs(pose.velocity.x - 1.0) < 1e-9
+        assert pose.roll == 0.0 and pose.pitch == 0.0
 
 
 class TestMountPitch:
