@@ -40,7 +40,6 @@ from .guidance import (
     tpn_command,
 )
 from .perception import (
-    DepthEstimate,
     Detection,
     MovingAverageFilter,
     SegmentationImage,
@@ -190,25 +189,27 @@ class HitMonitor:
 @dataclass
 class PerceptionFrame:
     """One perception tick. A detected frame holds its tick's pixels until the
-    first read of `d_center` or `depth_valid` estimates its depth."""
+    first read of `d_center` or `depth_valid` estimates its range."""
 
     detected: bool
     detection: Optional[Detection] = None
     sample: Optional[LosSample] = None
-    _depth: Union[DepthEstimate, Callable[[], DepthEstimate]] = DepthEstimate.invalid()
+    _depth: Union[float, None, Callable[[], Optional[float]]] = None
 
-    def _estimate(self) -> DepthEstimate:
+    def _estimate(self) -> Optional[float]:
         if callable(self._depth):
             self._depth = self._depth()
         return self._depth
 
     @property
     def d_center(self) -> float:
-        return self._estimate().d_center
+        """The range to the target's center, 0.0 when the frame gives none."""
+        d = self._estimate()
+        return 0.0 if d is None else d
 
     @property
     def depth_valid(self) -> bool:
-        return self._estimate().valid
+        return self._estimate() is not None
 
 
 def camera_view(
@@ -283,8 +284,7 @@ class IdealPilot:
     VELOCITY_TAU = 0.3  # s, first-order tracking of a velocity setpoint
 
     def __init__(self, cfg: SimConfig):
-        self.params = cfg.vehicle
-        self.dt = cfg.rates.dt
+        self.step = StepConstants.of(cfg.vehicle, cfg.rates.dt)
         self.max_accel = cfg.guidance.max_accel
         self.a_world = ZERO3
         self.yaw_rate = 0.0
@@ -303,7 +303,7 @@ class IdealPilot:
         self.yaw_rate = yaw_rate
 
     def fly(self, uav: State) -> State:
-        return ideal_dynamics_step(uav, self.a_world, self.yaw_rate, self.dt, self.params)
+        return ideal_dynamics_step(uav, self.a_world, self.yaw_rate, self.step)
 
 
 @dataclass

@@ -230,9 +230,12 @@ def write_heatmaps(
     pairs = sorted({(cfg.method, cfg.path_kind) for cfg in results}, key=lambda p: (p[0].value, p[1].value))
     written = []
     for method, path_kind in pairs:
-        subset = {cfg: r for cfg, r in results.items() if cfg.method == method and cfg.path_kind == path_kind}
-        speeds = sorted({cfg.uav_speed for cfg in subset})
-        fractions = sorted({cfg.target_fraction for cfg in subset})
+        cells: dict[tuple[float, float], AggregateRow] = {}
+        for cfg, r in results.items():
+            if cfg.method == method and cfg.path_kind == path_kind:
+                cells.setdefault((cfg.uav_speed, cfg.target_fraction), aggregate(r))
+        speeds = sorted({s for s, _ in cells})
+        fractions = sorted({f for _, f in cells})
         name = f"heatmap_{method.value.replace('-', '_')}_{path_kind.value}.csv"
         fpath = os.path.join(out_dir, name)
         with open(fpath, "w", newline="", encoding="utf-8") as fh:
@@ -244,14 +247,11 @@ def write_heatmaps(
             w.writerow(header)
             for frac in fractions:
                 row: list[str] = [f"{frac:g}"]
-                aggs = []
-                for s in speeds:
-                    cfg = next(c for c in subset if c.uav_speed == s and c.target_fraction == frac)
-                    aggs.append(aggregate(subset[cfg]))
-                row += [_fmt(a.hit_rate) for a in aggs]
-                # missing durations (no hits) stay empty, matching the plots
-                row += [_fmt(a.mean_pursuit_duration) if a.mean_pursuit_duration is not None else "" for a in aggs]
-                row += [str(int(a.unstable)) for a in aggs]
+                aggs = [cells.get((s, frac)) for s in speeds]
+                # a cell the matrix did not run, and a duration with no hits, stay empty
+                row += [_fmt(a.hit_rate) if a else "" for a in aggs]
+                row += [_fmt(a.mean_pursuit_duration) if a and a.mean_pursuit_duration is not None else "" for a in aggs]
+                row += [str(int(a.unstable)) if a else "" for a in aggs]
                 w.writerow(row)
         written.append(fpath)
     return written

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -24,35 +24,16 @@ from .geometry import CameraIntrinsics, Vec3, pixel_to_los
 class SegmentationImage:
     """Binary image of one frame, stored as the sub-mask of a window (u0, v0,
     u1, v1), end-exclusive, that holds every set pixel. `render_sphere` uses
-    the padded box of the silhouette's image conic; a hand-built image
-    passes the full-frame mask and no window, and its window is the frame."""
+    the padded box of the silhouette's image conic; a full frame's window is
+    (0, 0, width, height)."""
 
-    width: int
-    height: int
     window_mask: np.ndarray  # bool, shape (v1 - v0, u1 - u0)
-    window: Optional[tuple[int, int, int, int]] = None
-    _coords: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, init=False, repr=False)
+    window: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        self.window = self.window or (0, 0, self.width, self.height)
         u0, v0, u1, v1 = self.window
         if self.window_mask.shape != (v1 - v0, u1 - u0):
             raise ValueError("mask shape must be the window's (height, width)")
-
-    @property
-    def mask(self) -> np.ndarray:
-        """The full (height, width) frame, built on demand."""
-        u0, v0, u1, v1 = self.window
-        full = np.zeros((self.height, self.width), dtype=bool)
-        full[v0:v1, u0:u1] = self.window_mask
-        return full
-
-    def pixel_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Set-pixel coordinates (us, vs) from one window scan, shared: read only."""
-        if self._coords is None:
-            vs, us = np.nonzero(self.window_mask)
-            self._coords = (us + self.window[0], vs + self.window[1])
-        return self._coords
 
 
 @dataclass(frozen=True)
@@ -60,16 +41,6 @@ class Detection:
     centroid: tuple[float, float]
     pixel_count: int
     bbox: tuple[int, int, int, int]  # min_u, min_v, max_u, max_v (inclusive)
-
-
-@dataclass(frozen=True)
-class DepthEstimate:
-    d_center: float   # range to target center, meters
-    valid: bool
-
-    @staticmethod
-    def invalid() -> "DepthEstimate":
-        return DepthEstimate(0.0, False)
 
 
 _WINDOW_PAD = 2  # px around the conic's bounding box, against rounding
@@ -88,12 +59,6 @@ def _camera_rays(k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarra
     x, y = ray_x[np.newaxis, :], ray_y[:, np.newaxis]
     root = np.sqrt(x * x + y * y + 1.0)
     return ray_x, ray_y, root
-
-
-@functools.cache
-def _pixel_index(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """The column and row numbers of a width x height frame."""
-    return np.arange(width), np.arange(height)
 
 
 def _row_window(c: Vec3, beta: float, k: CameraIntrinsics) -> tuple[int, int, int, int]:
@@ -158,21 +123,21 @@ def render_sphere(center_cam: Vec3, radius: float, k: CameraIntrinsics) -> Segme
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if center_cam.z <= 0.0:
-        return SegmentationImage(k.width, k.height, _NO_PIXELS, _EMPTY_WINDOW)
+        return SegmentationImage(_NO_PIXELS, _EMPTY_WINDOW)
     dist = center_cam.norm()
     if dist <= radius:
         # camera inside the target: everything is target
-        return SegmentationImage(k.width, k.height, np.ones((k.height, k.width), dtype=bool))
+        return SegmentationImage(np.ones((k.height, k.width), dtype=bool), (0, 0, k.width, k.height))
 
     beta = math.asin(radius / dist)
     u0, v0, u1, v1 = _silhouette_window(center_cam, beta, k)
     if u0 >= u1 or v0 >= v1:
-        return SegmentationImage(k.width, k.height, _NO_PIXELS, _EMPTY_WINDOW)
+        return SegmentationImage(_NO_PIXELS, _EMPTY_WINDOW)
 
     ray_x, ray_y, root = _camera_rays(k)
     # cos(angle) >= cos(beta), with ray z == 1
     lhs = ray_x[u0:u1] * center_cam.x + ray_y[v0:v1, np.newaxis] * center_cam.y + center_cam.z
-    return SegmentationImage(k.width, k.height, lhs >= math.cos(beta) * dist * root[v0:v1, u0:u1], (u0, v0, u1, v1))
+    return SegmentationImage(lhs >= math.cos(beta) * dist * root[v0:v1, u0:u1], (u0, v0, u1, v1))
 
 
 def centroid(seg: SegmentationImage) -> Optional[Detection]:
@@ -184,9 +149,8 @@ def centroid(seg: SegmentationImage) -> Optional[Detection]:
         return None
     cols = seg.window_mask.sum(axis=0)
     u0, v0, u1, v1 = seg.window
-    u_index, v_index = _pixel_index(seg.width, seg.height)
-    cx = float(cols @ u_index[u0:u1]) / m00
-    cy = float(rows @ v_index[v0:v1]) / m00
+    cx = float(cols @ np.arange(u0, u1)) / m00
+    cy = float(rows @ np.arange(v0, v1)) / m00
     us, vs = np.flatnonzero(cols), np.flatnonzero(rows)
     bbox = (u0 + int(us[0]), v0 + int(vs[0]), u0 + int(us[-1]), v0 + int(vs[-1]))
     return Detection(centroid=(cx, cy), pixel_count=m00, bbox=bbox)
@@ -206,7 +170,7 @@ def estimate_depth(
     det: Detection,
     k: CameraIntrinsics,
     target_diameter: float,
-) -> DepthEstimate:
+) -> Optional[float]:
     """Range from the angle subtended along the line through the principal point.
 
     The segmented pixels are rotated so the centroid-through-center line is
@@ -216,8 +180,8 @@ def estimate_depth(
 
         d = (w/2) / sin(alpha/2) - w/2
 
-    measured to the nearest point of the target; the estimate holds d + w/2,
-    the range to its center. The extent is taken from the
+    measured to the nearest point of the target; the result is d + w/2, the
+    range to its center, or None when the blob gives none. The extent is taken from the
     zeroth and second image moments of the blob (semi-extent = sqrt(count/pi)
     scaled by the fourth root of the axis variance ratio, the exact relation
     for a filled ellipse) rather than from the raw min/max pixel coordinates:
@@ -225,10 +189,10 @@ def estimate_depth(
     which at small blob sizes breaks the 3% range-accuracy budget.
     """
     if det.pixel_count < MIN_DEPTH_BLOB_PIXELS:
-        return DepthEstimate.invalid()
-    us, vs = seg.pixel_coords()
-    cu = us.astype(np.float64) - k.cx
-    cv = vs.astype(np.float64) - k.cy
+        return None
+    vs, us = np.nonzero(seg.window_mask)
+    cu = (us + seg.window[0]).astype(np.float64) - k.cx
+    cv = (vs + seg.window[1]).astype(np.float64) - k.cy
 
     dx = det.centroid[0] - k.cx
     dy = det.centroid[1] - k.cy
@@ -257,11 +221,11 @@ def estimate_depth(
     cos_a = ray_l.dot(ray_r) / (ray_l.norm() * ray_r.norm())
     alpha = math.acos(min(1.0, max(-1.0, cos_a)))
     if alpha <= 0.0 or alpha >= math.pi:
-        return DepthEstimate.invalid()
+        return None
     d = depth_from_subtended_angle(alpha, target_diameter)
     if d <= 0.0:
-        return DepthEstimate.invalid()
-    return DepthEstimate(d_center=d + target_diameter / 2.0, valid=True)
+        return None
+    return d + target_diameter / 2.0
 
 
 class MovingAverageFilter:

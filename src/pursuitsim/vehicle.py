@@ -35,8 +35,7 @@ def pose_of(s: State) -> Pose:
     return Pose(Vec3(s[0], s[1], s[2]), Vec3(s[3], s[4], s[5]), s[6], s[7], s[8])
 
 
-@dataclass(frozen=True)
-class AttitudeCommand:
+class AttitudeCommand(NamedTuple):
     roll: float
     pitch: float
     yaw_rate: float
@@ -143,14 +142,14 @@ class VelocityController:
         pitch = -math.asin(min(s_lim, max(-s_lim, ax / (mag * cos_roll))))
         thrust_accel = az / (math.cos(pitch) * cos_roll)
         thrust = min(1.0, max(0.0, thrust_accel / self.thrust_scale))
-        return AttitudeCommand(roll=roll, pitch=pitch, yaw_rate=yaw_rate, thrust=thrust)
+        return AttitudeCommand(roll, pitch, yaw_rate, thrust)
 
 
 MAX_DYNAMICS_DT = 0.02
 
 
 class StepConstants(NamedTuple):
-    """What `dynamics_step` reads of the config, computed once per vehicle
+    """What the step functions read of the config, computed once per vehicle
     and step size by `of`."""
 
     dt: float
@@ -187,14 +186,10 @@ def dynamics_step(s: State, cmd: AttitudeCommand, k: StepConstants) -> State:
     return (px + vx * dt, py + vy * dt, pz + vz * dt, vx, vy, vz, roll, pitch, yaw)
 
 
-def ideal_dynamics_step(
-    s: State, accel_world: Vec3, yaw_rate: float, dt: float, params: VehicleParams
-) -> State:
+def ideal_dynamics_step(s: State, accel_world: Vec3, yaw_rate: float, k: StepConstants) -> State:
     """Perfect acceleration tracking: the double-integrator limit used to
     check guidance-law properties without controller/attitude lag."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    rate_lim = params.max_yaw_rate
+    dt, rate_lim = k.dt, k.max_yaw_rate
     yaw_rate = min(rate_lim, max(-rate_lim, yaw_rate))
     yaw = wrap_angle(s[8] + yaw_rate * dt)
     ax, ay, az = accel_world

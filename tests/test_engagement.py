@@ -79,10 +79,10 @@ class TestPerceptionPerMethod:
         see(guide, frame)
         seg, det = camera_view(target, POSE, MOUNT_PITCH, pipeline.k)
         direct = estimate_depth(seg, det, pipeline.k, 1.0)
-        assert frame.detected and direct.valid
-        assert (frame.d_center, frame.depth_valid) == (direct.d_center, direct.valid)
+        assert frame.detected and direct is not None
+        assert (frame.d_center, frame.depth_valid) == (direct, True)
         if method == GuidanceMethod.FORECAST_TRAJ:
-            assert guide.d_f == direct.d_center
+            assert guide.d_f == direct
 
     def test_undetected_frame_has_no_depth(self):
         pipeline = PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0)

@@ -305,6 +305,22 @@ class TestMatrix:
         assert len(grid) == 3  # header + two fractions
         assert (out / "matrix_meta.json").exists()
 
+    def test_heatmap_of_a_partial_grid_leaves_missing_cells_empty(self, tmp_path):
+        # two diagonal cells of a 2 x 2 grid: the two that did not run stay empty
+        def one_trial(hit):
+            return [EngagementResult(hit, None if hit else FailureReason.TIMEOUT, 4.0, 1.0, 6.0, TARGET, seed=0)]
+
+        results = {
+            ExperimentConfig(GuidanceMethod.TPN, 2.0, PathKind.STRAIGHT, 0.25, trials=1): one_trial(True),
+            ExperimentConfig(GuidanceMethod.TPN, 4.0, PathKind.STRAIGHT, 0.75, trials=1): one_trial(False),
+        }
+        write_matrix_outputs(results, str(tmp_path), 5)
+        assert (tmp_path / "heatmap_tpn_straight.csv").read_text().splitlines() == [
+            "target_fraction,hit_2,hit_4,dur_2,dur_4,unstable_2,unstable_4",
+            "0.25,1.000000,,4.000000,,0,",
+            "0.75,,0.000000,,,,0",
+        ]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         configs = self.small_configs(trials=2)
         for name in ("a", "b"):

@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pursuitsim"
 ALLOWED_UNREAD = {
     ("PerceptionFrame", "detection"): "perfbench/tracer.py reads a detected frame's blob size and box",
     ("EngagementResult", "bounds_center"): "the replay input of harness.classify_hit",
-    ("SegmentationImage", "mask"): "the full frame that the PGM pins in the tests hash",
 }
 
 

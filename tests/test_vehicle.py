@@ -373,7 +373,7 @@ class TestIdealPilot:
         state = state_of(Pose(Vec3(1, 2, 3), Vec3(0.5, 0, 0), 0.0, 0.0, 0.2))
         a = Vec3(30.0, 0.0, 0.0)  # accelerations pass through unclamped
         pilot.accel(a, 0.4, 6.0, pose_of(state))
-        assert pilot.fly(state) == ideal_dynamics_step(state, a, 0.4, sim.rates.dt, sim.vehicle)
+        assert pilot.fly(state) == ideal_dynamics_step(state, a, 0.4, StepConstants.of(sim.vehicle, sim.rates.dt))
 
 
 class TestIdealDynamics:
@@ -381,8 +381,9 @@ class TestIdealDynamics:
         params = default_params()
         state = at_rest(ZERO3)
         a = Vec3(1.0, 0.0, 0.0)
+        k = StepConstants.of(params, 0.005)
         for _ in range(200):
-            state = ideal_dynamics_step(state, a, 0.0, 0.005, params)
+            state = ideal_dynamics_step(state, a, 0.0, k)
         pose = pose_of(state)
         assert abs(pose.velocity.x - 1.0) < 1e-9
         assert pose.roll == 0.0 and pose.pitch == 0.0
