@@ -2,12 +2,14 @@
 
 Every settable parameter lives in exactly one dataclass with its default;
 the guidance and vehicle sections are the runtime parameter types
-themselves. Fixed values (the cascade's gains, the path shapes, the ideal
-model's time constant) are module constants next to the code that reads
-them, not keys here. `from_dict` builds any of these dataclasses, and the
-mission scenario, from parsed JSON by the field annotations: unknown keys
-and wrongly typed values are rejected at any depth, and the result is
-validated before a run can start.
+themselves. Fixed values (the camera `geometry.CAMERA`, the cascade's gains,
+the path shapes, the ideal model's time constant, the planner's
+`trajectory.HORIZON`, `WAYPOINT_DT`, `REPLAN_HZ` and `LOOKAHEAD_BUFFER`, and
+the smoothing window `engagement.FILTER_WINDOW`) are module constants next
+to the code that reads them, not keys here. `from_dict` builds any of these
+dataclasses, and the mission scenario, from parsed JSON by the field
+annotations: unknown keys and wrongly typed values are rejected at any
+depth, and the result is validated before a run can start.
 """
 
 from __future__ import annotations
@@ -19,53 +21,9 @@ import types
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Union, get_args, get_origin, get_type_hints
 
-from .geometry import CameraIntrinsics, Vec3
+from .geometry import Vec3
 from .guidance import GuidanceParams
-from .vehicle import GRAVITY, MAX_DYNAMICS_DT, VehicleParams
-
-
-@dataclass
-class CameraConfig:
-    width: int = 680
-    height: int = 480
-    hfov_deg: float = 105.0
-
-    def validate(self) -> None:
-        if not 0.0 < self.hfov_deg < 180.0:
-            raise ValueError("camera.hfov_deg must be in (0, 180)")
-        self.intrinsics().validate()
-
-    def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics.from_hfov(math.radians(self.hfov_deg), self.width, self.height)
-
-    def mount_pitch(self, speed: float, vehicle: VehicleParams) -> float:
-        """Camera mount tilt up, rad, for a UAV cruising at `speed`: the one
-        canceling the steady-state nose-down pitch at that speed, so a level
-        target stays near the image center."""
-        return math.atan2(vehicle.drag * speed, GRAVITY)
-
-
-@dataclass
-class PerceptionConfig:
-    filter_window: int = 5       # flat moving-average length, frames
-
-    def validate(self) -> None:
-        if self.filter_window < 1:
-            raise ValueError("perception.filter_window must be >= 1")
-
-
-@dataclass
-class TrajectoryConfig:
-    horizon: float = 2.0         # s, generated trajectory length
-    dt: float = 0.1              # s, waypoint discretization
-    replan_hz: float = 10.0
-    lookahead_buffer: float = 0.05  # s on top of one replan period
-
-    def validate(self) -> None:
-        if not (self.horizon > 0.0 and self.dt > 0.0 and self.replan_hz > 0.0):
-            raise ValueError("trajectory.horizon, trajectory.dt and trajectory.replan_hz must be positive")
-        if not self.lookahead_buffer >= 0.0:
-            raise ValueError("trajectory.lookahead_buffer must be >= 0")
+from .vehicle import MAX_DYNAMICS_DT, VehicleParams
 
 
 @dataclass
@@ -129,10 +87,7 @@ class RulesConfig:
 
 @dataclass
 class SimConfig:
-    camera: CameraConfig = field(default_factory=CameraConfig)
-    perception: PerceptionConfig = field(default_factory=PerceptionConfig)
     guidance: GuidanceParams = field(default_factory=GuidanceParams)
-    trajectory: TrajectoryConfig = field(default_factory=TrajectoryConfig)
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     rates: RatesConfig = field(default_factory=RatesConfig)
     rules: RulesConfig = field(default_factory=RulesConfig)
@@ -155,7 +110,7 @@ def from_dict(cls: type, data: Any) -> Any:
     return obj
 
 
-def _convert(tp: Any, value: Any, where: str, base: Any = None) -> Any:
+def _convert(tp: Any, value: Any, where: str) -> Any:
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, types.UnionType):  # Optional[X]
         inner = next(a for a in args if a is not type(None))
@@ -182,16 +137,12 @@ def _convert(tp: Any, value: Any, where: str, base: Any = None) -> Any:
     if not isinstance(value, dict):
         raise ValueError(f"{where}: expected an object, got {value!r}")
     hints = get_type_hints(tp)
-    fields = {f.name: f for f in dataclasses.fields(tp)}
+    fields = {f.name for f in dataclasses.fields(tp)}
     kwargs = {}
     for key, v in value.items():
         if key not in fields:
             raise ValueError(f"unknown config key {where}.{key}")
-        factory = fields[key].default_factory
-        default = None if factory is dataclasses.MISSING else factory()
-        kwargs[key] = _convert(hints[key], v, f"{where}.{key}", default)
-    if base is not None:
-        return dataclasses.replace(base, **kwargs)
+        kwargs[key] = _convert(hints[key], v, f"{where}.{key}")
     try:
         return tp(**kwargs)
     except TypeError as exc:  # a required key is missing

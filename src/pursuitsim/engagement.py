@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
-from .config import RulesConfig, SimConfig, TrajectoryConfig
+from .config import RulesConfig, SimConfig
 from .geometry import (
+    CAMERA,
     CameraIntrinsics,
     LosSample,
     Pose,
@@ -49,9 +50,11 @@ from .perception import (
 )
 from .targets import TargetPath, TargetState
 from .trajectory import (
+    HORIZON,
+    REPLAN_HZ,
+    WAYPOINT_DT,
     NoClosingVelocityError,
     Trajectory,
-    TrajectoryCursor,
     Waypoint,
     cursor_step,
     forecast_target,
@@ -314,24 +317,23 @@ class PlanTrack:
 
     plan: Trajectory
     start: float
-    tcfg: TrajectoryConfig
     index: int = 0
 
-    def cursor(self, t: float) -> TrajectoryCursor:
-        return cursor_step(self.plan, t - self.start, self.tcfg.replan_hz, self.tcfg.lookahead_buffer, self.index)
+    def cursor(self, t: float) -> tuple[int, int]:
+        """`(tracking_index, lookahead_index)` into `plan` at sim time `t`."""
+        return cursor_step(self.plan, t - self.start, self.index)
 
     def fly(self, t: float, uav: Pose, pilot: Union[Pilot, IdealPilot]) -> None:
         """Advance `index` to the tracking point at `t` and set it as the waypoint."""
-        cur = self.cursor(t)
-        self.index = cur.tracking_index
-        pilot.waypoint(cur.tracking_point, cur.tracking_velocity, uav)
+        self.index, _ = self.cursor(t)
+        pilot.waypoint(self.plan.waypoints[self.index], self.plan.velocity_at(self.index), uav)
 
 
 class PerceptionPipeline:
     """Camera view -> LOS ray and rate for one target; depth waits for a read."""
 
-    def __init__(self, cfg: SimConfig, mount_pitch: float, target_diameter: float):
-        self.k = cfg.camera.intrinsics()
+    def __init__(self, mount_pitch: float, target_diameter: float):
+        self.k = CAMERA
         self.mount_pitch = mount_pitch
         self.target_diameter = target_diameter
         self._prev: Optional[LosSample] = None  # of the last detected frame
@@ -382,9 +384,12 @@ class DirectGuide:
         pilot.accel(a_world, cmd.yaw_rate * scale, self.v_limit, uav)
 
 
+FILTER_WINDOW = 5  # frames in each flat moving average
+
+
 class TrajectoryGuide:
     """LOS-trajectory or forecast-trajectory: smooths the detected frames
-    from t = 0, replans a segment at `replan_hz` from the tracked plan's
+    from t = 0, replans a segment at `REPLAN_HZ` from the tracked plan's
     lookahead point and stitches it on, and tracks the plan's cursor.
 
     Without a fresh detection the plan is held. A forecast needs two fixes
@@ -393,16 +398,14 @@ class TrajectoryGuide:
     """
 
     def __init__(self, cfg: SimConfig, method: GuidanceMethod, mount_pitch: float):
-        self.tcfg = cfg.trajectory
         self.pn_gain = cfg.guidance.pn_gain
         self.dynamics_hz = cfg.rates.dynamics_hz
         self.mount_pitch = mount_pitch
         self.forecast = method == GuidanceMethod.FORECAST_TRAJ
-        window = cfg.perception.filter_window
-        self._f_ray = MovingAverageFilter(window)
-        self._f_phi = MovingAverageFilter(window)
-        self._f_n = MovingAverageFilter(window)
-        self._f_depth = MovingAverageFilter(window)
+        self._f_ray = MovingAverageFilter(FILTER_WINDOW)
+        self._f_phi = MovingAverageFilter(FILTER_WINDOW)
+        self._f_n = MovingAverageFilter(FILTER_WINDOW)
+        self._f_depth = MovingAverageFilter(FILTER_WINDOW)
         self.ray_f: Vec3 = ZERO3
         self.phi_f: float = 0.0
         self.n_f: Vec3 = ZERO3
@@ -421,7 +424,7 @@ class TrajectoryGuide:
             self.d_f = self._f_depth.step(frame.d_center)
 
     def replan(self, k: int, t: float, s: State, fresh: bool) -> None:
-        mark = int((k * self.tcfg.replan_hz) // self.dynamics_hz)
+        mark = int((k * REPLAN_HZ) // self.dynamics_hz)
         if mark == self.mark:
             return
         self.mark = mark
@@ -432,8 +435,8 @@ class TrajectoryGuide:
         if track is None:
             start, v0 = Waypoint(uav.position, uav.yaw), uav.velocity
         else:
-            cur = track.cursor(t)
-            start, v0 = cur.lookahead_point, track.plan.velocity_at(cur.lookahead_index)
+            _, look = track.cursor(t)
+            start, v0 = track.plan.waypoints[look], track.plan.velocity_at(look)
         # None only while no frame was seen, which a hold without limit allows
         los_world = None if self.ray_f == ZERO3 else camera_to_world(self.ray_f, uav, self.mount_pitch).unit()
         if self.forecast:
@@ -443,15 +446,15 @@ class TrajectoryGuide:
         if seg is None:
             return
         if track is None:
-            self.track = PlanTrack(seg, t, self.tcfg)
+            self.track = PlanTrack(seg, t)
         else:
-            track.plan = stitch(track.plan, seg, cur.lookahead_index)
+            track.plan = stitch(track.plan, seg, look)
 
     def _los_segment(self, start: Waypoint, v0: Vec3, los_world: Optional[Vec3], pose: Pose) -> Trajectory:
         v_c = 0.0 if los_world is None else max(0.0, closing_velocity(pose.velocity, los_world))
         a_cam = self.n_f.scale(self.pn_gain * v_c * self.phi_f)
         a_world = camera_to_world(a_cam, pose, self.mount_pitch)
-        return gen_los_accel_trajectory(start, v0, a_world, self.tcfg.horizon, self.tcfg.dt)
+        return gen_los_accel_trajectory(start, v0, a_world, HORIZON, WAYPOINT_DT)
 
     def _forecast(self, t: float, start: Waypoint, los_world: Vec3, uav: Pose) -> Optional[Trajectory]:
         if self.d_f <= 0.0:  # no range yet
@@ -464,10 +467,10 @@ class TrajectoryGuide:
             _, t_coll, p_rel = forecast_target(d0, self.d_f, los0, los_world, t0, t, uav.velocity)
         except NoClosingVelocityError:
             return None
-        if t_coll <= self.tcfg.dt:
+        if t_coll <= WAYPOINT_DT:
             return None
         # cap far-future collision times so segments stay bounded
-        return gen_forecast_trajectory(start, uav.position + p_rel, min(t_coll, 10.0), self.tcfg.dt)
+        return gen_forecast_trajectory(start, uav.position + p_rel, min(t_coll, 10.0), WAYPOINT_DT)
 
     def steer(self, t: float, uav: Pose, pilot: Union[Pilot, IdealPilot], scale: float) -> None:
         if self.track is None:
@@ -490,10 +493,10 @@ def run_engagement(
     cfg.validate()
     rules = cfg.rules
     gp = cfg.guidance
-    mount_pitch = cfg.camera.mount_pitch(uav_speed, cfg.vehicle)
+    mount_pitch = cfg.vehicle.mount_pitch(uav_speed)
 
     radius = path.radius
-    pipeline = PerceptionPipeline(cfg, mount_pitch, 2.0 * radius)
+    pipeline = PerceptionPipeline(mount_pitch, 2.0 * radius)
     pilot = IdealPilot(cfg) if ideal_dynamics else Pilot(cfg)
     if method.is_trajectory:
         guide: Union[DirectGuide, TrajectoryGuide] = TrajectoryGuide(cfg, method, mount_pitch)

@@ -27,9 +27,6 @@ class Vec3(NamedTuple):
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
     def scale(self, s: float) -> "Vec3":
         return Vec3(self.x * s, self.y * s, self.z * s)
 
@@ -133,11 +130,11 @@ class CameraIntrinsics(NamedTuple):
         fx = (width / 2.0) / math.tan(hfov_rad / 2.0)
         return CameraIntrinsics(fx, fx, width / 2.0, height / 2.0, width, height)
 
-    def validate(self) -> None:
-        if not (self.fx > 0.0 and self.fy > 0.0):
-            raise ValueError("focal lengths must be positive")
-        if not (0.0 < self.cx < self.width and 0.0 < self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
+
+# The vehicle's one monocular camera: the paper varies the method, the UAV
+# speed and the target path, never the camera.
+CAMERA_HFOV = math.radians(105.0)
+CAMERA = CameraIntrinsics.from_hfov(CAMERA_HFOV, 680, 480)
 
 
 class Pose(NamedTuple):

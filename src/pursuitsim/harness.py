@@ -173,10 +173,11 @@ def run_matrix(
     parallelism: int = 1,
 ) -> dict[ExperimentConfig, list[EngagementResult]]:
     """Run every configuration; deterministic regardless of parallelism.
-    A parallelism below 1, an invalid configuration, or two distinct ones
-    that would draw the same trial seeds, raise before any trial runs."""
+    A parallelism below 1, an invalid `sim` or configuration, or two distinct
+    ones that would draw the same trial seeds, raise before any trial runs."""
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    sim.validate()
     seen: dict[tuple[str, bool], ExperimentConfig] = {}
     for cfg in configs:
         cfg.validate()

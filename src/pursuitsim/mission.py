@@ -18,6 +18,7 @@ from typing import IO, Optional, Union
 
 from .config import SimConfig, from_dict
 from .geometry import (
+    CAMERA,
     Pose,
     Vec3,
     ZERO3,
@@ -434,10 +435,14 @@ class BallPath:
         )
         self.speed = spec.speed
 
-    def sample(self, t: float) -> TargetState:
+    def position_at(self, t: float) -> tuple[float, float, float]:
+        """The ball's coordinates at t, without building a `TargetState`."""
         speed = self.speed
         s = speed * t if t <= BALL_SLOW_AFTER else speed * BALL_SLOW_AFTER + BALL_SLOW_SPEED * (t - BALL_SLOW_AFTER)
-        return self._path.sample_arc(s)
+        return self._path.arc_position(s)
+
+    def sample(self, t: float) -> TargetState:
+        return TargetState(Vec3(*self.position_at(t)), self._path.radius)
 
 
 @dataclass
@@ -483,15 +488,15 @@ class BalloonTask:
         self.mission = mission
         self.params = sc.params
         self.dt = mission.sim.rates.dt
-        self.mount_pitch = mission.sim.camera.mount_pitch(sc.search_speed, mission.sim.vehicle)
+        self.mount_pitch = mission.sim.vehicle.mount_pitch(sc.search_speed)
         plan = lawnmower_plan(sc.arena, sc.sweep_width, sc.search_altitude, sc.search_speed, TASK1_START)
-        self.track = PlanTrack(plan, 0.0, mission.sim.trajectory)
+        self.track = PlanTrack(plan, 0.0)
         self.rejoin_index = 0  # first resumed-plan waypoint of the recovery plan
         self.balloons = [_Balloon(spec=b) for b in sc.balloons]
         self.downdraft = next((f for f in sc.faults if f.kind == "downdraft"), None)
         self.attack_saw_pop = False
 
-    def targets(self) -> list[TargetState]:
+    def targets(self, t: float) -> list[TargetState]:
         return [TargetState(b.position, b.spec.radius) for b in self.balloons if b.alive]
 
     def step(self, state: MissionState, seen: Optional[Vec3], uav: Pose, t: float) -> VelocityCommand:
@@ -541,7 +546,7 @@ class BalloonTask:
                 uav, state.pause_point or uav,
                 self.track.plan, state.pause_index, mission.sc.search_speed,
             )
-            self.track = PlanTrack(plan, t, mission.sim.trajectory)
+            self.track = PlanTrack(plan, t)
             mission.gimbal = None
 
 
@@ -553,22 +558,23 @@ class BallTask:
         sc = mission.sc
         self.mission = mission
         self.params = sc.params
-        self.mount_pitch = mission.sim.camera.mount_pitch(sc.square_speed, mission.sim.vehicle)
+        self.mount_pitch = mission.sim.vehicle.mount_pitch(sc.square_speed)
         plan = square_search_plan(sc.arena, sc.square_altitude, sc.square_speed, sc.square_side)
-        self.track = PlanTrack(plan, 0.0, mission.sim.trajectory)
+        self.track = PlanTrack(plan, 0.0)
         self.ball = BallPath(sc.ball)
-        self.ball_state = self.ball.sample(0.0)  # resampled after each step, read by the next frame
 
-    def targets(self) -> list[TargetState]:
-        return [self.ball_state]
+    def targets(self, t: float) -> list[TargetState]:
+        return [self.ball.sample(t)]
 
     def step(self, state: MissionState, seen: Optional[Vec3], uav: Pose, t: float) -> VelocityCommand:
         return task2_step(state, seen, uav, self.params, t)
 
     def after_step(self, t: float, uav: Vec3, state: MissionState) -> None:
         result = self.mission.result
-        self.ball_state = self.ball.sample(t)
-        d = (uav - self.ball_state.position).norm()
+        # (uav - ball).norm(), written out on floats
+        bx, by, bz = self.ball.position_at(t)
+        dx, dy, dz = uav.x - bx, uav.y - by, uav.z - bz
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
         result.min_ball_distance = min(result.min_ball_distance, d)
 
     def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Vec3) -> None:
@@ -589,7 +595,6 @@ class MissionSimulator:
         sim.validate()
         self.sc = scenario
         self.sim = sim
-        self.k_cam = sim.camera.intrinsics()
         # filled in as the mission runs
         self.result = MissionResult(events=[], pops=0, misses=0, command_log=[],
                                     min_ball_distance=math.inf, final_mode=MissionMode.GLOBAL_PLAN.value)
@@ -621,7 +626,7 @@ class MissionSimulator:
             if perception_due or control_due:
                 pose = pose_of(uav)
             if perception_due:
-                frame_queue.append((t, *self._observe(pose, task)))
+                frame_queue.append((t, *self._observe(t, pose, task)))
                 los_level, los_world, los_valid = None, None, False
                 while frame_queue and frame_queue[0][0] <= t - latency:
                     _, los_level, los_world, los_valid = frame_queue.pop(0)
@@ -664,9 +669,9 @@ class MissionSimulator:
         return self.result
 
     def _observe(
-        self, uav: Pose, task: Union[BalloonTask, BallTask]
+        self, t: float, uav: Pose, task: Union[BalloonTask, BallTask]
     ) -> tuple[Optional[Vec3], Optional[Vec3], bool]:
-        """Largest blob this frame -> (LOS level dir, LOS world unit, gate-valid).
+        """Largest blob in the frame at `t` -> (LOS level dir, LOS world unit, gate-valid).
 
         Every live target is rendered on its own; nothing carries over
         between frames or targets. The validity gate qualifies a detection
@@ -676,14 +681,14 @@ class MissionSimulator:
         bias_pitch = math.radians(gimbal.pitch_deg) if gimbal is not None else 0.0
         bias_yaw = math.radians(gimbal.yaw_deg) if gimbal is not None else 0.0
         best: Optional[Detection] = None
-        for target in task.targets():
-            _, det = camera_view(target, uav, task.mount_pitch, self.k_cam, bias_pitch, bias_yaw)
+        for target in task.targets(t):
+            _, det = camera_view(target, uav, task.mount_pitch, CAMERA, bias_pitch, bias_yaw)
             if det is not None and (best is None or det.pixel_count > best.pixel_count):
                 best = det
         if best is None:
             return None, None, False
-        valid = validate_detection(best, self.sc.gate, self.k_cam.width, self.k_cam.height, self.sc.task)
-        ray = pixel_to_los(best.centroid[0], best.centroid[1], self.k_cam)
+        valid = validate_detection(best, self.sc.gate, CAMERA.width, CAMERA.height, self.sc.task)
+        ray = pixel_to_los(best.centroid[0], best.centroid[1], CAMERA)
         los_world = camera_to_world(ray, uav, task.mount_pitch).unit()
         return rot_z(uav.yaw).apply_inverse(los_world), los_world, valid
 

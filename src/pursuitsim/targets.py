@@ -20,14 +20,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import IDENTITY_ROT, Rot3, Vec3, ZERO3, rotate_about_axis
+from .geometry import CAMERA_HFOV, IDENTITY_ROT, Rot3, Vec3, ZERO3, rotate_about_axis
 
 DEFAULT_TARGET_RADIUS = 0.5  # 1 m diameter sphere
 
 # Straight paths enter near one edge of the camera FOV and cross in front with
-# a random vertical slope. The half-angle is half the default 105 deg camera
-# hfov; it does not follow camera.hfov_deg.
-FOV_HALF_ANGLE = math.radians(52.5)
+# a random vertical slope.
+FOV_HALF_ANGLE = CAMERA_HFOV / 2.0
 START_RANGE = (12.0, 18.0)    # m
 EDGE_FRACTION = (0.70, 0.90)  # of FOV_HALF_ANGLE
 SLOPE_LIMIT = math.radians(15.0)
@@ -181,10 +180,6 @@ class PeriodicCurvePath(TargetPath):
         c = self._center
         return c.x + x, c.y + y, c.z + z
 
-    def sample_arc(self, s: float) -> TargetState:
-        """State at signed arc position s."""
-        return TargetState(Vec3(*self.arc_position(s)), self.radius)
-
     def velocity(self, t: float) -> Vec3:
         tan = self.shape.tangent(self._theta_at(self._speed * t))
         n = tan.norm()
@@ -298,7 +293,7 @@ def _build_curve(spec: TargetPathSpec, rng: random.Random) -> TargetPath:
     radius = DEFAULT_TARGET_RADIUS
     path = PeriodicCurvePath(matrix_shape(spec.kind), rotation, center, spec.speed, radius, phase, direction)
     if spec.speed == 0.0:
-        return StationaryPath(path.sample_arc(0.0).position, radius)
+        return StationaryPath(Vec3(*path.arc_position(0.0)), radius)
     return path
 
 

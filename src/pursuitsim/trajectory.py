@@ -13,6 +13,14 @@ from typing import Sequence
 
 from .geometry import Vec3, ZERO3
 
+# The planner's steps: a replan every 1/REPLAN_HZ generates HORIZON seconds
+# of waypoints WAYPOINT_DT apart, stitched on at the cursor's lookahead
+# point, 1/REPLAN_HZ + LOOKAHEAD_BUFFER ahead of the tracking point.
+HORIZON = 2.0            # s, generated trajectory length
+WAYPOINT_DT = 0.1        # s, waypoint discretization
+REPLAN_HZ = 10.0
+LOOKAHEAD_BUFFER = 0.05  # s on top of one replan period
+
 
 @dataclass(frozen=True)
 class Waypoint:
@@ -44,15 +52,6 @@ class Trajectory:
         dt = self.times[index + 1] - self.times[index]
         dp = self.waypoints[index + 1].position - self.waypoints[index].position
         return dp.scale(1.0 / dt)
-
-
-@dataclass(frozen=True)
-class TrajectoryCursor:
-    tracking_point: Waypoint
-    lookahead_point: Waypoint
-    tracking_index: int
-    lookahead_index: int
-    tracking_velocity: Vec3  # feedforward for the pose controller
 
 
 def _timeline(horizon: float, dt: float) -> list[float]:
@@ -143,39 +142,25 @@ def gen_forecast_trajectory(
     return Trajectory(times, waypoints)
 
 
-def cursor_step(
-    traj: Trajectory,
-    now: float,
-    f_replan: float,
-    buffer: float,
-    min_index: int = 0,
-) -> TrajectoryCursor:
-    """Tracking and lookahead points at trajectory time `now`.
+def cursor_step(traj: Trajectory, now: float, min_index: int = 0) -> tuple[int, int]:
+    """`(tracking_index, lookahead_index)` into `traj` at trajectory time `now`.
 
     The tracking point is the earliest waypoint not yet passed, selected by
     time progression (never by Euclidean proximity, which self-intersecting
     paths would capture); min_index keeps the cursor monotone across calls.
-    The lookahead point sits 1/f_replan + buffer later and is the point new
-    segments are stitched from, clamped to the trajectory end.
+    The lookahead point sits 1/REPLAN_HZ + LOOKAHEAD_BUFFER later and is the
+    point new segments are stitched from, clamped to the trajectory end.
     """
-    if f_replan <= 0.0:
-        raise ValueError("replan frequency must be positive")
-    lookahead_time = 1.0 / f_replan + buffer
-    n = len(traj.waypoints)
+    times = traj.times
+    last = len(times) - 1
     idx = min_index
-    while idx < n - 1 and traj.times[idx] < now:
+    while idx < last and times[idx] < now:
         idx += 1
-    target_time = traj.times[idx] + lookahead_time
+    target_time = times[idx] + (1.0 / REPLAN_HZ + LOOKAHEAD_BUFFER)
     look = idx
-    while look < n - 1 and traj.times[look] < target_time:
+    while look < last and times[look] < target_time:
         look += 1
-    return TrajectoryCursor(
-        tracking_point=traj.waypoints[idx],
-        lookahead_point=traj.waypoints[look],
-        tracking_index=idx,
-        lookahead_index=look,
-        tracking_velocity=traj.velocity_at(idx),
-    )
+    return idx, look
 
 
 STITCH_TOL = 1e-6  # m

@@ -68,6 +68,12 @@ class VehicleParams:
         """Mass-normalized thrust acceleration per unit of normalized thrust."""
         return GRAVITY / self.hover_thrust
 
+    def mount_pitch(self, speed: float) -> float:
+        """Camera mount tilt up, rad, for a UAV cruising at `speed`: the one
+        canceling the steady-state nose-down pitch at that speed, so a level
+        target stays near the image center."""
+        return math.atan2(self.drag * speed, GRAVITY)
+
     def validate(self) -> None:
         if not self.tau_attitude > 0.0:
             raise ValueError("vehicle.tau_attitude must be positive")

@@ -14,7 +14,7 @@ import pytest
 
 from pursuitsim.config import SimConfig
 from pursuitsim.engagement import FailureReason, TracePoint
-from pursuitsim.geometry import Vec3, ZERO3
+from pursuitsim.geometry import CAMERA, Vec3, ZERO3
 from pursuitsim.guidance import GuidanceMethod
 from pursuitsim.harness import (
     ExperimentConfig,
@@ -108,7 +108,7 @@ def test_criterion_2_los_nulling(pn_guarantee_runs):
 
 
 def test_criterion_3_monocular_depth_accuracy():
-    k = SIM.camera.intrinsics()
+    k = CAMERA
     diameter = 1.0
     rows = []
     worst = 0.0

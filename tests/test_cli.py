@@ -171,7 +171,7 @@ def test_dump_config_round_trip(tmp_path):
     path = tmp_path / "config.json"
     assert main(["dump-config", str(path)]) == 0
     cfg = load_config(str(path))
-    assert cfg.camera.width == 680
+    assert cfg.rates.dynamics_hz == 200
     assert cfg.guidance.pn_gain == 3.0
 
 

@@ -67,6 +67,9 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
         (load_config, {"rules": {"ideal_velocity_tau": 0.3}}),
         (load_config, {"vehicle": {"gains": {"position": {"kp": 1.2}}}}),
         (load_config, {"camera": {"mount_pitch_deg": 5.0}}),
+        (load_config, {"camera": {"hfov_deg": 90.0}}),
+        (load_config, {"perception": {"filter_window": 5}}),
+        (load_config, {"trajectory": {"horizon": 2.0}}),
     ],
     ids=["string-gain", "slow-dynamics", "zero-window", "flat-gain-key", "misspelt-key", "short-anchor",
          "zero-hover-thrust", "zero-attitude-lag", "zero-trajectory-dt", "zero-replan-rate", "zero-width",
@@ -78,7 +81,7 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
          "nan-pn-gain", "nan-max-accel", "nan-lookahead-buffer", "huge-integer", "negative-init-duration",
          "negative-dropout-hold", "negative-dropout-decay", "negative-drag", "negative-lookahead-buffer",
          "negative-max-yaw-rate", "zero-max-yaw-rate", "removed-ideal-velocity-tau", "removed-gains",
-         "removed-mount-pitch"],
+         "removed-mount-pitch", "removed-camera", "removed-perception", "removed-trajectory"],
 )
 def test_bad_file_rejected_at_load(tmp_path, loader, data):
     path = tmp_path / "bad.json"
@@ -107,12 +110,9 @@ def test_config_leaves_are_pinned():
                 yield prefix + key
 
     assert list(leaves(dataclasses.asdict(SimConfig()))) == [
-        "camera.width", "camera.height", "camera.hfov_deg",
-        "perception.filter_window",
         "guidance.pn_gain", "guidance.kp_yaw", "guidance.k_heading", "guidance.suppression",
         "guidance.init_duration", "guidance.max_accel", "guidance.max_yaw_rate",
         "guidance.dropout_hold", "guidance.dropout_decay",
-        "trajectory.horizon", "trajectory.dt", "trajectory.replan_hz", "trajectory.lookahead_buffer",
         "vehicle.tau_attitude", "vehicle.drag", "vehicle.tilt_limit_deg", "vehicle.hover_thrust",
         "vehicle.max_yaw_rate",
         "rates.dynamics_hz", "rates.control_hz", "rates.perception_hz",

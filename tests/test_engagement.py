@@ -72,7 +72,7 @@ class TestPerceptionPerMethod:
     def test_frame_depth_equals_direct_estimate(self, method):
         # whatever the method's guide reads of the frame, its depth is the
         # direct estimate, and the forecast guide's range filter starts there
-        pipeline = PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0)
+        pipeline = PerceptionPipeline(MOUNT_PITCH, 1.0)
         target = TargetState(Vec3(12.0, 1.5, 2.5), 0.5)
         frame = pipeline.observe(0.0, target, POSE)
         guide = make_guide(method)
@@ -85,7 +85,7 @@ class TestPerceptionPerMethod:
             assert guide.d_f == direct
 
     def test_undetected_frame_has_no_depth(self):
-        pipeline = PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0)
+        pipeline = PerceptionPipeline(MOUNT_PITCH, 1.0)
         frame = pipeline.observe(0.0, TargetState(Vec3(-12.0, 0.0, 2.0), 0.5), POSE)
         assert not frame.detected
         assert (frame.d_center, frame.depth_valid) == (0.0, False)
@@ -93,7 +93,7 @@ class TestPerceptionPerMethod:
 
 class TestDirectGuide:
     def test_frames_before_handoff_leave_the_command_at_zero(self):
-        frames = crossing_frames(PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0))
+        frames = crossing_frames(PerceptionPipeline(MOUNT_PITCH, 1.0))
         assert frames[1].sample.valid_rate and frames[1].sample.phi_dot != 0.0
         guide = make_guide(GuidanceMethod.TPN)
         for frame in frames:
@@ -105,7 +105,7 @@ class TestDirectGuide:
 
 class TestTrajectoryGuide:
     def test_smooths_frames_before_handoff(self):
-        frames = crossing_frames(PerceptionPipeline(SimConfig(), MOUNT_PITCH, 1.0))
+        frames = crossing_frames(PerceptionPipeline(MOUNT_PITCH, 1.0))
         guide = make_guide(GuidanceMethod.LOS_TRAJ)
         for frame in frames:
             see(guide, frame, pursuing=False)

@@ -188,12 +188,6 @@ class TestIntrinsics:
         edge = math.atan(k.cx / k.fx)
         assert abs(2 * math.degrees(edge) - 105.0) < 1e-9
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CameraIntrinsics(-1.0, 1.0, 10.0, 10.0, 100, 100).validate()
-        with pytest.raises(ValueError):
-            CameraIntrinsics(100.0, 100.0, 200.0, 10.0, 100, 100).validate()
-
 
 angles = st.floats(-math.pi, math.pi)
 vectors = st.builds(Vec3, *(st.floats(-50.0, 50.0),) * 3)

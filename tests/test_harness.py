@@ -383,6 +383,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):  # not a crash row per cell
             run_matrix([good, cfg], 1, SIM)
 
+    def test_invalid_sim_rejected_before_any_trial(self, monkeypatch):
+        # not one NaN crash row per trial
+        sim = SimConfig()
+        sim.rules = dataclasses.replace(sim.rules, hit_radius=-1.0)
+        ran = []
+        monkeypatch.setattr(harness, "_run_config", lambda job: ran.append(job[0]) or [])
+        cfg = ExperimentConfig(GuidanceMethod.TPN, 3.0, PathKind.STRAIGHT, 0.5, trials=3)
+        with pytest.raises(ValueError, match="rules.hit_radius"):
+            run_matrix([cfg], 0, sim)
+        assert ran == []
+
     def test_label(self):
         cfg = ExperimentConfig(GuidanceMethod.TPN, 3.0, PathKind.KNOT, 0.25)
         assert cfg.label() == "tpn/knot/uav3/frac0.25"

@@ -174,8 +174,8 @@ class TestApi:
         path = build_path(spec(PathKind.FIGURE8, speed=2.0, seed=5))
         assert isinstance(path, PeriodicCurvePath)
         direct = path.sample(1.3)
-        via_arc = path.sample_arc(2.0 * 1.3)
-        assert (direct.position - via_arc.position).norm() < 1e-9
+        via_arc = Vec3(*path.arc_position(2.0 * 1.3))
+        assert (direct.position - via_arc).norm() < 1e-9
 
 
 class TestPositionAt:
@@ -198,7 +198,7 @@ class TestPositionAt:
             # the straight line's Vec3 expression, which position_at writes out
             assert xyz == path.start + path.velocity(t).scale(t)
         else:
-            assert isinstance(path, PeriodicCurvePath) and xyz == path.sample_arc(speed * t).position
+            assert isinstance(path, PeriodicCurvePath) and xyz == path.arc_position(speed * t)
 
 
 class TestSharedShape:

@@ -150,27 +150,24 @@ class TestCursor:
         return Trajectory(times, wps)
 
     def test_fresh_trajectory_tracks_first_waypoint(self):
-        cur = cursor_step(self.traj(), 0.0, 10.0, 0.05)
-        assert cur.tracking_index == 0
-        assert cur.lookahead_index == 2  # 0.0 + 0.15 -> first waypoint at/after
+        # 0.0 + 1/REPLAN_HZ + LOOKAHEAD_BUFFER = 0.15 -> first waypoint at/after
+        assert cursor_step(self.traj(), 0.0) == (0, 2)
 
     def test_beyond_end_clamps_to_final(self):
-        cur = cursor_step(self.traj(), 99.0, 10.0, 0.05)
-        assert cur.tracking_index == len(self.traj()) - 1
-        assert cur.lookahead_index == cur.tracking_index
-        assert cur.tracking_point == cur.lookahead_point
+        last = len(self.traj()) - 1
+        assert cursor_step(self.traj(), 99.0) == (last, last)
 
     def test_monotone_under_min_index(self):
         t = self.traj()
-        cur = cursor_step(t, 0.35, 10.0, 0.05)
-        again = cursor_step(t, 0.05, 10.0, 0.05, min_index=cur.tracking_index)
-        assert again.tracking_index >= cur.tracking_index
+        idx, _ = cursor_step(t, 0.35)
+        again, _ = cursor_step(t, 0.05, min_index=idx)
+        assert again >= idx
 
     def test_lookahead_never_before_tracking(self):
         t = self.traj()
         for now in (0.0, 0.12, 0.31, 0.5, 1.0):
-            cur = cursor_step(t, now, 10.0, 0.05)
-            assert t.times[cur.lookahead_index] >= t.times[cur.tracking_index]
+            idx, look = cursor_step(t, now)
+            assert t.times[look] >= t.times[idx]
 
 
 class TestStitch:

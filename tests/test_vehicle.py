@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pursuitsim.config import CameraConfig, SimConfig
+from pursuitsim.config import SimConfig
 from pursuitsim.engagement import IdealPilot, Pilot
 from pursuitsim.geometry import Pose, Vec3, ZERO3, attitude_rotation, rot_z, wrap_angle
 from pursuitsim.trajectory import Waypoint
@@ -392,8 +392,7 @@ class TestIdealDynamics:
 class TestMountPitch:
     def test_compensates_steady_state_tilt(self):
         params = default_params()
-        mount_pitch = CameraConfig().mount_pitch
-        assert mount_pitch(0.0, params) == 0.0
-        m5 = mount_pitch(5.0, params)
+        assert params.mount_pitch(0.0) == 0.0
+        m5 = params.mount_pitch(5.0)
         assert abs(m5 - math.atan2(params.drag * 5.0, GRAVITY)) < 1e-12
-        assert m5 > mount_pitch(2.0, params) > 0.0
+        assert m5 > params.mount_pitch(2.0) > 0.0
