@@ -1,15 +1,17 @@
 """Configuration tree for the simulator, and the typed JSON loader.
 
-Every settable parameter lives in exactly one dataclass with its default;
-the guidance and vehicle sections are the runtime parameter types
-themselves. Fixed values (the camera `geometry.CAMERA`, the cascade's gains,
-the path shapes, the ideal model's time constant, the planner's
-`trajectory.HORIZON`, `WAYPOINT_DT`, `REPLAN_HZ` and `LOOKAHEAD_BUFFER`, and
-the smoothing window `engagement.FILTER_WINDOW`) are module constants next
-to the code that reads them, not keys here. `from_dict` builds any of these
-dataclasses, and the mission scenario, from parsed JSON by the field
-annotations: unknown keys and wrongly typed values are rejected at any
-depth, and the result is validated before a run can start.
+Every settable parameter lives in exactly one dataclass with its default,
+and `tests/test_config.py::test_every_leaf_is_live` proves that each one
+changes a trial's record; the guidance and vehicle sections are the runtime
+parameter types themselves. Fixed values (the camera `geometry.CAMERA`, the
+cascade's gains, the path shapes, the ideal model's time constant, the
+planner's `trajectory.HORIZON`, `WAYPOINT_DT`, `REPLAN_HZ` and
+`LOOKAHEAD_BUFFER`, and the smoothing window `engagement.FILTER_WINDOW`) are
+module constants next to the code that reads them, not keys here.
+`from_dict` builds any of these dataclasses, and the mission scenario, from
+parsed JSON by the field annotations: unknown keys and wrongly typed values
+are rejected at any depth, and the result is validated before a run can
+start.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ class RatesConfig:
             raise ValueError(f"rates.dynamics_hz must be >= {1.0 / MAX_DYNAMICS_DT:g}")
         if not (0 < self.control_hz <= self.dynamics_hz and 0 < self.perception_hz <= self.dynamics_hz):
             raise ValueError("rates.control_hz and rates.perception_hz must be in (0, dynamics_hz]")
+        if self.dynamics_hz % self.control_hz:
+            raise ValueError("rates.control_hz must divide rates.dynamics_hz")
 
     @property
     def dt(self) -> float:
@@ -46,7 +50,7 @@ class RatesConfig:
     @property
     def control_every(self) -> int:
         """Dynamics steps per control tick."""
-        return max(1, round(self.dynamics_hz / self.control_hz))
+        return self.dynamics_hz // self.control_hz
 
     @property
     def control_dt(self) -> float:

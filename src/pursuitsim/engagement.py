@@ -362,7 +362,7 @@ class DirectGuide:
         self.gp = cfg.guidance
         self.mount_pitch = mount_pitch
         self.v_limit = max(2.0 * uav_speed, 6.0)
-        self.command = GuidanceCommand.zero()
+        self.command = GuidanceCommand(ZERO3, 0.0)
 
     def see(self, frame: PerceptionFrame, los_world: Vec3, uav: Pose, pursuing: bool) -> None:
         if not pursuing:

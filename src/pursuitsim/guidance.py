@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import LosSample, Vec3, ZERO3, body_heading, camera_to_body
 
@@ -27,11 +28,6 @@ class GuidanceMethod(str, enum.Enum):
         return self in (GuidanceMethod.LOS_TRAJ, GuidanceMethod.FORECAST_TRAJ)
 
 
-class GuidanceMode(str, enum.Enum):
-    PN = "pn"
-    HEADING_CONTROL = "heading-control"
-
-
 @dataclass
 class GuidanceParams:
     pn_gain: float = 3.0            # N, dimensionless, must exceed 2
@@ -40,7 +36,6 @@ class GuidanceParams:
     suppression: float = 0.2        # hybrid cross-coupling factor
     init_duration: float = 2.0      # s of straight LOS velocity guidance
     max_accel: float = 8.0          # m/s^2 command clamp
-    max_yaw_rate: float = 1.5       # rad/s command clamp
     dropout_hold: float = 0.2       # s to hold the last command after losing sight
     dropout_decay: float = 0.2      # s of linear decay to zero after the hold
 
@@ -49,32 +44,21 @@ class GuidanceParams:
             raise ValueError("PN gain must be > 2")
         if not (0.0 < self.suppression <= 1.0):
             raise ValueError("suppression factor must be in (0, 1]")
-        if not (self.max_accel > 0.0 and self.max_yaw_rate > 0.0):
-            raise ValueError("command clamps must be positive")
+        if not self.max_accel > 0.0:
+            raise ValueError("guidance.max_accel must be positive")
         if not (self.init_duration >= 0.0 and self.dropout_hold >= 0.0 and self.dropout_decay >= 0.0):
             raise ValueError("guidance.init_duration, guidance.dropout_hold and guidance.dropout_decay must be >= 0")
 
 
-@dataclass(frozen=True)
-class GuidanceCommand:
+class GuidanceCommand(NamedTuple):
     accel_body: Vec3               # m/s^2, x forward / y left / z up
-    yaw_rate: float                # rad/s
-    mode: GuidanceMode
-
-    @staticmethod
-    def zero() -> "GuidanceCommand":
-        return GuidanceCommand(ZERO3, 0.0, GuidanceMode.PN)
+    yaw_rate: float                # rad/s, limited only by vehicle.max_yaw_rate
 
 
 def closing_velocity(uav_vel_world: Vec3, los_world_unit: Vec3) -> float:
     """Own-velocity component along the LOS; the pursuer cannot observe the
     target's velocity, so this is the monocular-consistent closing estimate."""
     return uav_vel_world.dot(los_world_unit)
-
-
-def _clamp_command(accel: Vec3, yaw_rate: float, p: GuidanceParams) -> tuple[Vec3, float]:
-    yaw_rate = min(p.max_yaw_rate, max(-p.max_yaw_rate, yaw_rate))
-    return accel.clamp_norm(p.max_accel), yaw_rate
 
 
 def los_accel(los: LosSample, v_closing: float, p: GuidanceParams, mount_pitch: float = 0.0) -> Vec3:
@@ -96,9 +80,7 @@ def tpn_command(
 ) -> GuidanceCommand:
     """True PN: the full lateral acceleration is flown via roll/thrust; yaw
     is left alone."""
-    accel = los_accel(los, v_closing, p, mount_pitch)
-    accel, yaw_rate = _clamp_command(accel, 0.0, p)
-    return GuidanceCommand(accel, yaw_rate, GuidanceMode.PN)
+    return GuidanceCommand(los_accel(los, v_closing, p, mount_pitch).clamp_norm(p.max_accel), 0.0)
 
 
 def pn_heading_command(
@@ -106,11 +88,9 @@ def pn_heading_command(
 ) -> GuidanceCommand:
     """PN on the forward/vertical axes; the lateral axis is flown by yawing
     toward the target."""
-    r_body = camera_to_body(los.r, mount_pitch)
-    heading = body_heading(r_body)
+    heading = body_heading(camera_to_body(los.r, mount_pitch))
     accel = Vec3(a_los_body.x, 0.0, a_los_body.z)
-    accel, yaw_rate = _clamp_command(accel, p.kp_yaw * heading, p)
-    return GuidanceCommand(accel, yaw_rate, GuidanceMode.HEADING_CONTROL)
+    return GuidanceCommand(accel.clamp_norm(p.max_accel), p.kp_yaw * heading)
 
 
 def hybrid_command(
@@ -119,18 +99,14 @@ def hybrid_command(
     """Blend of the two: full PN with a suppressed yaw trim while the target
     is near the image center, heading control with suppressed lateral
     acceleration once it drifts past k_heading."""
-    r_body = camera_to_body(los.r, mount_pitch)
-    heading = body_heading(r_body)
+    heading = body_heading(camera_to_body(los.r, mount_pitch))
     if abs(heading) < p.k_heading:
         accel = a_los_body
         yaw_rate = p.suppression * p.kp_yaw * heading
-        mode = GuidanceMode.PN
     else:
         accel = Vec3(a_los_body.x, p.suppression * a_los_body.y, 0.0)
         yaw_rate = p.kp_yaw * heading
-        mode = GuidanceMode.HEADING_CONTROL
-    accel, yaw_rate = _clamp_command(accel, yaw_rate, p)
-    return GuidanceCommand(accel, yaw_rate, mode)
+    return GuidanceCommand(accel.clamp_norm(p.max_accel), yaw_rate)
 
 
 def init_velocity(los_world_unit: Vec3, desired_speed: float) -> Vec3:

@@ -8,7 +8,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pursuitsim.config import RatesConfig, SimConfig, dump_config, from_dict, load_config
+from pursuitsim.engagement import FailureReason
+from pursuitsim.guidance import GuidanceMethod
+from pursuitsim.harness import ExperimentConfig, run_trial
 from pursuitsim.mission import Scenario, load_scenario
+from pursuitsim.targets import PathKind
 
 SCENARIO = {"task": 1, "balloons": [{"anchor": [25.0, 3.0, 2.2]}], "duration": 30.0}
 NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity, which json reads
@@ -70,6 +74,8 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
         (load_config, {"camera": {"hfov_deg": 90.0}}),
         (load_config, {"perception": {"filter_window": 5}}),
         (load_config, {"trajectory": {"horizon": 2.0}}),
+        (load_config, {"guidance": {"max_yaw_rate": 1.5}}),
+        (load_config, {"rates": {"control_hz": 60}}),
     ],
     ids=["string-gain", "slow-dynamics", "zero-window", "flat-gain-key", "misspelt-key", "short-anchor",
          "zero-hover-thrust", "zero-attitude-lag", "zero-trajectory-dt", "zero-replan-rate", "zero-width",
@@ -81,7 +87,8 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
          "nan-pn-gain", "nan-max-accel", "nan-lookahead-buffer", "huge-integer", "negative-init-duration",
          "negative-dropout-hold", "negative-dropout-decay", "negative-drag", "negative-lookahead-buffer",
          "negative-max-yaw-rate", "zero-max-yaw-rate", "removed-ideal-velocity-tau", "removed-gains",
-         "removed-mount-pitch", "removed-camera", "removed-perception", "removed-trajectory"],
+         "removed-mount-pitch", "removed-camera", "removed-perception", "removed-trajectory",
+         "removed-max-yaw-rate", "control-rate-not-a-divisor"],
 )
 def test_bad_file_rejected_at_load(tmp_path, loader, data):
     path = tmp_path / "bad.json"
@@ -100,6 +107,17 @@ def test_nested_override_keeps_field_defaults(tmp_path):
     assert cfg == dataclasses.replace(default, vehicle=cfg.vehicle)
 
 
+LEAVES = [
+    "guidance.pn_gain", "guidance.kp_yaw", "guidance.k_heading", "guidance.suppression",
+    "guidance.init_duration", "guidance.max_accel", "guidance.dropout_hold", "guidance.dropout_decay",
+    "vehicle.tau_attitude", "vehicle.drag", "vehicle.tilt_limit_deg", "vehicle.hover_thrust",
+    "vehicle.max_yaw_rate",
+    "rates.dynamics_hz", "rates.control_hz", "rates.perception_hz",
+    "rules.hit_radius", "rules.pursuit_timeout", "rules.bounds_x", "rules.bounds_y", "rules.bounds_z",
+    "rules.fov_loss_timeout", "rules.crash_accel_g", "rules.crash_sustain",
+]
+
+
 def test_config_leaves_are_pinned():
     # every settable key, as dump-config writes it: a new knob is a test edit
     def leaves(tree, prefix=""):
@@ -109,16 +127,69 @@ def test_config_leaves_are_pinned():
             else:
                 yield prefix + key
 
-    assert list(leaves(dataclasses.asdict(SimConfig()))) == [
-        "guidance.pn_gain", "guidance.kp_yaw", "guidance.k_heading", "guidance.suppression",
-        "guidance.init_duration", "guidance.max_accel", "guidance.max_yaw_rate",
-        "guidance.dropout_hold", "guidance.dropout_decay",
-        "vehicle.tau_attitude", "vehicle.drag", "vehicle.tilt_limit_deg", "vehicle.hover_thrust",
-        "vehicle.max_yaw_rate",
-        "rates.dynamics_hz", "rates.control_hz", "rates.perception_hz",
-        "rules.hit_radius", "rules.pursuit_timeout", "rules.bounds_x", "rules.bounds_y", "rules.bounds_z",
-        "rules.fov_loss_timeout", "rules.crash_accel_g", "rules.crash_sustain",
-    ]
+    assert list(leaves(dataclasses.asdict(SimConfig()))) == LEAVES
+
+
+# For each leaf, a trial that the leaf binds in: (method, path, ideal dynamics,
+# trial seed, rules it starts from), at 3 m/s and target fraction 0.5. The
+# crash leaves start from the crash-record limit (0.8 g for 0.2 s), bounds_y
+# from a 20 m box, and pursuit_timeout from a 4 s pursuit on a periodic path,
+# whose box anchor does not depend on the horizon.
+CRASH = {"crash_accel_g": 0.8, "crash_sustain": 0.2}
+LIVE = {
+    "guidance.pn_gain": ("tpn", "straight", False, 1000, {}),
+    "guidance.kp_yaw": ("pn-heading", "straight", False, 1000, {}),
+    "guidance.k_heading": ("hybrid", "straight", False, 1000, {}),
+    "guidance.suppression": ("hybrid", "straight", False, 1000, {}),
+    "guidance.init_duration": ("tpn", "straight", False, 1000, {}),
+    "guidance.max_accel": ("pn-heading", "straight", False, 1000, {}),
+    "guidance.dropout_hold": ("forecast-traj", "knot", True, 1001, {}),
+    "guidance.dropout_decay": ("pn-heading", "knot", False, 1002, {}),
+    "vehicle.tau_attitude": ("tpn", "straight", False, 1000, {}),
+    "vehicle.drag": ("tpn", "straight", False, 1000, {}),
+    "vehicle.tilt_limit_deg": ("tpn", "straight", False, 1000, {}),
+    "vehicle.hover_thrust": ("pn-heading", "straight", False, 1000, {}),
+    "vehicle.max_yaw_rate": ("forecast-traj", "straight", False, 1000, {}),
+    "rates.dynamics_hz": ("tpn", "straight", False, 1000, {}),
+    "rates.control_hz": ("tpn", "straight", False, 1000, {}),
+    "rates.perception_hz": ("tpn", "straight", False, 1000, {}),
+    "rules.hit_radius": ("tpn", "straight", False, 1000, {}),
+    "rules.pursuit_timeout": ("pn-heading", "knot", False, 1000, {"pursuit_timeout": 4.0}),
+    "rules.bounds_x": ("pn-heading", "straight", False, 1000, {}),
+    "rules.bounds_y": ("tpn", "straight", False, 1000, {"bounds_y": 20.0}),
+    "rules.bounds_z": ("forecast-traj", "straight", False, 1000, {}),
+    "rules.fov_loss_timeout": ("los-traj", "knot", True, 1000, {}),
+    "rules.crash_accel_g": ("tpn", "knot", False, 1000, CRASH),
+    "rules.crash_sustain": ("forecast-traj", "straight", False, 1000, CRASH),
+}
+# the integer rates move to 250, 40 and 25 Hz, which keep control_hz a divisor
+# of dynamics_hz; every other leaf is raised by 10%
+MOVED = {"rates.dynamics_hz": 250, "rates.control_hz": 40, "rates.perception_hz": 25}
+# a rules leaf's trial ends by the rule that the leaf sets
+ENDED_BY = {"hit_radius": None, "pursuit_timeout": FailureReason.TIMEOUT, "bounds_x": FailureReason.OUT_OF_BOUNDS,
+            "bounds_y": FailureReason.OUT_OF_BOUNDS, "bounds_z": FailureReason.OUT_OF_BOUNDS,
+            "fov_loss_timeout": FailureReason.FOV_LOSS, "crash_accel_g": FailureReason.CRASH,
+            "crash_sustain": FailureReason.CRASH}
+
+
+def test_every_leaf_is_live():
+    # a new leaf needs a row here, and each row's trial changes when its leaf moves
+    assert list(LIVE) == LEAVES
+    dead = []
+    for leaf, (method, path, ideal, seed, rules) in LIVE.items():
+        section, key = leaf.split(".")
+        base = SimConfig()
+        base.rules = dataclasses.replace(base.rules, **rules)
+        part = getattr(base, section)
+        moved = dataclasses.replace(
+            base, **{section: dataclasses.replace(part, **{key: MOVED.get(leaf, 1.1 * getattr(part, key))})})
+        cfg = ExperimentConfig(GuidanceMethod(method), 3.0, PathKind(path), 0.5, ideal_dynamics=ideal)
+        record, _ = run_trial(cfg, seed, base)
+        if section == "rules":
+            assert record.failure_reason == ENDED_BY[key], leaf
+        if run_trial(cfg, seed, moved)[0] == record:
+            dead.append(leaf)
+    assert dead == []
 
 
 def test_scenario_search_group_maps_onto_fields(tmp_path):
@@ -189,7 +260,8 @@ def test_dump_then_load_round_trips(cfg):
 @st.composite
 def _rates_and_duration(draw):
     dynamics = draw(st.integers(50, 1000))
-    rates = RatesConfig(dynamics, draw(st.integers(1, dynamics)), draw(st.integers(1, dynamics)))
+    control = draw(st.sampled_from([c for c in range(1, dynamics + 1) if dynamics % c == 0]))
+    rates = RatesConfig(dynamics, control, draw(st.integers(1, dynamics)))
     # step counts away from the half-step rounding boundary
     steps = draw(st.integers(0, 3000)) + draw(st.floats(-0.4, 0.4))
     return rates, max(0.0, steps) / dynamics
@@ -207,5 +279,5 @@ def test_ticks_schedule(case):
     perception = [k for k, _, due, _ in ticks if due]
     assert len(perception) == len(set(frames))
     assert perception == [k for k in range(len(ticks)) if k == 0 or frames[k] != frames[k - 1]]
-    every = round(rates.dynamics_hz / rates.control_hz)
+    every = rates.dynamics_hz // rates.control_hz
     assert [k for k, _, _, due in ticks if due] == list(range(0, len(ticks), every))

@@ -98,7 +98,7 @@ class TestDirectGuide:
         guide = make_guide(GuidanceMethod.TPN)
         for frame in frames:
             see(guide, frame, pursuing=False)
-        assert guide.command == GuidanceCommand.zero()
+        assert guide.command == GuidanceCommand(ZERO3, 0.0)
         see(guide, frames[1])
         assert guide.command.accel_body.norm() > 0.0
 

@@ -5,7 +5,6 @@ import pytest
 from pursuitsim.geometry import LosSample, Vec3, ZERO3, body_to_camera, los_rate
 from pursuitsim.guidance import (
     GuidanceMethod,
-    GuidanceMode,
     GuidanceParams,
     closing_velocity,
     dropout_scale,
@@ -99,7 +98,7 @@ class TestPnHeadingCommand:
         assert cmd.yaw_rate == 0.0
 
     def test_yaw_rate_proportional_to_heading(self):
-        p = params(kp_yaw=1.0, max_yaw_rate=10.0)
+        p = params(kp_yaw=1.0)
         # camera ray one focal length left: body heading pi/4
         cmd = pn_heading_command(sample(r=Vec3(-1.0, 0.0, 1.0)), ZERO3, p)
         assert abs(cmd.yaw_rate - math.pi / 4) < 1e-12
@@ -116,7 +115,6 @@ class TestHybridCommand:
         r = Vec3(-math.tan(heading), 0.0, 1.0)  # body heading +0.1
         a_body = Vec3(0.5, 1.0, -0.25)
         cmd = hybrid_command(sample(r=r), a_body, p)
-        assert cmd.mode == GuidanceMode.PN
         assert cmd.accel_body == a_body
         assert abs(cmd.yaw_rate - 0.2 * 1.0 * heading) < 1e-9
 
@@ -126,7 +124,6 @@ class TestHybridCommand:
         r = Vec3(-math.tan(heading), 0.0, 1.0)
         a_body = Vec3(0.5, 1.0, -0.25)
         cmd = hybrid_command(sample(r=r), a_body, p)
-        assert cmd.mode == GuidanceMode.HEADING_CONTROL
         assert cmd.accel_body.z == 0.0
         assert abs(cmd.accel_body.y - 0.2 * a_body.y) < 1e-12
         assert abs(cmd.yaw_rate - heading) < 1e-9
@@ -135,7 +132,9 @@ class TestHybridCommand:
         p = params(kp_yaw=1.0, k_heading=0.35)
         r = Vec3(-math.tan(0.35), 0.0, 1.0)
         cmd = hybrid_command(sample(r=r), Vec3(1, 1, 1), p)
-        assert cmd.mode == GuidanceMode.HEADING_CONTROL
+        # the heading branch: suppressed lateral, no vertical, full yaw gain
+        assert cmd.accel_body == Vec3(1.0, 0.2, 0.0)
+        assert abs(cmd.yaw_rate - 0.35) < 1e-9
 
     def test_pn_branch_accel_matches_tpn(self):
         # below the threshold the hybrid flies the full PN acceleration
@@ -153,7 +152,7 @@ class TestHybridCommand:
         a_body = los_accel(s, 2.5, p)
         pnh = pn_heading_command(s, a_body, p)
         hyb = hybrid_command(s, a_body, p)
-        assert hyb.mode == GuidanceMode.HEADING_CONTROL
+        assert hyb.yaw_rate == pnh.yaw_rate  # the heading branch's full yaw gain
         assert abs(hyb.accel_body.x - pnh.accel_body.x) < 1e-12
 
 
@@ -190,7 +189,6 @@ class TestInitAndDropout:
             hybrid_command(s, Vec3(1e9, 1e9, 1e9), p),
         ):
             assert cmd.accel_body.norm() <= p.max_accel + 1e-9
-            assert abs(cmd.yaw_rate) <= p.max_yaw_rate + 1e-12
 
 
 class TestParams:

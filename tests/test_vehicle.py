@@ -388,6 +388,16 @@ class TestIdealDynamics:
         assert abs(pose.velocity.x - 1.0) < 1e-9
         assert pose.roll == 0.0 and pose.pitch == 0.0
 
+    def test_yaw_rate_limit(self):
+        params = default_params()
+        # starts next to +pi, so the step wraps round to -pi
+        state = at_rest(ZERO3, yaw=3.14)
+        dt = 0.005
+        after = pose_of(ideal_dynamics_step(state, ZERO3, 100.0, StepConstants.of(params, dt)))
+        assert after.yaw < 0.0
+        step = abs(wrap_angle(after.yaw - pose_of(state).yaw))
+        assert 0.99 * params.max_yaw_rate * dt < step <= params.max_yaw_rate * dt + 1e-12
+
 
 class TestMountPitch:
     def test_compensates_steady_state_tilt(self):
