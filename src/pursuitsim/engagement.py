@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .config import RulesConfig, SimConfig
 from .geometry import (
@@ -22,9 +22,11 @@ from .geometry import (
     Pose,
     Vec3,
     ZERO3,
+    attitude_rotation,
     body_to_world,
     camera_to_world,
     los_rate,
+    mount_rotation,
     pixel_to_los,
     wrap_angle,
     world_point_to_camera,
@@ -47,6 +49,7 @@ from .perception import (
     centroid,
     estimate_depth,
     render_sphere,
+    render_window,
 )
 from .targets import TargetPath, TargetState
 from .trajectory import (
@@ -215,6 +218,11 @@ class PerceptionFrame:
         return self._estimate() is not None
 
 
+def _yaw_biased(p_cam: Vec3, cos_yaw: float, sin_yaw: float) -> Vec3:
+    """`p_cam` as a camera turned by a yaw fault sees it."""
+    return Vec3(cos_yaw * p_cam.x - sin_yaw * p_cam.z, p_cam.y, sin_yaw * p_cam.x + cos_yaw * p_cam.z)
+
+
 def camera_view(
     target: TargetState,
     pose: Pose,
@@ -230,10 +238,53 @@ def camera_view(
     """
     p_cam = world_point_to_camera(target.position, pose, mount_pitch + bias_pitch)
     if bias_yaw != 0.0:
-        cy, sy = math.cos(bias_yaw), math.sin(bias_yaw)
-        p_cam = Vec3(cy * p_cam.x - sy * p_cam.z, p_cam.y, sy * p_cam.x + cy * p_cam.z)
+        p_cam = _yaw_biased(p_cam, math.cos(bias_yaw), math.sin(bias_yaw))
     seg = render_sphere(p_cam, target.radius, k)
     return seg, centroid(seg)
+
+
+def largest_blob(
+    targets: Sequence[TargetState],
+    pose: Pose,
+    mount_pitch: float,
+    k: CameraIntrinsics,
+    bias_pitch: float = 0.0,
+    bias_yaw: float = 0.0,
+) -> Optional[Detection]:
+    """The detection with the most pixels among the targets' `camera_view`s,
+    the first target's on a tie; None when no target makes a blob.
+
+    A blob holds at most its `render_window`'s area in pixels. The targets
+    are rendered in descending order of that bound, and the search stops
+    once no bound left can beat the best blob (or tie it from an earlier
+    target); a target with an empty window is never rendered. Each target's
+    camera-frame point is `camera_view`'s, from one attitude and one mount
+    rotation per frame.
+    """
+    attitude = attitude_rotation(pose.roll, pose.pitch, pose.yaw)
+    mount = mount_rotation(mount_pitch + bias_pitch)
+    yaw = (math.cos(bias_yaw), math.sin(bias_yaw)) if bias_yaw != 0.0 else None
+    bounded = []  # (-area, index, camera-frame point, radius, window)
+    px, py, pz = pose.position
+    for i, target in enumerate(targets):
+        tx, ty, tz = target.position
+        p_cam = Vec3(*mount.apply_inverse_xyz(*attitude.apply_inverse_xyz(tx - px, ty - py, tz - pz)))
+        if yaw is not None:
+            p_cam = _yaw_biased(p_cam, *yaw)
+        u0, v0, u1, v1 = window = render_window(p_cam, target.radius, k)
+        if u0 < u1:
+            bounded.append((-(u1 - u0) * (v1 - v0), i, p_cam, target.radius, window))
+    bounded.sort()  # no two entries share an index, so the points are never compared
+    best: Optional[Detection] = None
+    best_i = -1
+    for neg_area, i, p_cam, radius, window in bounded:
+        # within one bound the indices ascend, and later bounds are smaller
+        if best is not None and (-neg_area, -i) < (best.pixel_count, -best_i):
+            break
+        det = centroid(render_sphere(p_cam, radius, k, window))
+        if det is not None and (best is None or (det.pixel_count, -i) > (best.pixel_count, -best_i)):
+            best, best_i = det, i
+    return best
 
 
 def _yaw_rate_toward(wp: Waypoint, uav: Pose) -> float:

@@ -90,11 +90,14 @@ class Rot3(NamedTuple):
         return m00 * x + m01 * y + m02 * z, m10 * x + m11 * y + m12 * z, m20 * x + m21 * y + m22 * z
 
     def apply_inverse(self, v: Vec3) -> Vec3:
-        # rotation inverse == transpose
-        return Vec3(
-            self.m00 * v.x + self.m10 * v.y + self.m20 * v.z,
-            self.m01 * v.x + self.m11 * v.y + self.m21 * v.z,
-            self.m02 * v.x + self.m12 * v.y + self.m22 * v.z,
+        return Vec3(*self.apply_inverse_xyz(*v))
+
+    def apply_inverse_xyz(self, x: float, y: float, z: float) -> tuple[float, float, float]:
+        """`apply_inverse` on plain floats; a rotation's inverse is its transpose."""
+        return (
+            self.m00 * x + self.m10 * y + self.m20 * z,
+            self.m01 * x + self.m11 * y + self.m21 * z,
+            self.m02 * x + self.m12 * y + self.m22 * z,
         )
 
 

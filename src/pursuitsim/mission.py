@@ -28,7 +28,7 @@ from .geometry import (
     rot_z,
 )
 from .perception import Detection
-from .engagement import Pilot, PlanTrack, camera_view
+from .engagement import Pilot, PlanTrack, largest_blob
 from .engagement import cursor_step, dynamics_step  # noqa: F401  unused; perfbench/tracer.py wraps them by name here
 from .targets import PeriodicCurvePath, TargetState, fig8_shape
 from .trajectory import Trajectory, Waypoint
@@ -504,6 +504,7 @@ class BalloonTask:
 
     def after_step(self, t: float, uav: Vec3, state: MissionState) -> None:
         """Balloon tethers, the downdraft fault and pops, with the UAV at `uav`."""
+        ux, uy, uz = uav
         for i, b in enumerate(self.balloons):
             if not b.alive:
                 continue
@@ -521,7 +522,10 @@ class BalloonTask:
                 b.offset_vel = b.offset_vel + acc.scale(self.dt)
                 b.offset = (b.offset + b.offset_vel.scale(self.dt)).clamp_norm(0.5)
                 b.position = b.spec.anchor + b.offset
-            if (uav - b.position).norm() <= self.params.pop_contact:
+            # (uav - b.position).norm(), written out on floats
+            bx, by, bz = b.position
+            dx, dy, dz = ux - bx, uy - by, uz - bz
+            if math.sqrt(dx * dx + dy * dy + dz * dz) <= self.params.pop_contact:
                 b.alive = False
                 self.mission.result.pops += 1
                 if state.mode == MissionMode.ATTACK:
@@ -673,18 +677,14 @@ class MissionSimulator:
     ) -> tuple[Optional[Vec3], Optional[Vec3], bool]:
         """Largest blob in the frame at `t` -> (LOS level dir, LOS world unit, gate-valid).
 
-        Every live target is rendered on its own; nothing carries over
-        between frames or targets. The validity gate qualifies a detection
-        for *registration*; once the terminal guidance owns the vehicle, raw
-        detections keep feeding it."""
+        `largest_blob` renders only the live targets whose blob could be
+        the largest; nothing carries over between frames. The validity gate
+        qualifies a detection for *registration*; once the terminal guidance
+        owns the vehicle, raw detections keep feeding it."""
         gimbal = self.gimbal
         bias_pitch = math.radians(gimbal.pitch_deg) if gimbal is not None else 0.0
         bias_yaw = math.radians(gimbal.yaw_deg) if gimbal is not None else 0.0
-        best: Optional[Detection] = None
-        for target in task.targets(t):
-            _, det = camera_view(target, uav, task.mount_pitch, CAMERA, bias_pitch, bias_yaw)
-            if det is not None and (best is None or det.pixel_count > best.pixel_count):
-                best = det
+        best = largest_blob(task.targets(t), uav, task.mount_pitch, CAMERA, bias_pitch, bias_yaw)
         if best is None:
             return None, None, False
         valid = validate_detection(best, self.sc.gate, CAMERA.width, CAMERA.height, self.sc.task)

@@ -112,32 +112,49 @@ def _silhouette_window(center_cam: Vec3, beta: float, k: CameraIntrinsics) -> tu
     return (u0, v0, u1, v1)
 
 
-def render_sphere(center_cam: Vec3, radius: float, k: CameraIntrinsics) -> SegmentationImage:
+def render_window(center_cam: Vec3, radius: float, k: CameraIntrinsics) -> tuple[int, int, int, int]:
+    """The window `render_sphere` evaluates and stores: empty for a sphere
+    behind the camera or off the frame, the full frame for a camera inside
+    it, else the silhouette's padded box. Every set pixel lies in it, so its
+    area bounds the blob's pixel count."""
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    if center_cam.z <= 0.0:
+        return _EMPTY_WINDOW
+    dist = center_cam.norm()
+    if dist <= radius:
+        return (0, 0, k.width, k.height)
+    u0, v0, u1, v1 = window = _silhouette_window(center_cam, math.asin(radius / dist), k)
+    return window if u0 < u1 and v0 < v1 else _EMPTY_WINDOW
+
+
+def render_sphere(
+    center_cam: Vec3,
+    radius: float,
+    k: CameraIntrinsics,
+    window: Optional[tuple[int, int, int, int]] = None,
+) -> SegmentationImage:
     """Binary silhouette of a sphere seen through a pinhole camera.
 
     A pixel is set iff the angle between its back-projected ray and the ray
     to the sphere center is at most asin(radius / range). Off-frame and
     behind-camera spheres yield an empty (or partial) mask. Only the
-    silhouette window's pixels are evaluated and stored.
+    `render_window` pixels are evaluated and stored; a caller that already
+    holds that window passes it in.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if center_cam.z <= 0.0:
+    u0, v0, u1, v1 = render_window(center_cam, radius, k) if window is None else window
+    if u0 >= u1:
         return SegmentationImage(_NO_PIXELS, _EMPTY_WINDOW)
     dist = center_cam.norm()
     if dist <= radius:
         # camera inside the target: everything is target
         return SegmentationImage(np.ones((k.height, k.width), dtype=bool), (0, 0, k.width, k.height))
 
-    beta = math.asin(radius / dist)
-    u0, v0, u1, v1 = _silhouette_window(center_cam, beta, k)
-    if u0 >= u1 or v0 >= v1:
-        return SegmentationImage(_NO_PIXELS, _EMPTY_WINDOW)
-
     ray_x, ray_y, root = _camera_rays(k)
     # cos(angle) >= cos(beta), with ray z == 1
     lhs = ray_x[u0:u1] * center_cam.x + ray_y[v0:v1, np.newaxis] * center_cam.y + center_cam.z
-    return SegmentationImage(lhs >= math.cos(beta) * dist * root[v0:v1, u0:u1], (u0, v0, u1, v1))
+    cos_beta = math.cos(math.asin(radius / dist))
+    return SegmentationImage(lhs >= cos_beta * dist * root[v0:v1, u0:u1], (u0, v0, u1, v1))
 
 
 def centroid(seg: SegmentationImage) -> Optional[Detection]:

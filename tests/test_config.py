@@ -230,8 +230,16 @@ def test_invalid_scenario_rejected_at_load(data, match):
         from_dict(Scenario, data)
 
 
+def _divisor_of(dynamics: int):
+    return st.sampled_from([c for c in range(1, dynamics + 1) if dynamics % c == 0])
+
+
 def _like(value):
-    """Strategy for config trees shaped like `value`, leaves near their defaults."""
+    """Strategy for config trees shaped like `value`, leaves near their defaults;
+    a control rate is a divisor of the drawn dynamics rate, as `validate` requires."""
+    if isinstance(value, RatesConfig):
+        return _like(value.dynamics_hz).flatmap(lambda dynamics: st.builds(
+            RatesConfig, st.just(dynamics), _divisor_of(dynamics), _like(value.perception_hz)))
     if dataclasses.is_dataclass(value):
         parts = {f.name: _like(getattr(value, f.name)) for f in dataclasses.fields(value)}
         return st.fixed_dictionaries(parts).map(lambda kw: type(value)(**kw))
@@ -260,7 +268,7 @@ def test_dump_then_load_round_trips(cfg):
 @st.composite
 def _rates_and_duration(draw):
     dynamics = draw(st.integers(50, 1000))
-    control = draw(st.sampled_from([c for c in range(1, dynamics + 1) if dynamics % c == 0]))
+    control = draw(_divisor_of(dynamics))
     rates = RatesConfig(dynamics, control, draw(st.integers(1, dynamics)))
     # step counts away from the half-step rounding boundary
     steps = draw(st.integers(0, 3000)) + draw(st.floats(-0.4, 0.4))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import sys
 
@@ -16,9 +17,10 @@ from pursuitsim.engagement import (
     TracePoint,
     TrajectoryGuide,
     camera_view,
+    largest_blob,
     run_engagement,
 )
-from pursuitsim.geometry import Vec3, ZERO3, camera_to_world
+from pursuitsim.geometry import CAMERA, CameraIntrinsics, Pose, Vec3, ZERO3, camera_to_world
 from pursuitsim.guidance import GuidanceCommand, GuidanceMethod
 from pursuitsim.harness import ExperimentConfig, run_trial
 from pursuitsim.perception import estimate_depth
@@ -89,6 +91,95 @@ class TestPerceptionPerMethod:
         frame = pipeline.observe(0.0, TargetState(Vec3(-12.0, 0.0, 2.0), 0.5), POSE)
         assert not frame.detected
         assert (frame.d_center, frame.depth_valid) == (0.0, False)
+
+
+def exhaustive_blob(targets, pose, mount_pitch, k, bias_pitch=0.0, bias_yaw=0.0):
+    """`camera_view` on every target, keeping the first with the most pixels."""
+    best = None
+    for target in targets:
+        _, det = camera_view(target, pose, mount_pitch, k, bias_pitch, bias_yaw)
+        if det is not None and (best is None or det.pixel_count > best.pixel_count):
+            best = det
+    return best
+
+
+SMALL_CAMERA = CameraIntrinsics.from_hfov(math.radians(90.0), 64, 48)
+LEVEL = Pose(Vec3(0.0, 0.0, 2.0), ZERO3, 0.0, 0.0, 0.0)  # camera along world +x at zero mount pitch
+_angles = st.floats(-0.6, 0.6)
+
+
+@st.composite
+def _frames(draw):
+    """A pose, a camera, up to six targets around the vehicle (some copies of
+    an earlier one, whose blobs tie) and the mount and fault angles."""
+    pose = Pose(Vec3(*draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3))), ZERO3,
+                draw(_angles), draw(_angles), draw(st.floats(-math.pi, math.pi)))
+    targets = []
+    for _ in range(draw(st.integers(0, 6))):
+        if targets and draw(st.booleans()):
+            targets.append(draw(st.sampled_from(targets)))
+            continue
+        offset = Vec3(*draw(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.floats(-4.0, 4.0))))
+        targets.append(TargetState(pose.position + offset, draw(st.floats(0.05, 1.5))))
+    bias = st.just(0.0) | st.floats(-0.7, 0.7)
+    k = draw(st.sampled_from([CAMERA, SMALL_CAMERA]))
+    return targets, pose, draw(_angles), k, draw(bias), draw(bias)
+
+
+class TestLargestBlob:
+    @settings(deadline=None)
+    @given(_frames())
+    def test_equals_the_exhaustive_search(self, frame):
+        assert largest_blob(*frame) == exhaustive_blob(*frame)
+
+    def test_mirrored_tie_goes_to_the_first_target(self):
+        # mirrored about the optical axis, the two blobs have the same pixel
+        # count; the left one's window is a column wider, so it renders first
+        right, left = TargetState(Vec3(3.0, -3.075, 2.0), 0.5), TargetState(Vec3(3.0, 3.075, 2.0), 0.5)
+        (seg_r, det_r), (seg_l, det_l) = (camera_view(t, LEVEL, 0.0, CAMERA) for t in (right, left))
+        assert det_r.pixel_count == det_l.pixel_count and det_r != det_l
+
+        def area(seg):
+            u0, v0, u1, v1 = seg.window
+            return (u1 - u0) * (v1 - v0)
+
+        assert area(seg_r) < area(seg_l)
+        for targets, first in (([right, left], det_r), ([left, right], det_l)):
+            assert largest_blob(targets, LEVEL, 0.0, CAMERA) == first
+            assert exhaustive_blob(targets, LEVEL, 0.0, CAMERA) == first
+
+    def test_behind_off_frame_and_outbid_targets_are_not_rendered(self, monkeypatch):
+        renders = []
+        real = engagement.render_sphere
+
+        def counted(*args):
+            renders.append(args[0])
+            return real(*args)
+
+        near, far = TargetState(Vec3(6.0, 0.0, 2.0), 0.5), TargetState(Vec3(20.0, 1.0, 2.0), 0.3)
+        behind, beside = TargetState(Vec3(-6.0, 0.0, 2.0), 0.5), TargetState(Vec3(1.0, 15.0, 2.0), 0.5)
+        targets = [behind, far, beside, near]
+        assert [camera_view(t, LEVEL, 0.0, CAMERA)[1] is None for t in targets] == [True, False, True, False]
+        expected = exhaustive_blob(targets, LEVEL, 0.0, CAMERA)
+        monkeypatch.setattr(engagement, "render_sphere", counted)
+        assert largest_blob(targets, LEVEL, 0.0, CAMERA) == expected
+        assert renders == [Vec3(0.0, 0.0, 6.0)]  # near's camera-frame centre
+
+    def test_camera_inside_a_target_sees_the_full_frame(self):
+        inside = TargetState(Vec3(0.2, 0.1, 2.0), 0.5)
+        ahead = TargetState(Vec3(1.5, 0.0, 2.0), 1.0)  # fills the frame from outside
+        for targets in ([ahead, inside], [inside, ahead], [TargetState(Vec3(8.0, 0.0, 2.0), 0.5), inside]):
+            det = largest_blob(targets, LEVEL, 0.0, CAMERA)
+            assert det == exhaustive_blob(targets, LEVEL, 0.0, CAMERA)
+            assert det.pixel_count == CAMERA.width * CAMERA.height
+
+    @pytest.mark.parametrize("bias_pitch", [0.0, 0.1])
+    def test_yaw_fault(self, bias_pitch):
+        targets = [TargetState(Vec3(9.0, y, 2.0), 0.5) for y in (-4.0, -1.0, 2.0, 5.0)]
+        bias_yaw = math.radians(30.0)
+        det = largest_blob(targets, LEVEL, 0.05, CAMERA, bias_pitch, bias_yaw)
+        assert det is not None and det != largest_blob(targets, LEVEL, 0.05, CAMERA, bias_pitch)
+        assert det == exhaustive_blob(targets, LEVEL, 0.05, CAMERA, bias_pitch, bias_yaw)
 
 
 class TestDirectGuide:

@@ -379,6 +379,21 @@ def _golden_scenarios():
             task=1, arena=Arena(), balloons=[BalloonSpec(anchor=Vec3(2.0, 2.8, 0.3)), balloon],
             faults=[FaultSpec(kind="downdraft", impulse=2.0)], duration=45.0,
         ),
+        # several balloons in one frame: one behind the take-off, one off the
+        # frame across the arena, the rest along the first legs
+        "task1_five": Scenario(
+            task=1, arena=Arena(),
+            balloons=[balloon, BalloonSpec(anchor=Vec3(1.0, 9.0, 2.0)), BalloonSpec(anchor=Vec3(30.0, 36.0, 1.8)),
+                      BalloonSpec(anchor=Vec3(45.0, 7.5, 2.4)), BalloonSpec(anchor=Vec3(12.0, 18.0, 2.0))],
+            duration=50.0,
+        ),
+        # the camera's pitch and yaw faults, with up to two blobs in a frame
+        "gimbal_four": Scenario(
+            task=1, arena=Arena(),
+            balloons=[balloon, BalloonSpec(anchor=Vec3(8.0, 6.0, 2.0)), BalloonSpec(anchor=Vec3(40.0, 30.0, 1.8)),
+                      BalloonSpec(anchor=Vec3(35.0, 4.5, 2.5))],
+            faults=[FaultSpec(kind="gimbal_offset", yaw_deg=30.0, pitch_deg=-4.0)], duration=60.0,
+        ),
         # criterion 8
         "task2": Scenario(
             task=2, arena=Arena(),
@@ -398,13 +413,15 @@ GOLDEN = {
     "latency": (0, 0, "adjust", "98196bde05681b1c97fd52559ea7e82f429623b9f9932e7adda9678b0ac9aaab"),
     "downdraft": (1, 0, "global_plan", "1dc7963b7c3965f04aac5aca71c02b9038de5b04a20d457cd26363755027e898"),
     "downdraft_kick": (2, 0, "global_plan", "f0bd0c879c2b3176f60b51a7e888cfd83f8a7154f3cd59e79a499dec7c913dd9"),
+    "task1_five": (2, 0, "global_plan", "bfdac1ff4d9a77272c2a57832938c3158a95bbaa0ae7db59b18afb06d775a302"),
+    "gimbal_four": (2, 1, "global_plan", "769b5889aaa98fdd58146e5d98e9355a2022249e433f9aac0f2374fd8f22e01f"),
     "task2": (0, 0, "adjust", "b36e0480836c07cdca6a354909d7d7585a53e79e7a908f8d34df9441fbe5f332"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_mission_output_is_pinned(name):
-    """Every output of six fixed missions, byte for byte."""
+    """Every output of eight fixed missions, byte for byte."""
     res = run_mission(_golden_scenarios()[name], SIM)
     buf = io.StringIO()
     res.write_events_jsonl(buf)
@@ -459,5 +476,7 @@ def test_perfbench_tracer_wraps_the_mission():
         spans.uninstall()
     assert any(ev.event == "registered" for ev in res.events)
     calls = spans.aggregates()["calls"]
-    for name in ("mission.run", "mission.frame", "mission.state_machine", "trajectory.cursor"):
+    # the renders and moments `largest_blob` makes count as the mission's
+    for name in ("mission.run", "mission.frame", "mission.state_machine", "trajectory.cursor",
+                 "perception.render", "perception.moments"):
         assert calls.get(name, 0) > 0, name
