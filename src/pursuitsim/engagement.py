@@ -70,13 +70,11 @@ from .vehicle import (
     YAW_KP,
     AttitudeCommand,
     PoseController,
-    State,
     StepConstants,
     VelocityController,
     at_rest,
     dynamics_step,
     ideal_dynamics_step,
-    pose_of,
 )
 
 
@@ -144,7 +142,7 @@ class HitMonitor:
         duration = t - self.handoff
         return EngagementResult(hit, reason, max(duration, 0.0) if hit else duration, self.min_miss, t, self.center)
 
-    def crashed(self, t: float, s: State, before: State, dt: float) -> Optional[EngagementResult]:
+    def crashed(self, t: float, s: Pose, before: Pose, dt: float) -> Optional[EngagementResult]:
         """A non-finite state `s`, or acceleration |v - v_before| / dt over the
         step from the state `before` above `crash_accel_g` held longer than
         `crash_sustain`."""
@@ -152,7 +150,7 @@ class HitMonitor:
         finite = math.isfinite
         if not (finite(px) and finite(py) and finite(pz) and finite(vx) and finite(vy) and finite(vz)):
             return self._result(False, FailureReason.CRASH, t)
-        ax, ay, az = vx - before[3], vy - before[4], vz - before[5]
+        ax, ay, az = vx - before.vx, vy - before.vy, vz - before.vz
         if math.sqrt(ax * ax + ay * ay + az * az) / dt > self.crash_limit:
             self.over_accel += dt
             if self.over_accel > self.rules.crash_sustain:
@@ -265,7 +263,7 @@ def largest_blob(
     mount = mount_rotation(mount_pitch + bias_pitch)
     yaw = (math.cos(bias_yaw), math.sin(bias_yaw)) if bias_yaw != 0.0 else None
     bounded = []  # (-area, index, camera-frame point, radius, window)
-    px, py, pz = pose.position
+    px, py, pz = pose.px, pose.py, pose.pz
     for i, target in enumerate(targets):
         tx, ty, tz = target.position
         p_cam = Vec3(*mount.apply_inverse_xyz(*attitude.apply_inverse_xyz(tx - px, ty - py, tz - pz)))
@@ -324,7 +322,7 @@ class Pilot:
         self.v_ref = (self.v_ref + a_world.scale(self.dt_ctrl)).clamp_norm(v_limit)
         self.cmd = self.vel_ctl.step(self.v_ref, a_world, yaw_rate, uav, self.dt_ctrl)
 
-    def fly(self, uav: State) -> State:
+    def fly(self, uav: Pose) -> Pose:
         return dynamics_step(uav, self.cmd, self.step)
 
 
@@ -356,7 +354,7 @@ class IdealPilot:
         self.a_world = a_world
         self.yaw_rate = yaw_rate
 
-    def fly(self, uav: State) -> State:
+    def fly(self, uav: Pose) -> Pose:
         return ideal_dynamics_step(uav, self.a_world, self.yaw_rate, self.step)
 
 
@@ -426,7 +424,7 @@ class DirectGuide:
             law = pn_heading_command if self.method == GuidanceMethod.PN_HEADING else hybrid_command
             self.command = law(los, los_accel(los, v_c, gp, mp), gp, mp)
 
-    def replan(self, k: int, t: float, s: State, fresh: bool) -> None:
+    def replan(self, k: int, t: float, uav: Pose, fresh: bool) -> None:
         pass
 
     def steer(self, t: float, uav: Pose, pilot: Union[Pilot, IdealPilot], scale: float) -> None:
@@ -474,14 +472,13 @@ class TrajectoryGuide:
         if self.forecast and frame.depth_valid:
             self.d_f = self._f_depth.step(frame.d_center)
 
-    def replan(self, k: int, t: float, s: State, fresh: bool) -> None:
+    def replan(self, k: int, t: float, uav: Pose, fresh: bool) -> None:
         mark = int((k * REPLAN_HZ) // self.dynamics_hz)
         if mark == self.mark:
             return
         self.mark = mark
         if not fresh:
             return
-        uav = pose_of(s)
         track = self.track
         if track is None:
             start, v0 = Waypoint(uav.position, uav.yaw), uav.velocity
@@ -574,15 +571,12 @@ def run_engagement(
     phi_last = 0.0
     trace: Optional[list[TracePoint]] = [] if record_trace else None
 
-    # `uav` is the flat vehicle state; the ticks that read a `Pose` build one
     for k, t, perception_due, control_due in rates.ticks(horizon):
         pursuing = t >= handoff
-        if perception_due or control_due:
-            pose = pose_of(uav)
 
         # ---- perception + guidance tick -------------------------------
         if perception_due:
-            frame = pipeline.observe(t, path.sample(t), pose)
+            frame = pipeline.observe(t, path.sample(t), uav)
             if frame.detected:
                 last_seen = t
                 sample = frame.sample
@@ -591,10 +585,10 @@ def run_engagement(
                     phi_log.append((t, phi_last))
                     if pursuing and phi_handoff is None:
                         phi_handoff = sample.phi_dot
-                los_world = camera_to_world(sample.r, pose, mount_pitch).unit()
+                los_world = camera_to_world(sample.r, uav, mount_pitch).unit()
                 if not pursuing:
                     init_cmd_vel = init_velocity(los_world, uav_speed)
-                guide.see(frame, los_world, pose, pursuing)
+                guide.see(frame, los_world, uav, pursuing)
             # the frame, and any pixels it holds, ends with this tick
             del frame
             since_seen = t - last_seen
@@ -606,9 +600,9 @@ def run_engagement(
         # ---- control tick ----------------------------------------------
         if control_due:
             if pursuing:
-                guide.steer(t, pose, pilot, cmd_scale)
+                guide.steer(t, uav, pilot, cmd_scale)
             else:
-                pilot.velocity(init_cmd_vel if since_seen <= gp.dropout_hold else ZERO3, 0.0, pose)
+                pilot.velocity(init_cmd_vel if since_seen <= gp.dropout_hold else ZERO3, 0.0, uav)
 
         # ---- dynamics ---------------------------------------------------
         before = uav
@@ -622,9 +616,9 @@ def run_engagement(
         tx, ty, tz = path.position_at(t_next)
         detected = (t_next - last_seen) < seen_window
         if trace is not None:
-            trace.append(TracePoint(t_next, Vec3(uav[0], uav[1], uav[2]), Vec3(tx, ty, tz), radius,
+            trace.append(TracePoint(t_next, uav.position, Vec3(tx, ty, tz), radius,
                                     detected, phi_last))
-        result = monitor.update(t_next, uav[0], uav[1], uav[2], tx, ty, tz, radius, detected)
+        result = monitor.update(t_next, uav.px, uav.py, uav.pz, tx, ty, tz, radius, detected)
         if result is not None:
             break
     else:

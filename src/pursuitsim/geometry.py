@@ -141,11 +141,26 @@ CAMERA = CameraIntrinsics.from_hfov(CAMERA_HFOV, 680, 480)
 
 
 class Pose(NamedTuple):
-    position: Vec3
-    velocity: Vec3
+    """The vehicle state: what the dynamics step carries and what
+    controllers, guidance and perception read."""
+
+    px: float
+    py: float
+    pz: float
+    vx: float
+    vy: float
+    vz: float
     roll: float
     pitch: float
     yaw: float
+
+    @property
+    def position(self) -> Vec3:
+        return Vec3(self.px, self.py, self.pz)
+
+    @property
+    def velocity(self) -> Vec3:
+        return Vec3(self.vx, self.vy, self.vz)
 
 
 class LosSample(NamedTuple):

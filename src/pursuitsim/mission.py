@@ -32,7 +32,7 @@ from .engagement import Pilot, PlanTrack, largest_blob
 from .engagement import cursor_step, dynamics_step  # noqa: F401  unused; perfbench/tracer.py wraps them by name here
 from .targets import PeriodicCurvePath, TargetState, fig8_shape
 from .trajectory import Trajectory, Waypoint
-from .vehicle import at_rest, pose_of
+from .vehicle import at_rest
 
 
 @dataclass
@@ -400,6 +400,8 @@ class Scenario:
             raise ValueError("ball width and height must be positive")
         if self.task == 1:
             lawnmower_legs(self.arena, self.sweep_width)  # raises for a width outside (0, arena width]
+            if not 0.0 < self.search_altitude <= self.arena.ceiling:
+                raise ValueError("Task 1 search altitude must be in (0, arena ceiling]")
         elif self.square_altitude <= self.arena.ceiling:
             raise ValueError("Task 2 square altitude must clear the Task 1 ceiling")
 
@@ -417,6 +419,9 @@ def load_scenario(path: str) -> Scenario:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"Scenario: expected an object, got {data!r}")
+    for key, name in _SEARCH_KEYS.items():  # each search value has one spelling, in the group
+        if name in data:
+            raise ValueError(f"unknown config key Scenario.{name}: set it as search.{key}")
     search = data.pop("search", {})
     if not isinstance(search, dict):
         raise ValueError(f"Scenario.search: expected an object, got {search!r}")
@@ -502,14 +507,14 @@ class BalloonTask:
     def step(self, state: MissionState, seen: Optional[Vec3], uav: Pose, t: float) -> VelocityCommand:
         return task1_step(state, seen, uav, self.params, t)
 
-    def after_step(self, t: float, uav: Vec3, state: MissionState) -> None:
+    def after_step(self, t: float, uav: Pose, state: MissionState) -> None:
         """Balloon tethers, the downdraft fault and pops, with the UAV at `uav`."""
-        ux, uy, uz = uav
+        ux, uy, uz = uav.px, uav.py, uav.pz
         for i, b in enumerate(self.balloons):
             if not b.alive:
                 continue
             if self.downdraft is not None:
-                d = uav - b.position
+                d = uav.position - b.position
                 horiz = math.hypot(d.x, d.y)
                 if horiz < 1.0 and 0.0 < d.z < 2.0 and b.offset_vel.norm() < 0.1:
                     away = Vec3(-d.x, -d.y, 0.0)
@@ -534,7 +539,7 @@ class BalloonTask:
                 if state.mode in (MissionMode.ADJUST, MissionMode.ATTACK):
                     state.transition(MissionMode.RECOVER, t)
 
-    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Vec3) -> None:
+    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Pose) -> None:
         """An attack that ends without a pop is a miss; a recovery plans the
         way back to the registration point, from the UAV at `uav`, and clears
         a gimbal fault."""
@@ -547,7 +552,7 @@ class BalloonTask:
         if state.mode == MissionMode.RECOVER:
             # later pauses index into the stitched plan
             plan, self.rejoin_index = recovery_stitch(
-                uav, state.pause_point or uav,
+                uav.position, state.pause_point or uav.position,
                 self.track.plan, state.pause_index, mission.sc.search_speed,
             )
             self.track = PlanTrack(plan, t)
@@ -573,15 +578,15 @@ class BallTask:
     def step(self, state: MissionState, seen: Optional[Vec3], uav: Pose, t: float) -> VelocityCommand:
         return task2_step(state, seen, uav, self.params, t)
 
-    def after_step(self, t: float, uav: Vec3, state: MissionState) -> None:
+    def after_step(self, t: float, uav: Pose, state: MissionState) -> None:
         result = self.mission.result
         # (uav - ball).norm(), written out on floats
         bx, by, bz = self.ball.position_at(t)
-        dx, dy, dz = uav.x - bx, uav.y - by, uav.z - bz
+        dx, dy, dz = uav.px - bx, uav.py - by, uav.pz - bz
         d = math.sqrt(dx * dx + dy * dy + dz * dz)
         result.min_ball_distance = min(result.min_ball_distance, d)
 
-    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Vec3) -> None:
+    def mode_changed(self, old: MissionMode, state: MissionState, t: float, uav: Pose) -> None:
         if old == MissionMode.WAIT and state.mode == MissionMode.GLOBAL_PLAN:
             # resume the paused search plan where it was left
             self.track.start = t - state.pause_time
@@ -625,12 +630,9 @@ class MissionSimulator:
         frame_queue: list[tuple[float, Optional[Vec3], Optional[Vec3], bool]] = []
         logged_mode = state.mode
 
-        # `uav` is the flat vehicle state; the ticks that read a `Pose` build one
         for k, t, perception_due, control_due in rates.ticks(sc.duration):
-            if perception_due or control_due:
-                pose = pose_of(uav)
             if perception_due:
-                frame_queue.append((t, *self._observe(t, pose, task)))
+                frame_queue.append((t, *self._observe(t, uav, task)))
                 los_level, los_world, los_valid = None, None, False
                 while frame_queue and frame_queue[0][0] <= t - latency:
                     _, los_level, los_world, los_valid = frame_queue.pop(0)
@@ -638,35 +640,34 @@ class MissionSimulator:
                     state.last_seen = t
                     state.last_los_world = los_world
                     if state.mode == MissionMode.GLOBAL_PLAN and los_valid:
-                        state.pause_point = pose.position
+                        state.pause_point = uav.position
                         state.pause_index = task.track.index
                         state.pause_time = t - task.track.start
                         state.transition(MissionMode.ADJUST, t)
-                        position = [round(c, 3) for c in pose.position]
+                        position = [round(c, 3) for c in uav.position]
                         self._emit(t, "registered", task=sc.task, position=position)
 
             if control_due:
                 if state.mode in (MissionMode.GLOBAL_PLAN, MissionMode.RECOVER):
-                    task.track.fly(t, pose, pilot)
+                    task.track.fly(t, uav, pilot)
                     # only Task 1 recovers, and its recovery plan sets the rejoin index
                     if state.mode == MissionMode.RECOVER and task.track.index >= task.rejoin_index:
                         state.transition(MissionMode.GLOBAL_PLAN, t)
                 else:
                     stale = (t - state.last_seen) > (2.5 / rates.perception_hz)
-                    v_cmd = task.step(state, None if stale else los_level, pose, t)
-                    self.result.command_log.append((t, state.mode.value, v_cmd.velocity_world, pose.position.z))
-                    pilot.velocity(v_cmd.velocity_world, v_cmd.yaw_rate, pose)
+                    v_cmd = task.step(state, None if stale else los_level, uav, t)
+                    self.result.command_log.append((t, state.mode.value, v_cmd.velocity_world, uav.pz))
+                    pilot.velocity(v_cmd.velocity_world, v_cmd.yaw_rate, uav)
 
             uav = pilot.fly(uav)
             t_next = (k + 1) * dt
-            position = Vec3(uav[0], uav[1], uav[2])
-            task.after_step(t_next, position, state)
+            task.after_step(t_next, uav, state)
 
             # centralized transition bookkeeping: transitions may originate in
             # the perception tick, the state machines, or a pop event
             if state.mode != logged_mode:
                 self._emit(t_next, "mode", **{"from": logged_mode.value, "to": state.mode.value})
-                task.mode_changed(logged_mode, state, t_next, position)
+                task.mode_changed(logged_mode, state, t_next, uav)
                 logged_mode = state.mode
 
         self.result.final_mode = state.mode.value

@@ -18,21 +18,10 @@ from .trajectory import Waypoint
 
 GRAVITY = 9.81
 
-# The vehicle state that the simulation loops carry from step to step:
-# (px, py, pz, vx, vy, vz, roll, pitch, yaw). `pose_of` gives the `Pose` that
-# controllers, guidance and perception read, on the ticks that read one.
-State = tuple[float, float, float, float, float, float, float, float, float]
 
-
-def at_rest(position: Vec3, yaw: float = 0.0) -> State:
+def at_rest(position: Vec3, yaw: float = 0.0) -> Pose:
     """A level vehicle at rest at `position`, heading `yaw`."""
-    x, y, z = position
-    return (x, y, z, 0.0, 0.0, 0.0, 0.0, 0.0, yaw)
-
-
-def pose_of(s: State) -> Pose:
-    """The state as a `Pose`."""
-    return Pose(Vec3(s[0], s[1], s[2]), Vec3(s[3], s[4], s[5]), s[6], s[7], s[8])
+    return Pose(*position, 0.0, 0.0, 0.0, 0.0, 0.0, yaw)
 
 
 class AttitudeCommand(NamedTuple):
@@ -130,7 +119,7 @@ class VelocityController:
     def step(
         self, v_ref: Vec3, a_ff: Vec3, yaw_rate: float, pose: Pose, dt: float
     ) -> AttitudeCommand:
-        vx, vy, vz = pose.velocity
+        vx, vy, vz = pose.vx, pose.vy, pose.vz
         ox, oy, oz = self.pid.step(v_ref.x - vx, v_ref.y - vy, v_ref.z - vz, dt)
         # the desired acceleration plus gravity compensation
         x, y, z = ox + a_ff.x, oy + a_ff.y, oz + a_ff.z + GRAVITY
@@ -172,7 +161,7 @@ class StepConstants(NamedTuple):
         return cls(dt, alpha, params.thrust_scale, params.drag, params.max_yaw_rate)
 
 
-def dynamics_step(s: State, cmd: AttitudeCommand, k: StepConstants) -> State:
+def dynamics_step(s: Pose, cmd: AttitudeCommand, k: StepConstants) -> Pose:
     """Semi-implicit Euler step of the lagged point-mass model."""
     px, py, pz, vx, vy, vz, roll, pitch, yaw = s
     dt, alpha, rate_lim = k.dt, k.alpha, k.max_yaw_rate
@@ -189,15 +178,15 @@ def dynamics_step(s: State, cmd: AttitudeCommand, k: StepConstants) -> State:
     vx += (t * zx - drag * vx) * dt
     vy += (t * zy - drag * vy) * dt
     vz += (t * zz - GRAVITY - drag * vz) * dt
-    return (px + vx * dt, py + vy * dt, pz + vz * dt, vx, vy, vz, roll, pitch, yaw)
+    return Pose(px + vx * dt, py + vy * dt, pz + vz * dt, vx, vy, vz, roll, pitch, yaw)
 
 
-def ideal_dynamics_step(s: State, accel_world: Vec3, yaw_rate: float, k: StepConstants) -> State:
+def ideal_dynamics_step(s: Pose, accel_world: Vec3, yaw_rate: float, k: StepConstants) -> Pose:
     """Perfect acceleration tracking: the double-integrator limit used to
     check guidance-law properties without controller/attitude lag."""
     dt, rate_lim = k.dt, k.max_yaw_rate
     yaw_rate = min(rate_lim, max(-rate_lim, yaw_rate))
-    yaw = wrap_angle(s[8] + yaw_rate * dt)
+    yaw = wrap_angle(s.yaw + yaw_rate * dt)
     ax, ay, az = accel_world
-    vx, vy, vz = s[3] + ax * dt, s[4] + ay * dt, s[5] + az * dt
-    return (s[0] + vx * dt, s[1] + vy * dt, s[2] + vz * dt, vx, vy, vz, 0.0, 0.0, yaw)
+    vx, vy, vz = s.vx + ax * dt, s.vy + ay * dt, s.vz + az * dt
+    return Pose(s.px + vx * dt, s.py + vy * dt, s.pz + vz * dt, vx, vy, vz, 0.0, 0.0, yaw)

@@ -45,7 +45,6 @@ from pursuitsim.vehicle import (
     VelocityController,
     at_rest,
     dynamics_step,
-    pose_of,
 )
 from pursuitsim.trajectory import Waypoint
 
@@ -374,11 +373,10 @@ def test_criterion_10_controller_sanity():
     att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
     for k in range(int(3.0 / dt)):
         if k % every == 0:
-            pose = pose_of(state)
-            v_ref = pose_ctl.step(target, ZERO3, pose)
-            att = vel_ctl.step(v_ref, ZERO3, 0.0, pose, every * dt)
+            v_ref = pose_ctl.step(target, ZERO3, state)
+            att = vel_ctl.step(v_ref, ZERO3, 0.0, state, every * dt)
         state = dynamics_step(state, att, step_constants)
-    hover_err = (pose_of(state).position - Vec3(0, 0, 5.0)).norm()
+    hover_err = (state.position - Vec3(0, 0, 5.0)).norm()
     hover_ok = hover_err < 0.05
 
     # first-order attitude step response at tau, 2tau, 3tau
@@ -394,7 +392,7 @@ def test_criterion_10_controller_sanity():
         if step in checkpoints:
             k = checkpoints[step]
             expected = target_roll * (1.0 - math.exp(-k))
-            rel = abs(pose_of(st).roll - expected) / expected
+            rel = abs(st.roll - expected) / expected
             details.append(f"{k}tau {100*rel:.2f}%")
             step_ok = step_ok and rel < 0.02
     ok = hover_ok and step_ok

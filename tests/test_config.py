@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pursuitsim.config import RatesConfig, SimConfig, dump_config, from_dict, load_config
 from pursuitsim.engagement import FailureReason
-from pursuitsim.guidance import GuidanceMethod
+from pursuitsim.guidance import GuidanceMethod, GuidanceParams
 from pursuitsim.harness import ExperimentConfig, run_trial
 from pursuitsim.mission import Scenario, load_scenario
 from pursuitsim.targets import PathKind
@@ -76,6 +76,14 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
         (load_config, {"trajectory": {"horizon": 2.0}}),
         (load_config, {"guidance": {"max_yaw_rate": 1.5}}),
         (load_config, {"rates": {"control_hz": 60}}),
+        (load_scenario, {**SCENARIO, "search_speed": 1.0, "search": {"speed": 3.0}}),
+        (load_scenario, {**SCENARIO, "sweep_width": 6.0}),
+        (load_scenario, {**SCENARIO, "search_altitude": 2.4}),
+        (load_scenario, {**SCENARIO, "search_speed": 1.0}),
+        (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}, "square_altitude": 11.0}),
+        (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}, "square_speed": 1.0}),
+        (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}, "square_side": 12.0}),
+        (load_scenario, {**SCENARIO, "search": {"altitude": 9.0}}),
     ],
     ids=["string-gain", "slow-dynamics", "zero-window", "flat-gain-key", "misspelt-key", "short-anchor",
          "zero-hover-thrust", "zero-attitude-lag", "zero-trajectory-dt", "zero-replan-rate", "zero-width",
@@ -88,7 +96,9 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
          "negative-dropout-hold", "negative-dropout-decay", "negative-drag", "negative-lookahead-buffer",
          "negative-max-yaw-rate", "zero-max-yaw-rate", "removed-ideal-velocity-tau", "removed-gains",
          "removed-mount-pitch", "removed-camera", "removed-perception", "removed-trajectory",
-         "removed-max-yaw-rate", "control-rate-not-a-divisor"],
+         "removed-max-yaw-rate", "control-rate-not-a-divisor", "flat-and-grouped-search-speed",
+         "flat-sweep-width", "flat-search-altitude", "flat-search-speed", "flat-square-altitude",
+         "flat-square-speed", "flat-square-side", "task-1-above-ceiling"],
 )
 def test_bad_file_rejected_at_load(tmp_path, loader, data):
     path = tmp_path / "bad.json"
@@ -218,10 +228,15 @@ TASK2 = {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}}
         ({**SCENARIO, "params": {"adjust_timeout": 0}}, "adjust_timeout"),
         ({**SCENARIO, "params": {"hold_after_loss": -1}}, "hold_after_loss"),
         ({**TASK2, "params": {"wait_timeout": 0}}, "wait_timeout"),
+        ({**SCENARIO, "search_altitude": 9.0}, "Task 1 search altitude"),
+        ({**SCENARIO, "search_altitude": 0.0}, "Task 1 search altitude"),
+        ({**SCENARIO, "search_altitude": -2.4}, "Task 1 search altitude"),
+        ({**SCENARIO, "arena": {"ceiling": 2.0}}, "Task 1 search altitude"),
     ],
     ids=["zero-balloon-radius", "negative-balloon-radius", "zero-ball-radius", "zero-square-side",
          "negative-square-side", "negative-pop-contact", "zero-attack-speed", "zero-adjust-timeout",
-         "negative-hold-after-loss", "zero-wait-timeout"],
+         "negative-hold-after-loss", "zero-wait-timeout", "task-1-above-ceiling", "task-1-at-ground",
+         "task-1-below-ground", "task-1-under-low-ceiling"],
 )
 def test_invalid_scenario_rejected_at_load(data, match):
     # the base scenario loads; each case changes one value in it to an invalid one
@@ -236,12 +251,15 @@ def _divisor_of(dynamics: int):
 
 def _like(value):
     """Strategy for config trees shaped like `value`, leaves near their defaults;
-    a control rate is a divisor of the drawn dynamics rate, as `validate` requires."""
+    a control rate is a divisor of the drawn dynamics rate, and a PN gain is
+    above 2, as `validate` requires."""
     if isinstance(value, RatesConfig):
         return _like(value.dynamics_hz).flatmap(lambda dynamics: st.builds(
             RatesConfig, st.just(dynamics), _divisor_of(dynamics), _like(value.perception_hz)))
     if dataclasses.is_dataclass(value):
         parts = {f.name: _like(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        if isinstance(value, GuidanceParams):
+            parts["pn_gain"] = st.floats(2.0, 1.5 * value.pn_gain, exclude_min=True)
         return st.fixed_dictionaries(parts).map(lambda kw: type(value)(**kw))
     if value is None:
         return st.none() | st.floats(-30.0, 30.0)

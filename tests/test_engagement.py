@@ -25,11 +25,10 @@ from pursuitsim.guidance import GuidanceCommand, GuidanceMethod
 from pursuitsim.harness import ExperimentConfig, run_trial
 from pursuitsim.perception import estimate_depth
 from pursuitsim.targets import PathKind, StationaryPath, TargetState
-from pursuitsim.vehicle import at_rest, pose_of
+from pursuitsim.vehicle import at_rest
 
 MOUNT_PITCH = 0.1
-STATE = (0.0, 0.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.05, 0.1)  # the flat vehicle state
-POSE = pose_of(STATE)
+POSE = Pose(0.0, 0.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.05, 0.1)
 ON_AXIS = Vec3(0.0, 0.0, 1.0)
 
 
@@ -104,7 +103,7 @@ def exhaustive_blob(targets, pose, mount_pitch, k, bias_pitch=0.0, bias_yaw=0.0)
 
 
 SMALL_CAMERA = CameraIntrinsics.from_hfov(math.radians(90.0), 64, 48)
-LEVEL = Pose(Vec3(0.0, 0.0, 2.0), ZERO3, 0.0, 0.0, 0.0)  # camera along world +x at zero mount pitch
+LEVEL = Pose(0.0, 0.0, 2.0, *ZERO3, 0.0, 0.0, 0.0)  # camera along world +x at zero mount pitch
 _angles = st.floats(-0.6, 0.6)
 
 
@@ -112,7 +111,7 @@ _angles = st.floats(-0.6, 0.6)
 def _frames(draw):
     """A pose, a camera, up to six targets around the vehicle (some copies of
     an earlier one, whose blobs tie) and the mount and fault angles."""
-    pose = Pose(Vec3(*draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3))), ZERO3,
+    pose = Pose(*draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3)), *ZERO3,
                 draw(_angles), draw(_angles), draw(st.floats(-math.pi, math.pi)))
     targets = []
     for _ in range(draw(st.integers(0, 6))):
@@ -208,13 +207,13 @@ class TestTrajectoryGuide:
     def test_rejected_forecast_still_becomes_the_reference_fix(self, monkeypatch, cause):
         guide = make_guide(GuidanceMethod.FORECAST_TRAJ)
         guide.ray_f, guide.d_f = ON_AXIS, 10.0
-        guide.replan(0, 0.0, STATE, fresh=True)  # the first fix has nothing to pair with
+        guide.replan(0, 0.0, POSE, fresh=True)  # the first fix has nothing to pair with
         assert guide.track is None and guide.last_fix[:2] == (0.0, 10.0)
 
         if cause == "no-closing-velocity":
-            uav, guide.d_f = STATE[:3] + (0.0, 0.0, 0.0) + STATE[6:], 9.0
+            uav, guide.d_f = POSE._replace(vx=0.0), 9.0
         else:  # 1 cm away at about 3 m/s
-            uav, guide.d_f = STATE, 0.01
+            uav, guide.d_f = POSE, 0.01
         guide.replan(20, 0.1, uav, fresh=True)
         assert guide.track is None and guide.last_fix[:2] == (0.1, guide.d_f)
 
@@ -227,22 +226,22 @@ class TestTrajectoryGuide:
 
         monkeypatch.setattr(engagement, "forecast_target", spy)
         rejected_d, guide.d_f = guide.d_f, 9.4
-        guide.replan(40, 0.2, STATE, fresh=True)
+        guide.replan(40, 0.2, POSE, fresh=True)
         assert guide.track is not None
         assert forecasts == [(0.1, rejected_d, 0.2, 9.4)]
 
     def test_plan_is_held_without_a_fresh_detection_but_the_mark_advances(self):
         guide = make_guide(GuidanceMethod.LOS_TRAJ)
         guide.ray_f, guide.n_f, guide.phi_f = ON_AXIS, Vec3(1.0, 0.0, 0.0), 0.2
-        guide.replan(0, 0.0, STATE, fresh=True)
+        guide.replan(0, 0.0, POSE, fresh=True)
         plan = guide.track.plan
         assert plan is not None and guide.mark == 0
-        guide.replan(20, 0.1, STATE, fresh=False)
+        guide.replan(20, 0.1, POSE, fresh=False)
         assert guide.track.plan is plan and guide.mark == 1
         # a detection later in the same replan period waits for the next one
-        guide.replan(21, 0.105, STATE, fresh=True)
+        guide.replan(21, 0.105, POSE, fresh=True)
         assert guide.track.plan is plan
-        guide.replan(40, 0.2, STATE, fresh=True)
+        guide.replan(40, 0.2, POSE, fresh=True)
         assert guide.track.plan is not plan and guide.mark == 2
 
 
@@ -266,14 +265,14 @@ class TestCrashRule:
         state = at_rest(Vec3(float("nan"), 0.0, 0.0))
         result = monitor.crashed(0.005, state, at_rest(ZERO3), 0.005)
         assert (result.hit, result.failure_reason, result.end_time) == (False, FailureReason.CRASH, 0.005)
-        assert monitor.crashed(0.005, STATE, STATE, 0.005) is None
+        assert monitor.crashed(0.005, POSE, POSE, 0.005) is None
 
     def test_acceleration_is_the_step_from_the_velocity_before(self):
         sim = SimConfig()
         monitor = HitMonitor(dataclasses.replace(sim.rules, crash_sustain=0.0), ZERO3, 2.0)
         # 3 m/s in one 5 ms step is 600 m/s^2, over the default 10 g
-        assert monitor.crashed(0.005, STATE, STATE, 0.005) is None
-        result = monitor.crashed(0.005, STATE, at_rest(ZERO3), 0.005)
+        assert monitor.crashed(0.005, POSE, POSE, 0.005) is None
+        result = monitor.crashed(0.005, POSE, at_rest(ZERO3), 0.005)
         assert (result.hit, result.failure_reason) == (False, FailureReason.CRASH)
 
 

@@ -157,17 +157,17 @@ class TestFrameTransforms:
         assert got.z < 0  # pointing below the body x axis
 
     def test_round_trips_are_identity(self):
-        pose = Pose(Vec3(4.0, -2.0, 7.0), ZERO3, 0.21, -0.35, 1.9)
+        pose = Pose(4.0, -2.0, 7.0, *ZERO3, 0.21, -0.35, 1.9)
         for v in (Vec3(1, 0, 0), Vec3(0.2, -0.7, 0.4), Vec3(-1, 2, -3)):
             assert vec_close(world_to_body(body_to_world(v, pose), pose), v, 1e-12)
             assert vec_close(body_to_camera(camera_to_body(v, -0.2), -0.2), v, 1e-12)
 
     def test_world_direction_with_identity_attitude(self):
-        pose = Pose(ZERO3, ZERO3, 0.0, 0.0, 0.0)
+        pose = Pose(*ZERO3, *ZERO3, 0.0, 0.0, 0.0)
         assert vec_close(camera_to_world(Vec3(0, 0, 1), pose, 0.0), Vec3(1, 0, 0), 1e-12)
 
     def test_yawed_body(self):
-        pose = Pose(ZERO3, ZERO3, 0.0, 0.0, math.pi / 2)
+        pose = Pose(*ZERO3, *ZERO3, 0.0, 0.0, math.pi / 2)
         # body forward now points along world +y
         assert vec_close(body_to_world(Vec3(1, 0, 0), pose), Vec3(0, 1, 0), 1e-12)
 
@@ -218,7 +218,7 @@ class TestRotationProperties:
 
     @given(vectors, vectors, angles, angles, angles, st.floats(-1.0, 1.0))
     def test_frame_round_trips(self, v, position, roll, pitch, yaw, mount):
-        pose = Pose(position, ZERO3, roll, pitch, yaw)
+        pose = Pose(*position, *ZERO3, roll, pitch, yaw)
         assert vec_close(world_to_body(body_to_world(v, pose), pose), v, 1e-10)
         assert vec_close(body_to_camera(camera_to_body(v, mount), mount), v, 1e-10)
         # a world point seen from the camera, carried back by the inverse path

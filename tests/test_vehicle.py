@@ -23,7 +23,6 @@ from pursuitsim.vehicle import (
     at_rest,
     dynamics_step,
     ideal_dynamics_step,
-    pose_of,
 )
 
 
@@ -35,31 +34,22 @@ def hover_cmd(params: VehicleParams) -> AttitudeCommand:
     return AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
 
 
-def state_of(pose: Pose) -> tuple:
-    """The flat vehicle state that `pose_of` reads back as `pose`."""
-    return (*pose.position, *pose.velocity, pose.roll, pose.pitch, pose.yaw)
-
-
-def level_at(position: Vec3) -> Pose:
-    return pose_of(at_rest(position))
-
-
 class TestPoseController:
     def test_zero_error_zero_reference(self):
         ctl = PoseController()
-        state = level_at(Vec3(1, 2, 3))
+        state = at_rest(Vec3(1, 2, 3))
         v = ctl.step(Waypoint(Vec3(1, 2, 3), 0.0), ZERO3, state)
         assert v.norm() < 1e-12
 
     def test_pure_proportional(self):
         ctl = PoseController()
-        state = level_at(ZERO3)
+        state = at_rest(ZERO3)
         v = ctl.step(Waypoint(Vec3(1, 0, 0), 0.0), ZERO3, state)
         assert (v - Vec3(POSITION_KP, 0, 0)).norm() < 1e-12
 
     def test_feedforward_passthrough(self):
         ctl = PoseController()
-        state = level_at(ZERO3)
+        state = at_rest(ZERO3)
         v = ctl.step(Waypoint(ZERO3, 0.0), Vec3(0, 2.0, 0), state)
         assert v.y == 2.0
 
@@ -87,7 +77,7 @@ class TestVelocityController:
     def test_hover_equilibrium(self):
         params = default_params()
         ctl = VelocityController(params)
-        state = level_at(ZERO3)
+        state = at_rest(ZERO3)
         cmd = ctl.step(ZERO3, ZERO3, 0.0, state, 0.02)
         assert cmd.roll == 0.0 and cmd.pitch == 0.0
         assert abs(cmd.thrust - params.hover_thrust) < 1e-9
@@ -95,7 +85,7 @@ class TestVelocityController:
     def test_forward_accel_pitches_forward(self):
         params = default_params()
         ctl = VelocityController(params)
-        state = level_at(ZERO3)
+        state = at_rest(ZERO3)
         cmd = ctl.step(ZERO3, Vec3(3.0, 0, 0), 0.0, state, 0.02)
         assert cmd.pitch < 0.0  # nose down to accelerate +x
         assert cmd.roll == 0.0
@@ -103,7 +93,7 @@ class TestVelocityController:
     def test_tilt_clamp_preserves_vertical_balance(self):
         params = default_params()
         ctl = VelocityController(params)
-        state = level_at(ZERO3)
+        state = at_rest(ZERO3)
         # huge lateral demand: tilt saturates at the limit, thrust keeps the
         # vertical channel balanced (analytic clamped-tilt model)
         cmd = ctl.step(ZERO3, Vec3(50.0, 0, 0), 0.0, state, 0.02)
@@ -113,7 +103,7 @@ class TestVelocityController:
 
     def test_yaw_rate_passthrough(self):
         ctl = VelocityController(default_params())
-        cmd = ctl.step(ZERO3, ZERO3, 0.7, level_at(ZERO3), 0.02)
+        cmd = ctl.step(ZERO3, ZERO3, 0.7, at_rest(ZERO3), 0.02)
         assert cmd.yaw_rate == 0.7
 
     @settings(max_examples=200, deadline=None)
@@ -124,7 +114,7 @@ class TestVelocityController:
         params = default_params()
         ctl = VelocityController(params)
         v_ref, a_ff = Vec3(rx, ry, rz), Vec3(fx, fy, fz)
-        pose = Pose(ZERO3, Vec3(vx, vy, vz), 0.1, -0.2, yaw)
+        pose = Pose(*ZERO3, vx, vy, vz, 0.1, -0.2, yaw)
         dt = 0.02
         integral = [0.0, 0.0, 0.0]
         lim = INTEGRATOR_LIMIT
@@ -152,7 +142,7 @@ class TestDynamics:
         k = StepConstants.of(params, 0.005)
         for _ in range(2000):  # 10 s at 200 Hz
             state = dynamics_step(state, cmd, k)
-        assert (pose_of(state).position - Vec3(0, 0, 5.0)).norm() < 1e-3
+        assert (state.position - Vec3(0, 0, 5.0)).norm() < 1e-3
 
     def test_attitude_step_response_is_first_order(self):
         params = default_params()
@@ -170,7 +160,7 @@ class TestDynamics:
             if step in checkpoints:
                 k = checkpoints[step]
                 expected = target * (1.0 - math.exp(-k))
-                assert abs(pose_of(state).roll - expected) / expected < 0.02
+                assert abs(state.roll - expected) / expected < 0.02
 
     def test_zero_thrust_free_fall(self):
         params = VehicleParams(drag=0.0)
@@ -179,16 +169,16 @@ class TestDynamics:
         k = StepConstants.of(params, 0.005)
         for _ in range(200):  # 1 s
             state = dynamics_step(state, cmd, k)
-        assert abs(pose_of(state).velocity.z + GRAVITY * 1.0) < 1e-9
+        assert abs(state.vz + GRAVITY * 1.0) < 1e-9
 
     def test_vertical_velocity_conserved_without_drag(self):
         params = VehicleParams(drag=0.0)
-        state = state_of(Pose(Vec3(0, 0, 5.0), Vec3(0, 0, 1.5), 0.0, 0.0, 0.0))
+        state = Pose(0.0, 0.0, 5.0, 0.0, 0.0, 1.5, 0.0, 0.0, 0.0)
         cmd = hover_cmd(params)
         k = StepConstants.of(params, 0.005)
         for _ in range(400):
             state = dynamics_step(state, cmd, k)
-        assert abs(pose_of(state).velocity.z - 1.5) < 1e-9
+        assert abs(state.vz - 1.5) < 1e-9
 
     def test_yaw_rate_limit(self):
         params = default_params()
@@ -196,9 +186,9 @@ class TestDynamics:
         state = at_rest(ZERO3, yaw=3.14)
         cmd = AttitudeCommand(0.0, 0.0, 100.0, params.hover_thrust)
         dt = 0.005
-        after = pose_of(dynamics_step(state, cmd, StepConstants.of(params, dt)))
+        after = dynamics_step(state, cmd, StepConstants.of(params, dt))
         assert after.yaw < 0.0
-        step = abs(wrap_angle(after.yaw - pose_of(state).yaw))
+        step = abs(wrap_angle(after.yaw - state.yaw))
         assert 0.99 * params.max_yaw_rate * dt < step <= params.max_yaw_rate * dt + 1e-12
 
     def test_dt_bounds(self):
@@ -223,9 +213,12 @@ class TestDynamics:
            *(st.floats(-20.0, 20.0),) * 3, st.floats(-3.0, 3.0))
     def test_step_matches_the_full_rotation_formula(self, roll, pitch, yaw, thrust, x, vx, vy, vz, yaw_rate):
         """The step reads only the thrust axis; its pose equals, bit for bit,
-        the step written with the full `attitude_rotation` matrix."""
-        params = default_params()
-        pose = Pose(Vec3(x, -0.5 * x, 3.0), Vec3(vx, vy, vz), 0.3 * roll, 0.3 * pitch, yaw)
+        the step written with the full `attitude_rotation` matrix. Both step
+        functions, both pilots' `fly` and `at_rest` return a `Pose`, whose
+        `position` and `velocity` are the `Vec3`s of its fields."""
+        sim = SimConfig()
+        params = sim.vehicle
+        pose = Pose(x, -0.5 * x, 3.0, vx, vy, vz, 0.3 * roll, 0.3 * pitch, yaw)
         cmd = AttitudeCommand(roll, pitch, yaw_rate, thrust)
         dt = 0.005
         alpha = 1.0 - math.exp(-dt / params.tau_attitude)
@@ -237,8 +230,21 @@ class TestDynamics:
         k = params.drag
         a = Vec3(t * rot.m02 - k * vx, t * rot.m12 - k * vy, t * rot.m22 - GRAVITY - k * vz)
         v = Vec3(vx + a.x * dt, vy + a.y * dt, vz + a.z * dt)
-        got = dynamics_step(state_of(pose), cmd, StepConstants.of(params, dt))
-        assert pose_of(got) == Pose(pose.position + v.scale(dt), v, r, p, y)
+        constants = StepConstants.of(params, dt)
+        got = dynamics_step(pose, cmd, constants)
+        assert got == Pose(*(pose.position + v.scale(dt)), *v, r, p, y)
+
+        pilot, ideal = Pilot(sim), IdealPilot(sim)
+        pilot.cmd = cmd
+        ideal.accel(v, yaw_rate, 6.0, pose)
+        flown = pilot.fly(pose)
+        assert flown == got
+        ideal_flown = ideal.fly(pose)
+        assert ideal_flown == ideal_dynamics_step(pose, v, yaw_rate, constants)
+        for s in (at_rest(pose.position, yaw), got, flown, ideal_flown):
+            assert type(s) is Pose
+            assert type(s.position) is Vec3 and s.position == Vec3(s.px, s.py, s.pz)
+            assert type(s.velocity) is Vec3 and s.velocity == Vec3(s.vx, s.vy, s.vz)
 
 
 HOVER = Waypoint(Vec3(0, 0, 5.0), 0.0)
@@ -259,9 +265,8 @@ class TestClosedLoop:
         states = []
         for k in range(n):
             if k % ctrl_every == 0:
-                pose = pose_of(state)
-                v_ref = pose_ctl.step(HOVER, ZERO3, pose)
-                att = vel_ctl.step(v_ref, ZERO3, 0.0, pose, ctrl_every * dt)
+                v_ref = pose_ctl.step(HOVER, ZERO3, state)
+                att = vel_ctl.step(v_ref, ZERO3, 0.0, state, ctrl_every * dt)
             state = dynamics_step(state, att, constants)
             states.append(state)
         return states
@@ -278,14 +283,14 @@ class TestClosedLoop:
         states = []
         for k in range(int(seconds / dt)):
             if k % ctrl_every == 0:
-                att = vel_ctl.step(target, ZERO3, 0.0, pose_of(state), ctrl_every * dt)
+                att = vel_ctl.step(target, ZERO3, 0.0, state, ctrl_every * dt)
             state = dynamics_step(state, att, constants)
             states.append(state)
         return states
 
     def test_hover_converges_within_three_seconds(self):
         state = self.hover_states(Vec3(1.0, 0.0, -0.5), 3.0)[-1]
-        err = (pose_of(state).position - Vec3(0, 0, 5.0)).norm()
+        err = (state.position - Vec3(0, 0, 5.0)).norm()
         assert err < 0.05
 
     def test_velocity_step_response(self):
@@ -293,7 +298,7 @@ class TestClosedLoop:
         reached = None
         peak = 0.0
         for k, state in enumerate(self.velocity_step_states(Vec3(2.0, 0, 0), 4.0)):
-            vx = pose_of(state).velocity.x
+            vx = state.vx
             peak = max(peak, vx)
             if reached is None and abs(vx - 2.0) <= 0.2:
                 reached = (k + 1) * dt
@@ -301,13 +306,13 @@ class TestClosedLoop:
         assert peak <= 2.0 * 1.2
 
 
-def fly_pilot(pilot, state: tuple, n: int, setpoint) -> list[tuple]:
-    """`n` dynamics steps, giving `setpoint(pilot, pose)` on each control tick."""
+def fly_pilot(pilot, state: Pose, n: int, setpoint) -> list[Pose]:
+    """`n` dynamics steps, giving `setpoint(pilot, state)` on each control tick."""
     every = SimConfig().rates.control_every
     states = []
     for k in range(n):
         if k % every == 0:
-            setpoint(pilot, pose_of(state))
+            setpoint(pilot, state)
         state = pilot.fly(state)
         states.append(state)
     return states
@@ -333,7 +338,7 @@ class TestPilot:
         dt_ctrl = sim.rates.control_dt
         pilot = Pilot(sim)
         vel_ctl = VelocityController(sim.vehicle)
-        state = level_at(ZERO3)
+        state = at_rest(ZERO3)
         pilot.velocity(Vec3(1.0, 0.0, 0.0), 0.0, state)
         vel_ctl.step(Vec3(1.0, 0.0, 0.0), ZERO3, 0.0, state, dt_ctrl)
         a = Vec3(0.0, 2.0, 0.0)
@@ -345,7 +350,7 @@ class TestPilot:
 
     def test_accel_reference_clamped_at_v_limit(self):
         pilot = Pilot(SimConfig())
-        state = level_at(ZERO3)
+        state = at_rest(ZERO3)
         for _ in range(200):
             pilot.accel(Vec3(3.0, -4.0, 0.0), 0.0, 6.0, state)
             assert pilot.v_ref.norm() <= 6.0 + 1e-12
@@ -358,7 +363,7 @@ class TestIdealPilot:
         sim = SimConfig()
         max_accel = sim.guidance.max_accel
         pilot = IdealPilot(sim)
-        state = level_at(ZERO3)
+        state = at_rest(ZERO3)
         pilot.velocity(Vec3(100.0, 0.0, 0.0), 0.0, state)
         assert abs(pilot.a_world.norm() - max_accel) < 1e-12 and pilot.a_world.x > 0.0
         pilot.waypoint(Waypoint(Vec3(0.0, -100.0, 0.0), 0.0), ZERO3, state)
@@ -370,9 +375,9 @@ class TestIdealPilot:
     def test_fly_is_ideal_dynamics_step(self):
         sim = SimConfig()
         pilot = IdealPilot(sim)
-        state = state_of(Pose(Vec3(1, 2, 3), Vec3(0.5, 0, 0), 0.0, 0.0, 0.2))
+        state = Pose(1.0, 2.0, 3.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.2)
         a = Vec3(30.0, 0.0, 0.0)  # accelerations pass through unclamped
-        pilot.accel(a, 0.4, 6.0, pose_of(state))
+        pilot.accel(a, 0.4, 6.0, state)
         assert pilot.fly(state) == ideal_dynamics_step(state, a, 0.4, StepConstants.of(sim.vehicle, sim.rates.dt))
 
 
@@ -384,18 +389,17 @@ class TestIdealDynamics:
         k = StepConstants.of(params, 0.005)
         for _ in range(200):
             state = ideal_dynamics_step(state, a, 0.0, k)
-        pose = pose_of(state)
-        assert abs(pose.velocity.x - 1.0) < 1e-9
-        assert pose.roll == 0.0 and pose.pitch == 0.0
+        assert abs(state.vx - 1.0) < 1e-9
+        assert state.roll == 0.0 and state.pitch == 0.0
 
     def test_yaw_rate_limit(self):
         params = default_params()
         # starts next to +pi, so the step wraps round to -pi
         state = at_rest(ZERO3, yaw=3.14)
         dt = 0.005
-        after = pose_of(ideal_dynamics_step(state, ZERO3, 100.0, StepConstants.of(params, dt)))
+        after = ideal_dynamics_step(state, ZERO3, 100.0, StepConstants.of(params, dt))
         assert after.yaw < 0.0
-        step = abs(wrap_angle(after.yaw - pose_of(state).yaw))
+        step = abs(wrap_angle(after.yaw - state.yaw))
         assert 0.99 * params.max_yaw_rate * dt < step <= params.max_yaw_rate * dt + 1e-12
 
 
