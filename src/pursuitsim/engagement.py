@@ -248,11 +248,15 @@ def largest_blob(
     k: CameraIntrinsics,
     bias_pitch: float = 0.0,
     bias_yaw: float = 0.0,
+    min_area_fraction: float = 0.0,
 ) -> Optional[Detection]:
     """The detection with the most pixels among the targets' `camera_view`s,
     the first target's on a tie; None when no target makes a blob.
 
-    A blob holds at most its `render_window`'s area in pixels. The targets
+    A blob holds at most its `render_window`'s area in pixels, and its bbox
+    lies in that window. When no window covers more than `min_area_fraction`
+    of the frame, no bbox can either, and the result is None with nothing
+    rendered; the default floor passes every non-empty window. The targets
     are rendered in descending order of that bound, and the search stops
     once no bound left can beat the best blob (or tie it from an earlier
     target); a target with an empty window is never rendered. Each target's
@@ -273,6 +277,8 @@ def largest_blob(
         if u0 < u1:
             bounded.append((-(u1 - u0) * (v1 - v0), i, p_cam, target.radius, window))
     bounded.sort()  # no two entries share an index, so the points are never compared
+    if not bounded or -bounded[0][0] / float(k.width * k.height) <= min_area_fraction:
+        return None
     best: Optional[Detection] = None
     best_i = -1
     for neg_area, i, p_cam, radius, window in bounded:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Optional, Union
+from typing import IO, Optional
 
 from .config import SimConfig, from_dict
 from .geometry import (
@@ -161,8 +162,6 @@ def square_search_plan(
     """Closed square loop at the arena center, yaw fixed along the long side
     so the camera keeps facing the crossing of the target's figure-8."""
     arena.validate()
-    if altitude <= arena.ceiling:
-        raise ValueError("Task 2 search altitude must clear the Task 1 ceiling")
     c = arena.center
     h = side / 2.0
     corners = [
@@ -402,8 +401,12 @@ class Scenario:
             lawnmower_legs(self.arena, self.sweep_width)  # raises for a width outside (0, arena width]
             if not 0.0 < self.search_altitude <= self.arena.ceiling:
                 raise ValueError("Task 1 search altitude must be in (0, arena ceiling]")
-        elif self.square_altitude <= self.arena.ceiling:
-            raise ValueError("Task 2 square altitude must clear the Task 1 ceiling")
+        else:
+            if self.square_altitude <= self.arena.ceiling:
+                raise ValueError("Task 2 square altitude must clear the Task 1 ceiling")
+            # the loop is centred on the arena, and its plan grows with its side
+            if self.square_side > min(self.arena.length, self.arena.width):
+                raise ValueError("Task 2 square side must fit in the arena")
 
 
 # scenario-file "search" group key -> Scenario field
@@ -556,7 +559,7 @@ class BalloonTask:
                 self.track.plan, state.pause_index, mission.sc.search_speed,
             )
             self.track = PlanTrack(plan, t)
-            mission.gimbal = None
+            mission.gimbal_bias = (0.0, 0.0)
 
 
 class BallTask:
@@ -607,8 +610,9 @@ class MissionSimulator:
         # filled in as the mission runs
         self.result = MissionResult(events=[], pops=0, misses=0, command_log=[],
                                     min_ball_distance=math.inf, final_mode=MissionMode.GLOBAL_PLAN.value)
-        # None once a Task 1 recovery clears it
-        self.gimbal = next((f for f in scenario.faults if f.kind == "gimbal_offset"), None)
+        # the camera's (pitch, yaw) fault angles, rad, until a Task 1 recovery clears them
+        gimbal = next((f for f in scenario.faults if f.kind == "gimbal_offset"), None)
+        self.gimbal_bias = (0.0, 0.0) if gimbal is None else (math.radians(gimbal.pitch_deg), math.radians(gimbal.yaw_deg))
 
     def _emit(self, t: float, event: str, **data) -> None:
         self.result.events.append(MissionEvent(t, event, data))
@@ -627,15 +631,23 @@ class MissionSimulator:
         dt = rates.dt
 
         los_level: Optional[Vec3] = None
-        frame_queue: list[tuple[float, Optional[Vec3], Optional[Vec3], bool]] = []
+        # a frame waits out the latency as its inputs, captured at t (the
+        # gimbal bias too, which a recovery may clear while the frame waits):
+        # the mode that consumes it decides what of it to compute
+        frame_queue: deque[tuple[float, Pose, list[TargetState], tuple[float, float]]] = deque()
         logged_mode = state.mode
 
         for k, t, perception_due, control_due in rates.ticks(sc.duration):
             if perception_due:
-                frame_queue.append((t, *self._observe(t, uav, task)))
-                los_level, los_world, los_valid = None, None, False
+                frame_queue.append((t, uav, task.targets(t), self.gimbal_bias))
+                frame = None
                 while frame_queue and frame_queue[0][0] <= t - latency:
-                    _, los_level, los_world, los_valid = frame_queue.pop(0)
+                    frame = frame_queue.popleft()
+                los_level, los_world, los_valid = None, None, False
+                # nothing reads a frame during a recovery
+                if frame is not None and state.mode != MissionMode.RECOVER:
+                    _, pose, targets, bias = frame
+                    los_level, los_world, los_valid = self._observe(pose, targets, bias, state.mode, task.mount_pitch)
                 if los_level is not None:
                     state.last_seen = t
                     state.last_los_world = los_world
@@ -674,23 +686,26 @@ class MissionSimulator:
         return self.result
 
     def _observe(
-        self, t: float, uav: Pose, task: Union[BalloonTask, BallTask]
+        self, uav: Pose, targets: list[TargetState], bias: tuple[float, float], mode: MissionMode,
+        mount_pitch: float,
     ) -> tuple[Optional[Vec3], Optional[Vec3], bool]:
-        """Largest blob in the frame at `t` -> (LOS level dir, LOS world unit, gate-valid).
+        """Largest blob among `targets` seen from `uav`, with the gimbal fault's
+        `bias` -> (LOS level dir, LOS world unit, gate-valid), read in `mode`.
 
         `largest_blob` renders only the live targets whose blob could be
         the largest; nothing carries over between frames. The validity gate
         qualifies a detection for *registration*; once the terminal guidance
-        owns the vehicle, raw detections keep feeding it."""
-        gimbal = self.gimbal
-        bias_pitch = math.radians(gimbal.pitch_deg) if gimbal is not None else 0.0
-        bias_yaw = math.radians(gimbal.yaw_deg) if gimbal is not None else 0.0
-        best = largest_blob(task.targets(t), uav, task.mount_pitch, CAMERA, bias_pitch, bias_yaw)
+        owns the vehicle, raw detections keep feeding it. In the search, a
+        detection that fails the gate sets nothing that registration does
+        not overwrite before it is read, so the search renders nothing unless
+        some target's window could pass the gate's area test."""
+        floor = self.sc.gate.min_bbox_area_fraction if mode == MissionMode.GLOBAL_PLAN else 0.0
+        best = largest_blob(targets, uav, mount_pitch, CAMERA, *bias, floor)
         if best is None:
             return None, None, False
         valid = validate_detection(best, self.sc.gate, CAMERA.width, CAMERA.height, self.sc.task)
         ray = pixel_to_los(best.centroid[0], best.centroid[1], CAMERA)
-        los_world = camera_to_world(ray, uav, task.mount_pitch).unit()
+        los_world = camera_to_world(ray, uav, mount_pitch).unit()
         return rot_z(uav.yaw).apply_inverse(los_world), los_world, valid
 
 

@@ -84,6 +84,8 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
         (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}, "square_speed": 1.0}),
         (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}, "square_side": 12.0}),
         (load_scenario, {**SCENARIO, "search": {"altitude": 9.0}}),
+        # never run: the square plan's size grows with its side
+        (load_scenario, {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}, "search": {"square_side": 1e9}}),
     ],
     ids=["string-gain", "slow-dynamics", "zero-window", "flat-gain-key", "misspelt-key", "short-anchor",
          "zero-hover-thrust", "zero-attitude-lag", "zero-trajectory-dt", "zero-replan-rate", "zero-width",
@@ -98,7 +100,7 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
          "removed-mount-pitch", "removed-camera", "removed-perception", "removed-trajectory",
          "removed-max-yaw-rate", "control-rate-not-a-divisor", "flat-and-grouped-search-speed",
          "flat-sweep-width", "flat-search-altitude", "flat-search-speed", "flat-square-altitude",
-         "flat-square-speed", "flat-square-side", "task-1-above-ceiling"],
+         "flat-square-speed", "flat-square-side", "task-1-above-ceiling", "square-past-arena"],
 )
 def test_bad_file_rejected_at_load(tmp_path, loader, data):
     path = tmp_path / "bad.json"
@@ -232,11 +234,14 @@ TASK2 = {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}}
         ({**SCENARIO, "search_altitude": 0.0}, "Task 1 search altitude"),
         ({**SCENARIO, "search_altitude": -2.4}, "Task 1 search altitude"),
         ({**SCENARIO, "arena": {"ceiling": 2.0}}, "Task 1 search altitude"),
+        ({**TASK2, "square_side": 40.5}, "fit in the arena"),
+        ({**TASK2, "arena": {"length": 11.0}}, "fit in the arena"),
     ],
     ids=["zero-balloon-radius", "negative-balloon-radius", "zero-ball-radius", "zero-square-side",
          "negative-square-side", "negative-pop-contact", "zero-attack-speed", "zero-adjust-timeout",
          "negative-hold-after-loss", "zero-wait-timeout", "task-1-above-ceiling", "task-1-at-ground",
-         "task-1-below-ground", "task-1-under-low-ceiling"],
+         "task-1-below-ground", "task-1-under-low-ceiling", "square-wider-than-arena",
+         "arena-shorter-than-square"],
 )
 def test_invalid_scenario_rejected_at_load(data, match):
     # the base scenario loads; each case changes one value in it to an invalid one

@@ -23,6 +23,7 @@ from pursuitsim.engagement import (
 from pursuitsim.geometry import CAMERA, CameraIntrinsics, Pose, Vec3, ZERO3, camera_to_world
 from pursuitsim.guidance import GuidanceCommand, GuidanceMethod
 from pursuitsim.harness import ExperimentConfig, run_trial
+from pursuitsim.mission import ValidityGate, validate_detection
 from pursuitsim.perception import estimate_depth
 from pursuitsim.targets import PathKind, StationaryPath, TargetState
 from pursuitsim.vehicle import at_rest
@@ -102,6 +103,19 @@ def exhaustive_blob(targets, pose, mount_pitch, k, bias_pitch=0.0, bias_yaw=0.0)
     return best
 
 
+def _window_area(seg):
+    u0, v0, u1, v1 = seg.window
+    return (u1 - u0) * (v1 - v0)
+
+
+def _frame_area(k):
+    return float(k.width * k.height)
+
+
+def _passes_area_gate(det, k, fraction):
+    return validate_detection(det, ValidityGate(min_bbox_area_fraction=fraction), k.width, k.height, task=1)
+
+
 SMALL_CAMERA = CameraIntrinsics.from_hfov(math.radians(90.0), 64, 48)
 LEVEL = Pose(0.0, 0.0, 2.0, *ZERO3, 0.0, 0.0, 0.0)  # camera along world +x at zero mount pitch
 _angles = st.floats(-0.6, 0.6)
@@ -137,12 +151,7 @@ class TestLargestBlob:
         right, left = TargetState(Vec3(3.0, -3.075, 2.0), 0.5), TargetState(Vec3(3.0, 3.075, 2.0), 0.5)
         (seg_r, det_r), (seg_l, det_l) = (camera_view(t, LEVEL, 0.0, CAMERA) for t in (right, left))
         assert det_r.pixel_count == det_l.pixel_count and det_r != det_l
-
-        def area(seg):
-            u0, v0, u1, v1 = seg.window
-            return (u1 - u0) * (v1 - v0)
-
-        assert area(seg_r) < area(seg_l)
+        assert _window_area(seg_r) < _window_area(seg_l)
         for targets, first in (([right, left], det_r), ([left, right], det_l)):
             assert largest_blob(targets, LEVEL, 0.0, CAMERA) == first
             assert exhaustive_blob(targets, LEVEL, 0.0, CAMERA) == first
@@ -171,6 +180,42 @@ class TestLargestBlob:
             det = largest_blob(targets, LEVEL, 0.0, CAMERA)
             assert det == exhaustive_blob(targets, LEVEL, 0.0, CAMERA)
             assert det.pixel_count == CAMERA.width * CAMERA.height
+
+    @settings(deadline=None)
+    @given(_frames(), st.floats(0.0, 0.01))
+    def test_area_floor_drops_only_frames_the_gate_rejects(self, frame, fraction):
+        k = frame[3]
+        floorless, floored = largest_blob(*frame), largest_blob(*frame, fraction)
+        if floored is None:
+            assert floorless is None or not _passes_area_gate(floorless, k, fraction)
+        else:
+            assert floored == floorless
+
+    def test_frame_below_the_area_floor_is_not_rendered(self, monkeypatch):
+        renders = []
+        real = engagement.render_sphere
+
+        def counted(*args):
+            renders.append(args[0])
+            return real(*args)
+
+        targets = [TargetState(Vec3(30.0, 0.0, 2.0), 0.3), TargetState(Vec3(40.0, 2.0, 2.5), 0.3)]
+        expected = exhaustive_blob(targets, LEVEL, 0.0, CAMERA)
+        top = max(_window_area(camera_view(t, LEVEL, 0.0, CAMERA)[0]) for t in targets) / _frame_area(CAMERA)
+        monkeypatch.setattr(engagement, "render_sphere", counted)
+        # at the largest window's share nothing can pass; just below it, the search is unchanged
+        assert largest_blob(targets, LEVEL, 0.0, CAMERA, 0.0, 0.0, top) is None
+        assert renders == []
+        assert largest_blob(targets, LEVEL, 0.0, CAMERA, 0.0, 0.0, math.nextafter(top, 0.0)) == expected
+        assert expected is not None and len(renders) > 0
+
+    def test_a_window_under_the_floor_can_hold_the_largest_blob(self):
+        # the blob clipped by the frame's right edge has the smaller window but more pixels
+        clipped, whole = TargetState(Vec3(6.0, -7.0, 2.0), 0.5), TargetState(Vec3(5.0, -1.0, 1.0), 0.5)
+        (seg_c, det_c), (seg_w, det_w) = (camera_view(t, LEVEL, 0.0, CAMERA) for t in (clipped, whole))
+        assert _window_area(seg_c) < _window_area(seg_w) and det_c.pixel_count > det_w.pixel_count
+        floor = _window_area(seg_c) / _frame_area(CAMERA)
+        assert largest_blob([clipped, whole], LEVEL, 0.0, CAMERA, 0.0, 0.0, floor) == det_c
 
     @pytest.mark.parametrize("bias_pitch", [0.0, 0.1])
     def test_yaw_fault(self, bias_pitch):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from pursuitsim import mission
 from pursuitsim.config import SimConfig
 from pursuitsim.geometry import Vec3, ZERO3
 from pursuitsim.mission import (
@@ -98,8 +100,16 @@ class TestSquareSearch:
         assert (first.position - last.position).norm() < 1e-9
 
     def test_must_clear_ceiling(self):
-        with pytest.raises(ValueError):
-            square_search_plan(Arena(ceiling=5.0), 4.0, 1.0)
+        # checked once, at load: the planner trusts a validated scenario
+        ball = BallSpec(center=Vec3(50.0, 20.0, 12.5))
+        with pytest.raises(ValueError, match="clear the Task 1 ceiling"):
+            Scenario(task=2, arena=Arena(ceiling=5.0), ball=ball, square_altitude=4.0).validate()
+
+    def test_side_up_to_the_arena_width_loads(self):
+        ball = BallSpec(center=Vec3(50.0, 20.0, 12.5))
+        Scenario(task=2, arena=Arena(width=40.0), ball=ball, square_side=40.0).validate()
+        with pytest.raises(ValueError, match="fit in the arena"):
+            Scenario(task=2, arena=Arena(width=40.0), ball=ball, square_side=math.nextafter(40.0, 41.0)).validate()
 
 
 class TestValidityGate:
@@ -394,6 +404,12 @@ def _golden_scenarios():
                       BalloonSpec(anchor=Vec3(35.0, 4.5, 2.5))],
             faults=[FaultSpec(kind="gimbal_offset", yaw_deg=30.0, pitch_deg=-4.0)], duration=60.0,
         ),
+        # a long search under a one-second camera latency: frames captured
+        # in the search are still in the queue when the registration comes
+        "latency_search": Scenario(
+            task=1, arena=Arena(length=70.0, width=14.0), balloons=[BalloonSpec(anchor=Vec3(33.73, 7.66, 2.04))],
+            faults=[FaultSpec(kind="camera_latency", delay=1.0)], duration=40.0,
+        ),
         # criterion 8
         "task2": Scenario(
             task=2, arena=Arena(),
@@ -415,19 +431,78 @@ GOLDEN = {
     "downdraft_kick": (2, 0, "global_plan", "f0bd0c879c2b3176f60b51a7e888cfd83f8a7154f3cd59e79a499dec7c913dd9"),
     "task1_five": (2, 0, "global_plan", "bfdac1ff4d9a77272c2a57832938c3158a95bbaa0ae7db59b18afb06d775a302"),
     "gimbal_four": (2, 1, "global_plan", "769b5889aaa98fdd58146e5d98e9355a2022249e433f9aac0f2374fd8f22e01f"),
+    "latency_search": (1, 0, "global_plan", "5796d860166a0c683962f05962c12871cb632c4088817450fe810b9202a606eb"),
     "task2": (0, 0, "adjust", "b36e0480836c07cdca6a354909d7d7585a53e79e7a908f8d34df9441fbe5f332"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_mission_output_is_pinned(name):
-    """Every output of eight fixed missions, byte for byte."""
-    res = run_mission(_golden_scenarios()[name], SIM)
+def _digest_update(digest, res) -> None:
     buf = io.StringIO()
     res.write_events_jsonl(buf)
-    digest = hashlib.sha256(buf.getvalue().encode())
+    digest.update(buf.getvalue().encode())
     digest.update(repr((res.command_log, res.pops, res.misses, res.min_ball_distance, res.final_mode)).encode())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_mission_output_is_pinned(name):
+    """Every output of nine fixed missions, byte for byte."""
+    res = run_mission(_golden_scenarios()[name], SIM)
+    digest = hashlib.sha256()
+    _digest_update(digest, res)
     assert (res.pops, res.misses, res.final_mode, digest.hexdigest()) == GOLDEN[name]
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def test_perfbench_mission_outputs_are_pinned():
+    """Every output of the benchmark's 72 mission scenarios (seeds 1-3,
+    rounds 0-3), hashed in order as `test_mission_output_is_pinned` does.
+    About 11 s on a 2-core VM (Python 3.11.7, numpy 2.4.6)."""
+    saved = list(sys.path)
+    sys.path.insert(0, PERFBENCH)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(PERFBENCH, "run.py"))
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+    finally:
+        sys.path[:] = saved
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for r in range(4):
+            for _, sc in bench.mission_round(seed, r):
+                _digest_update(digest, run_mission(sc, SIM))
+    assert digest.hexdigest() == "be62d61248628c7e2b4ef90906e964823e493477a2fcf07cb2c22425ea00c833"
+
+
+def test_recovery_frames_are_not_read(monkeypatch):
+    """A frame consumed in RECOVER reaches neither `_observe` nor
+    `largest_blob`; every other perception tick's frame reaches both."""
+    observed, searched = [], []
+    real_observe, real_blob = MissionSimulator._observe, mission.largest_blob
+
+    def observe(self, uav, targets, bias, mode, mount_pitch):
+        observed.append(mode)
+        return real_observe(self, uav, targets, bias, mode, mount_pitch)
+
+    def blob(*args):
+        searched.append(args)
+        return real_blob(*args)
+
+    monkeypatch.setattr(MissionSimulator, "_observe", observe)
+    monkeypatch.setattr(mission, "largest_blob", blob)
+    sc = _golden_scenarios()["nominal"]
+    res = run_mission(sc, SIM)
+    # a mode event at t holds from the tick at t on; without latency each tick reads its own frame
+    changes = [(ev.t, ev.data["to"]) for ev in res.events if ev.event == "mode"]
+    modes = []
+    for _, t, perception_due, _ in SIM.rates.ticks(sc.duration):
+        if perception_due:
+            modes.append(([m for at, m in changes if at <= t] or ["global_plan"])[-1])
+    read = [m for m in modes if m != "recover"]
+    assert len(read) < len(modes)
+    assert [m.value for m in observed] == read
+    assert len(searched) == len(observed)
 
 
 def test_pop_outside_an_attack_does_not_hide_the_next_miss():
@@ -462,7 +537,7 @@ def test_ball_slows_down_without_a_jump():
 def test_perfbench_tracer_wraps_the_mission():
     """perfbench's tracer wraps mission names by attribute; a renamed or
     moved name fails here, not only in the traced benchmark."""
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    sys.path.insert(0, PERFBENCH)
     try:
         import tracer
     finally:
