@@ -89,6 +89,10 @@ def validate_detection(
 
 
 WAYPOINT_SPACING = 2.0  # m between search-plan waypoints along a leg
+# A plan waypoint holds about 270 B and takes about 6 µs to build, so the largest
+# plan a scenario may ask for is about 27 MB and under a second; spaced
+# WAYPOINT_SPACING apart, its waypoints run 200 km, further than a mission flies.
+MAX_PLAN_WAYPOINTS = 100_000
 RECOVERY_CLIMB = 1.5    # m climbed before a recovery returns to the registration point
 TASK1_START = Vec3(2.0, 2.0, 0.0)  # Task 1 takeoff point, m
 BALL_SLOW_AFTER = 480.0  # s into the mission, when the Task 2 ball slows
@@ -395,18 +399,27 @@ class Scenario:
             raise ValueError("duration, search speed, square speed and square side must be positive")
         if not all(s.radius > 0.0 for s in [*self.balloons, *([self.ball] if self.ball else [])]):
             raise ValueError("balloon and ball radii must be positive")
-        if self.ball is not None and not (self.ball.width > 0.0 and self.ball.height > 0.0):
-            raise ValueError("ball width and height must be positive")
+        if self.ball is not None and not (self.ball.speed > 0.0 and self.ball.width > 0.0 and self.ball.height > 0.0):
+            raise ValueError("ball speed, width and height must be positive")
         if self.task == 1:
-            lawnmower_legs(self.arena, self.sweep_width)  # raises for a width outside (0, arena width]
+            if not 0.0 < self.sweep_width <= self.arena.width:
+                raise ValueError("sweep width must be in (0, arena width]")
             if not 0.0 < self.search_altitude <= self.arena.ceiling:
                 raise ValueError("Task 1 search altitude must be in (0, arena ceiling]")
+            # lawnmower_plan's start, takeoff and landing, and its forward and (at most as many)
+            # reverse legs, each an entry point and its leg's waypoints; the leg ratio is capped
+            # because it can overflow
+            legs = 2 * math.ceil(min(self.arena.width / self.sweep_width, MAX_PLAN_WAYPOINTS))
+            if 3 + legs * (1 + math.ceil(self.arena.length / WAYPOINT_SPACING)) > MAX_PLAN_WAYPOINTS:
+                raise ValueError(f"Task 1 search plan must have at most {MAX_PLAN_WAYPOINTS} waypoints")
         else:
             if self.square_altitude <= self.arena.ceiling:
                 raise ValueError("Task 2 square altitude must clear the Task 1 ceiling")
             # the loop is centred on the arena, and its plan grows with its side
             if self.square_side > min(self.arena.length, self.arena.width):
                 raise ValueError("Task 2 square side must fit in the arena")
+            if 4 * math.ceil(self.square_side / WAYPOINT_SPACING) + 1 > MAX_PLAN_WAYPOINTS:
+                raise ValueError(f"Task 2 square plan must have at most {MAX_PLAN_WAYPOINTS} waypoints")
 
 
 # scenario-file "search" group key -> Scenario field

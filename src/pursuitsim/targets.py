@@ -1,8 +1,8 @@
 """Target path library: straight crossings, tilted figure-8s, and a knot.
 
 A periodic path is a placed curve. Its shape (`CurveShape`) holds the point
-and tangent functions, the arc length and an inverse arc-length table, so
-sampling runs at uniform ground speed rather than uniform parameter rate. Its
+formula, the arc length and an inverse arc-length table, so sampling runs at
+uniform ground speed rather than uniform parameter rate. Its
 placement (`PeriodicCurvePath`) holds the rotation, centre, speed, phase,
 direction and radius. The matrix's figure-8 and knot shapes are built once per
 process, on first use; a seed draws only a placement.
@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import CAMERA_HFOV, IDENTITY_ROT, Rot3, Vec3, ZERO3, rotate_about_axis
+from .geometry import CAMERA_HFOV, IDENTITY_ROT, Rot3, Vec3, rotate_about_axis
 
 DEFAULT_TARGET_RADIUS = 0.5  # 1 m diameter sphere
 
@@ -64,8 +64,7 @@ class TargetPathSpec:
 
 
 class TargetPath:
-    """Time-parametric target motion; position_at(), sample() and velocity()
-    are pure."""
+    """Time-parametric target motion; position_at() and sample() are pure."""
 
     period: Optional[float]
     radius: float
@@ -76,9 +75,6 @@ class TargetPath:
 
     def sample(self, t: float) -> TargetState:
         return TargetState(Vec3(*self.position_at(t)), self.radius)
-
-    def velocity(self, t: float) -> Vec3:
-        raise NotImplementedError
 
 
 class StationaryPath(TargetPath):
@@ -92,25 +88,19 @@ class StationaryPath(TargetPath):
 
     sample = TargetPath.sample  # each path class has its own `sample`, which perfbench's tracer wraps
 
-    def velocity(self, t: float) -> Vec3:
-        return ZERO3
-
 
 class StraightPath(TargetPath):
     def __init__(self, start: Vec3, velocity: Vec3, radius: float):
         self.start = start
-        self._velocity = velocity
+        self.velocity = velocity
         self.radius = radius
         self.period = None
 
     def position_at(self, t: float) -> tuple[float, float, float]:
-        (sx, sy, sz), (ux, uy, uz) = self.start, self._velocity
+        (sx, sy, sz), (ux, uy, uz) = self.start, self.velocity
         return sx + ux * t, sy + uy * t, sz + uz * t
 
     sample = TargetPath.sample
-
-    def velocity(self, t: float) -> Vec3:
-        return self._velocity
 
 
 ARC_TABLE_SIZE = 32768
@@ -119,18 +109,18 @@ ARC_TABLE_SIZE = 32768
 class CurveShape:
     """A closed curve over theta in [0, 2 pi), measured once.
 
-    The dense chord-sum table doubles as the arc-length quadrature and as the
+    `point(theta, m=math)` is the curve's one formula: `m=numpy` evaluates it
+    on the table's theta grid, and the default on one float. The dense
+    chord-sum table doubles as the arc-length quadrature and as the
     uniform-s inverse table s -> theta that sampling reads. It is stored as an
     array('d'), whose items read back as the same floats a list would hold.
     Paths share one shape, so nothing writes it after construction.
     """
 
-    def __init__(self, curve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-                 point: Callable[[float], tuple[float, float, float]], tangent: Callable[[float], Vec3]):
+    def __init__(self, point: Callable[..., tuple]):
         self.point = point
-        self.tangent = tangent
         thetas = np.linspace(0.0, 2.0 * math.pi, ARC_TABLE_SIZE + 1)
-        x, y, z = curve(thetas)
+        x, y, z = np.broadcast_arrays(*point(thetas, np))  # a constant coordinate becomes a column
         seg = np.sqrt(np.diff(x) ** 2 + np.diff(y) ** 2 + np.diff(z) ** 2)
         cum = np.concatenate(([0.0], np.cumsum(seg)))
         self.length = float(cum[-1])
@@ -180,63 +170,37 @@ class PeriodicCurvePath(TargetPath):
         c = self._center
         return c.x + x, c.y + y, c.z + z
 
-    def velocity(self, t: float) -> Vec3:
-        tan = self.shape.tangent(self._theta_at(self._speed * t))
-        n = tan.norm()
-        if n == 0.0 or self._speed == 0.0:
-            return ZERO3
-        return self._rot.apply(tan.scale(self._direction * self._speed / n))
-
 
 def fig8_shape(width: float, height: float) -> CurveShape:
     """Figure-8 in the x-z plane with the given extents."""
     a = width / 2.0
     b = height  # z = b*sin(theta)*cos(theta) has extent b
 
-    def curve(theta: np.ndarray):
-        return a * np.sin(theta), np.zeros_like(theta), b * np.sin(theta) * np.cos(theta)
+    def point(theta, m=math):
+        sin = m.sin(theta)
+        return a * sin, 0.0, b * sin * m.cos(theta)
 
-    def point(theta: float) -> tuple[float, float, float]:
-        return a * math.sin(theta), 0.0, b * math.sin(theta) * math.cos(theta)
-
-    def tangent(theta: float) -> Vec3:
-        return Vec3(a * math.cos(theta), 0.0, b * math.cos(2.0 * theta))
-
-    return CurveShape(curve, point, tangent)
+    return CurveShape(point)
 
 
-def _knot_unit(theta: np.ndarray):
-    x = np.sin(theta) + 2.0 * np.sin(2.0 * theta)
-    y = np.cos(theta) - 2.0 * np.cos(2.0 * theta)
-    return x, y, -np.sin(3.0 * theta)
+def _knot_unit(theta, m):
+    x = m.sin(theta) + 2.0 * m.sin(2.0 * theta)
+    y = m.cos(theta) - 2.0 * m.cos(2.0 * theta)
+    return x, y, -m.sin(3.0 * theta)
 
 
 def knot_shape(cube: float) -> CurveShape:
     """Trefoil knot scaled per axis so that it fills a cube of side `cube`."""
-    ux, uy, uz = _knot_unit(np.linspace(0.0, 2.0 * math.pi, 4096))
+    ux, uy, uz = _knot_unit(np.linspace(0.0, 2.0 * math.pi, 4096), np)
     sx = cube / (float(ux.max()) - float(ux.min()))
     sy = cube / (float(uy.max()) - float(uy.min()))
     sz = cube / (float(uz.max()) - float(uz.min()))
 
-    def curve(theta: np.ndarray):
-        x, y, z = _knot_unit(theta)
-        return x * sx, y * sy, z * sz
+    def point(theta, m=math):
+        x, y, z = _knot_unit(theta, m)
+        return sx * x, sy * y, sz * z
 
-    def point(theta: float) -> tuple[float, float, float]:
-        return (
-            sx * (math.sin(theta) + 2.0 * math.sin(2.0 * theta)),
-            sy * (math.cos(theta) - 2.0 * math.cos(2.0 * theta)),
-            sz * (-math.sin(3.0 * theta)),
-        )
-
-    def tangent(theta: float) -> Vec3:
-        return Vec3(
-            sx * (math.cos(theta) + 4.0 * math.cos(2.0 * theta)),
-            sy * (-math.sin(theta) + 4.0 * math.sin(2.0 * theta)),
-            sz * (-3.0 * math.cos(3.0 * theta)),
-        )
-
-    return CurveShape(curve, point, tangent)
+    return CurveShape(point)
 
 
 @functools.cache

@@ -6,6 +6,7 @@ cell; everything else is seconds. Module-scoped fixtures share the two
 expensive runs across criteria.
 """
 
+import hashlib
 import math
 import os
 import time
@@ -25,6 +26,7 @@ from pursuitsim.harness import (
     run_trial,
     trial_seed,
     write_matrix_outputs,
+    write_trials_csv,
 )
 from pursuitsim.mission import (
     Arena,
@@ -52,6 +54,9 @@ SIM = SimConfig()
 MASTER_SEED = 20200831
 PN_TRIALS = 100
 MATRIX_TRIALS = 50
+# sha256 of the full matrix's trials.csv, as `pursuitsim matrix --trials 50 --seed 20200831` writes it
+# (numpy 2.4.6); a change that moves it on purpose updates it and says why
+MATRIX_TRIALS_SHA256 = "75ffd2df9b27e256af8181ca769d6db47827f4fddb9ceb06ecbcc13d64ca6a59"
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -201,6 +206,14 @@ def test_criterion_5_trend_reproduction(matrix_results):
         f"(c) LOS class {los_mean:.3f} >= trajectory class {traj_mean:.3f}; "
         f"runtime {wall/60:.1f} min on {workers} cores (budget {budget/60:.0f} min)",
     )
+
+
+def test_criterion_5_matrix_trials_csv_is_pinned(matrix_results, tmp_path):
+    _, results, _, _ = matrix_results
+    path = tmp_path / "trials.csv"
+    write_trials_csv(results, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    report("criterion 5 (the full matrix's trials.csv is pinned)", digest == MATRIX_TRIALS_SHA256, f"sha256 {digest}")
 
 
 def test_criterion_6_hit_classifier_table():

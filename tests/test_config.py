@@ -236,18 +236,44 @@ TASK2 = {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}}
         ({**SCENARIO, "arena": {"ceiling": 2.0}}, "Task 1 search altitude"),
         ({**TASK2, "square_side": 40.5}, "fit in the arena"),
         ({**TASK2, "arena": {"length": 11.0}}, "fit in the arena"),
+        ({**TASK2, "ball": {**TASK2["ball"], "speed": 0}}, "ball speed"),
+        ({**TASK2, "ball": {**TASK2["ball"], "speed": -6}}, "ball speed"),
     ],
     ids=["zero-balloon-radius", "negative-balloon-radius", "zero-ball-radius", "zero-square-side",
          "negative-square-side", "negative-pop-contact", "zero-attack-speed", "zero-adjust-timeout",
          "negative-hold-after-loss", "zero-wait-timeout", "task-1-above-ceiling", "task-1-at-ground",
          "task-1-below-ground", "task-1-under-low-ceiling", "square-wider-than-arena",
-         "arena-shorter-than-square"],
+         "arena-shorter-than-square", "zero-ball-speed", "negative-ball-speed"],
 )
 def test_invalid_scenario_rejected_at_load(data, match):
     # the base scenario loads; each case changes one value in it to an invalid one
     from_dict(Scenario, SCENARIO if data["task"] == 1 else TASK2)
     with pytest.raises(ValueError, match=match):
         from_dict(Scenario, data)
+
+
+@pytest.mark.parametrize(
+    "data, loads",
+    [
+        # 3 + 80 legs of 1 + 1248 and of 1 + 1249 waypoints
+        ({**SCENARIO, "arena": {"length": 2496.0}, "search": {"sweep_width": 1.0}}, True),
+        ({**SCENARIO, "arena": {"length": 2496.5}, "search": {"sweep_width": 1.0}}, False),
+        ({**SCENARIO, "arena": {"length": 1e9}}, False),
+        ({**SCENARIO, "search": {"sweep_width": 1e-6}}, False),
+        ({**SCENARIO, "arena": {"width": 1.0}, "search": {"sweep_width": 1e-320}}, False),  # width / sweep is inf
+        ({**TASK2, "arena": {"length": 1e6, "width": 1e6}, "search": {"square_side": 1e6}}, False),
+    ],
+    ids=["at-the-cap", "one-leg-point-over", "long-arena", "narrow-sweep", "subnormal-sweep", "wide-square"],
+)
+def test_search_plan_size_bounded_at_load(tmp_path, data, loads):
+    # counted at load, so a plan over the cap is never built
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    if loads:
+        load_scenario(str(path))
+    else:
+        with pytest.raises(ValueError, match="at most 100000 waypoints"):
+            load_scenario(str(path))
 
 
 def _divisor_of(dynamics: int):

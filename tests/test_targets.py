@@ -95,9 +95,12 @@ class TestSpeedNormalization:
 
     @pytest.mark.parametrize("kind", [PathKind.FIGURE8, PathKind.KNOT])
     def test_speed_constant_along_path(self, kind):
+        # the ground speed over each short step: chord length / step
         path = build_path(spec(kind, speed=2.0, seed=9))
+        h = 1e-3
         for t in path_times(path, 200):
-            assert abs(path.velocity(t).norm() - 2.0) / 2.0 < 0.02
+            chord = (path.sample(t + h).position - path.sample(t).position).norm()
+            assert abs(chord / h - 2.0) / 2.0 < 0.02
 
     def test_periodicity(self):
         path = build_path(spec(PathKind.FIGURE8, seed=2))
@@ -112,8 +115,8 @@ class TestStraight:
         assert isinstance(path, StraightPath)
         s0 = path.sample(0.0)
         s5 = path.sample(5.0)
-        assert (s5.position - (s0.position + path.velocity(0.0).scale(5.0))).norm() < 1e-12
-        assert abs(path.velocity(0.0).norm() - 3.0) < 1e-9
+        assert (s5.position - (s0.position + path.velocity.scale(5.0))).norm() < 1e-12
+        assert abs(path.velocity.norm() - 3.0) < 1e-9
 
     def test_start_within_fov_cone(self):
         for seed in range(40):
@@ -125,28 +128,14 @@ class TestStraight:
     def test_slope_bounded(self):
         for seed in range(40):
             path = build_path(spec(PathKind.STRAIGHT, seed=seed))
-            v = path.velocity(0.0)
+            v = path.velocity
             slope = math.asin(abs(v.z) / v.norm())
             assert slope <= math.radians(15.0) + 1e-9
 
     def test_stationary_override(self):
         path = build_path(spec(PathKind.STRAIGHT, speed=0.0, seed=4))
         assert isinstance(path, StationaryPath)
-        assert path.velocity(3.0).norm() == 0.0
         assert path.sample(0.0).position == path.sample(9.0).position
-
-
-class TestVelocityOracle:
-    @pytest.mark.parametrize("kind", [PathKind.FIGURE8, PathKind.KNOT])
-    def test_velocity_matches_central_difference(self, kind):
-        path = build_path(spec(kind, speed=2.0, seed=13))
-        h = 1e-3
-        for t in (0.3, 1.7, 4.1, 7.9):
-            v = path.velocity(t)
-            p_plus = path.sample(t + h).position
-            p_minus = path.sample(t - h).position if t > h else None
-            fd = (p_plus - p_minus).scale(1.0 / (2 * h))
-            assert (v - fd).norm() <= 1e-4 * 2.0
 
 
 class TestDeterminism:
@@ -157,7 +146,6 @@ class TestDeterminism:
         for t in (0.0, 0.7, 3.2, 11.8):
             sa, sb = a.sample(t), b.sample(t)
             assert sa.position == sb.position
-            assert a.velocity(t) == b.velocity(t)
 
     def test_different_seed_differs(self):
         a = build_path(spec(PathKind.FIGURE8, seed=1))
@@ -196,7 +184,7 @@ class TestPositionAt:
             assert xyz == path.position
         elif isinstance(path, StraightPath):
             # the straight line's Vec3 expression, which position_at writes out
-            assert xyz == path.start + path.velocity(t).scale(t)
+            assert xyz == path.start + path.velocity.scale(t)
         else:
             assert isinstance(path, PeriodicCurvePath) and xyz == path.arc_position(speed * t)
 
@@ -222,7 +210,6 @@ class TestSharedShape:
         if kind != PathKind.STRAIGHT and speed > 0.0:
             assert fresh.shape is not shared.shape
         assert fresh.sample(t) == shared.sample(t)
-        assert fresh.velocity(t) == shared.velocity(t)
         assert fresh.period == shared.period
 
     def test_no_shape_built_at_import(self):
