@@ -122,7 +122,7 @@ class HitMonitor:
     dynamics step, in order, and returns the judged `EngagementResult` at the
     first terminal event; `timeout` ends a run that reaches its last point
     without one. The pursuit clock starts at handoff, and the box is centred
-    on `bounds_center`, which `run_engagement` computes once per trial;
+    on `bounds_center`, which `Flight` computes once per trial;
     `harness.classify_hit` replays a trace through this class. `crashed`
     reads velocities, which a trace does not hold, so only the live loop
     applies it, before each update."""
@@ -536,6 +536,90 @@ class TrajectoryGuide:
 _FINAL_PHI_WINDOW = 0.5  # s
 
 
+class Flight:
+    """One trial's loop state: the vehicle and its front ends, the judge, and
+    the sight and LOS-rate bookkeeping. `tick` runs what is due before
+    dynamics step k, and `step` flies and judges that step; a copy
+    (`copy.deepcopy`) taken between steps finishes as the original does."""
+
+    def __init__(self, method: GuidanceMethod, uav_speed: float, path: TargetPath, cfg: SimConfig,
+                 ideal_dynamics: bool = False, record_trace: bool = False):
+        self.gp = gp = cfg.guidance
+        self.uav_speed = uav_speed
+        self.path = path
+        self.radius = path.radius
+        self.mount_pitch = mount_pitch = cfg.vehicle.mount_pitch(uav_speed)
+        self.pipeline = PerceptionPipeline(mount_pitch, 2.0 * path.radius)
+        self.pilot = IdealPilot(cfg) if ideal_dynamics else Pilot(cfg)
+        if method.is_trajectory:
+            self.guide: Union[DirectGuide, TrajectoryGuide] = TrajectoryGuide(cfg, method, mount_pitch)
+        else:
+            self.guide = DirectGuide(cfg, method, mount_pitch, uav_speed)
+        self.dt = cfg.rates.dt
+        self.handoff = gp.init_duration
+        self.horizon = self.handoff + cfg.rules.pursuit_timeout + 0.25
+        self.monitor = HitMonitor(cfg.rules, _path_bounds_center(path, self.horizon), self.handoff)
+        self.seen_window = 2.0 / cfg.rates.perception_hz  # a step counts as in sight this soon after a detection
+        self.uav = at_rest(ZERO3, yaw=0.0)
+        self.init_cmd_vel = ZERO3
+        self.last_seen = -math.inf
+        # as of the last perception tick: detected within `dropout_hold`, and the dropout policy's scale
+        self.fresh = False
+        self.cmd_scale = 0.0
+        self.phi_handoff: Optional[float] = None
+        self.phi_log: list[tuple[float, float]] = []
+        self.phi_last = 0.0
+        self.trace: Optional[list[TracePoint]] = [] if record_trace else None
+
+    def tick(self, k: int, t: float, perception_due: bool, control_due: bool) -> None:
+        """Perception, guidance, the replan and control, as due before step k at t."""
+        pursuing = t >= self.handoff
+        uav = self.uav
+
+        # ---- perception + guidance tick -------------------------------
+        if perception_due:
+            frame = self.pipeline.observe(t, self.path.sample(t), uav)
+            if frame.detected:
+                self.last_seen = t
+                sample = frame.sample
+                if sample.valid_rate:
+                    self.phi_last = sample.phi_dot
+                    self.phi_log.append((t, sample.phi_dot))
+                    if pursuing and self.phi_handoff is None:
+                        self.phi_handoff = sample.phi_dot
+                los_world = camera_to_world(sample.r, uav, self.mount_pitch).unit()
+                if not pursuing:
+                    self.init_cmd_vel = init_velocity(los_world, self.uav_speed)
+                self.guide.see(frame, los_world, uav, pursuing)
+            since_seen = t - self.last_seen
+            self.fresh = since_seen <= self.gp.dropout_hold
+            self.cmd_scale = dropout_scale(since_seen, self.gp)
+
+        if pursuing:
+            self.guide.replan(k, t, uav, fresh=self.fresh)
+
+        # ---- control tick ----------------------------------------------
+        if control_due:
+            if pursuing:
+                self.guide.steer(t, uav, self.pilot, self.cmd_scale)
+            else:
+                self.pilot.velocity(self.init_cmd_vel if self.fresh else ZERO3, 0.0, uav)
+
+    def step(self, k: int) -> Optional[EngagementResult]:
+        """Fly dynamics step k and judge its end state: the result at a terminal event, else None."""
+        before = self.uav
+        uav = self.uav = self.pilot.fly(before)
+        t = (k + 1) * self.dt
+        result = self.monitor.crashed(t, uav, before, self.dt)
+        if result is not None:
+            return result
+        tx, ty, tz = self.path.position_at(t)
+        detected = (t - self.last_seen) < self.seen_window
+        if self.trace is not None:
+            self.trace.append(TracePoint(t, uav.position, Vec3(tx, ty, tz), self.radius, detected, self.phi_last))
+        return self.monitor.update(t, uav.px, uav.py, uav.pz, tx, ty, tz, self.radius, detected)
+
+
 def run_engagement(
     method: GuidanceMethod,
     uav_speed: float,
@@ -545,95 +629,19 @@ def run_engagement(
     record_trace: bool = False,
 ) -> EngagementResult:
     cfg.validate()
-    rules = cfg.rules
-    gp = cfg.guidance
-    mount_pitch = cfg.vehicle.mount_pitch(uav_speed)
-
-    radius = path.radius
-    pipeline = PerceptionPipeline(mount_pitch, 2.0 * radius)
-    pilot = IdealPilot(cfg) if ideal_dynamics else Pilot(cfg)
-    if method.is_trajectory:
-        guide: Union[DirectGuide, TrajectoryGuide] = TrajectoryGuide(cfg, method, mount_pitch)
-    else:
-        guide = DirectGuide(cfg, method, mount_pitch, uav_speed)
-
-    rates = cfg.rates
-    dt = rates.dt
-
-    handoff = gp.init_duration
-    horizon = handoff + rules.pursuit_timeout + 0.25
-    bounds_center = _path_bounds_center(path, horizon)
-    monitor = HitMonitor(rules, bounds_center, handoff)
-    seen_window = 2.0 / rates.perception_hz  # a step counts as in sight this soon after a detection
-
-    uav = at_rest(ZERO3, yaw=0.0)
-    init_cmd_vel = ZERO3
-    last_seen = -math.inf
-    since_seen = math.inf
-    cmd_scale = 0.0
-
-    phi_handoff: Optional[float] = None
-    phi_log: list[tuple[float, float]] = []
-    phi_last = 0.0
-    trace: Optional[list[TracePoint]] = [] if record_trace else None
-
-    for k, t, perception_due, control_due in rates.ticks(horizon):
-        pursuing = t >= handoff
-
-        # ---- perception + guidance tick -------------------------------
-        if perception_due:
-            frame = pipeline.observe(t, path.sample(t), uav)
-            if frame.detected:
-                last_seen = t
-                sample = frame.sample
-                if sample.valid_rate:
-                    phi_last = sample.phi_dot
-                    phi_log.append((t, phi_last))
-                    if pursuing and phi_handoff is None:
-                        phi_handoff = sample.phi_dot
-                los_world = camera_to_world(sample.r, uav, mount_pitch).unit()
-                if not pursuing:
-                    init_cmd_vel = init_velocity(los_world, uav_speed)
-                guide.see(frame, los_world, uav, pursuing)
-            # the frame, and any pixels it holds, ends with this tick
-            del frame
-            since_seen = t - last_seen
-            cmd_scale = dropout_scale(since_seen, gp)
-
-        if pursuing:
-            guide.replan(k, t, uav, fresh=since_seen <= gp.dropout_hold)
-
-        # ---- control tick ----------------------------------------------
-        if control_due:
-            if pursuing:
-                guide.steer(t, uav, pilot, cmd_scale)
-            else:
-                pilot.velocity(init_cmd_vel if since_seen <= gp.dropout_hold else ZERO3, 0.0, uav)
-
-        # ---- dynamics ---------------------------------------------------
-        before = uav
-        uav = pilot.fly(uav)
-        t_next = (k + 1) * dt
-
-        # ---- judge the step --------------------------------------------
-        result = monitor.crashed(t_next, uav, before, dt)
-        if result is not None:
-            break
-        tx, ty, tz = path.position_at(t_next)
-        detected = (t_next - last_seen) < seen_window
-        if trace is not None:
-            trace.append(TracePoint(t_next, uav.position, Vec3(tx, ty, tz), radius,
-                                    detected, phi_last))
-        result = monitor.update(t_next, uav.px, uav.py, uav.pz, tx, ty, tz, radius, detected)
+    flight = Flight(method, uav_speed, path, cfg, ideal_dynamics, record_trace)
+    for k, t, perception_due, control_due in cfg.rates.ticks(flight.horizon):
+        flight.tick(k, t, perception_due, control_due)
+        result = flight.step(k)
         if result is not None:
             break
     else:
-        result = monitor.timeout()  # the horizon ran out without a terminal event
+        result = flight.monitor.timeout()  # the horizon ran out without a terminal event
 
-    final_phis = [abs(p) for (tt, p) in phi_log if tt >= result.end_time - _FINAL_PHI_WINDOW]
+    final_phis = [abs(p) for (tt, p) in flight.phi_log if tt >= result.end_time - _FINAL_PHI_WINDOW]
     phi_final = sum(final_phis) / len(final_phis) if final_phis else 0.0
-    return replace(result, phi_dot_handoff=phi_handoff if phi_handoff is not None else 0.0,
-                   phi_dot_final=phi_final, trace=trace)
+    return replace(result, phi_dot_handoff=flight.phi_handoff if flight.phi_handoff is not None else 0.0,
+                   phi_dot_final=phi_final, trace=flight.trace)
 
 
 def _path_bounds_center(path: TargetPath, horizon: float) -> Vec3:

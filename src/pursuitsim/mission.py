@@ -14,7 +14,7 @@ import enum
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Optional
 
 from .config import SimConfig, from_dict
@@ -41,10 +41,6 @@ class Arena:
     length: float = 100.0  # x extent, m
     width: float = 40.0    # y extent, m
     ceiling: float = 5.0   # Task 1 altitude cap, m
-
-    def validate(self) -> None:
-        if self.length <= 0.0 or self.width <= 0.0:
-            raise ValueError("arena extents must be positive")
 
     @property
     def center(self) -> Vec3:
@@ -116,8 +112,6 @@ def _leg_points(a: Vec3, b: Vec3) -> list[Vec3]:
 
 def lawnmower_legs(arena: Arena, sweep_width: float) -> list[float]:
     """Forward-pass leg offsets across the arena width."""
-    if sweep_width <= 0.0 or sweep_width > arena.width:
-        raise ValueError("sweep width must be in (0, arena width]")
     n = int(math.ceil(arena.width / sweep_width))
     return [min(sweep_width / 2.0 + i * sweep_width, arena.width) for i in range(n)]
 
@@ -135,7 +129,6 @@ def lawnmower_plan(
     pass is shifted laterally by half the sweep width to halve the effective
     spacing. Takeoff and landing segments complete the plan.
     """
-    arena.validate()
     legs_fwd = lawnmower_legs(arena, sweep_width)
     legs_rev = [y + sweep_width / 2.0 for y in legs_fwd if y + sweep_width / 2.0 <= arena.width]
 
@@ -165,7 +158,6 @@ def square_search_plan(
 ) -> Trajectory:
     """Closed square loop at the arena center, yaw fixed along the long side
     so the camera keeps facing the crossing of the target's figure-8."""
-    arena.validate()
     c = arena.center
     h = side / 2.0
     corners = [
@@ -271,7 +263,7 @@ def task1_step(
     params: MissionParams,
     t: float,
 ) -> VelocityCommand:
-    """Adjust/Attack velocity command; transitions mutate `state`."""
+    """Adjust/Attack velocity command, in either of those modes; transitions mutate `state`."""
     if state.mode == MissionMode.ADJUST:
         if los_level is None:
             if t - state.last_seen > params.adjust_timeout:
@@ -289,16 +281,11 @@ def task1_step(
         v_world = Vec3(0.0, 0.0, -ADJUST_KP_Z * up_err)
         return VelocityCommand(v_world, ADJUST_KP_YAW * horiz)
 
-    if state.mode == MissionMode.ATTACK:
-        if t - state.last_seen > params.hold_after_loss:
-            state.transition(MissionMode.RECOVER, t)
-            return VelocityCommand(ZERO3, 0.0)
-        los = state.last_los_world
-        if los is None:
-            return VelocityCommand(ZERO3, 0.0)
-        return VelocityCommand(los.scale(params.attack_speed), 0.0)
-
-    return VelocityCommand(ZERO3, 0.0)
+    # ATTACK, the only other mode in which a Task 1 mission steps
+    if t - state.last_seen > params.hold_after_loss:
+        state.transition(MissionMode.RECOVER, t)
+        return VelocityCommand(ZERO3, 0.0)
+    return VelocityCommand(state.last_los_world.scale(params.attack_speed), 0.0)
 
 
 def task2_step(
@@ -308,7 +295,7 @@ def task2_step(
     params: MissionParams,
     t: float,
 ) -> VelocityCommand:
-    """Lateral/vertical alignment with the ball's path; forward velocity 0."""
+    """Lateral/vertical alignment with the ball's path, in ADJUST or WAIT; forward velocity 0."""
     if state.mode == MissionMode.ADJUST:
         if los_level is None:
             state.transition(MissionMode.WAIT, t)
@@ -317,14 +304,12 @@ def task2_step(
         v_level = Vec3(0.0, TASK2_GAIN * u.y, TASK2_GAIN * u.z)
         return VelocityCommand(rot_z(uav.yaw).apply(v_level), 0.0)
 
-    if state.mode == MissionMode.WAIT:
-        if los_level is not None:
-            state.transition(MissionMode.ADJUST, t)
-            return task2_step(state, los_level, uav, params, t)
-        if t - state.mode_entered > params.wait_timeout:
-            state.transition(MissionMode.GLOBAL_PLAN, t)
-        return VelocityCommand(ZERO3, 0.0)
-
+    # WAIT, the only other mode in which a Task 2 mission steps
+    if los_level is not None:
+        state.transition(MissionMode.ADJUST, t)
+        return task2_step(state, los_level, uav, params, t)
+    if t - state.mode_entered > params.wait_timeout:
+        state.transition(MissionMode.GLOBAL_PLAN, t)
     return VelocityCommand(ZERO3, 0.0)
 
 
@@ -357,10 +342,15 @@ class FaultSpec:
     yaw_deg: float = 0.0
     delay: float = 0.1
     impulse: float = 1.5           # m/s lateral kick for downdraft
+    # the fields each kind reads; a kind's other fields keep their defaults
+    READS = {"gimbal_offset": ("pitch_deg", "yaw_deg"), "camera_latency": ("delay",), "downdraft": ("impulse",)}
 
     def validate(self) -> None:
-        if self.kind not in ("gimbal_offset", "camera_latency", "downdraft"):
+        if self.kind not in self.READS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
+        for f in fields(self)[1:]:  # each field after `kind`
+            if f.name not in self.READS[self.kind] and getattr(self, f.name) != f.default:
+                raise ValueError(f"a {self.kind} fault does not read {f.name}")
         if not self.delay >= 0.0:
             raise ValueError("fault delay must be >= 0")
 
@@ -384,13 +374,16 @@ class Scenario:
     square_side: float = 12.0
 
     def validate(self) -> None:
-        self.arena.validate()
+        if self.arena.length <= 0.0 or self.arena.width <= 0.0:
+            raise ValueError("arena extents must be positive")
         self.gate.validate()
         self.params.validate()
         if self.task not in _TASKS:
             raise ValueError(f"task must be 1 or 2, got {self.task}")
-        if self.task == 2 and self.ball is None:
-            raise ValueError("a Task 2 scenario needs a ball")
+        if (self.ball is None) == (self.task == 2):
+            raise ValueError("a Task 2 scenario needs a ball, and a Task 1 scenario reads none")
+        if self.task == 2 and (self.balloons or any(f.kind == "downdraft" for f in self.faults)):
+            raise ValueError("a Task 2 scenario reads no balloons and no downdraft fault")
         for fault in self.faults:
             fault.validate()
         if len({f.kind for f in self.faults}) < len(self.faults):
@@ -568,7 +561,7 @@ class BalloonTask:
         if state.mode == MissionMode.RECOVER:
             # later pauses index into the stitched plan
             plan, self.rejoin_index = recovery_stitch(
-                uav.position, state.pause_point or uav.position,
+                uav.position, state.pause_point,
                 self.track.plan, state.pause_index, mission.sc.search_speed,
             )
             self.track = PlanTrack(plan, t)
@@ -643,7 +636,6 @@ class MissionSimulator:
         rates = sim.rates
         dt = rates.dt
 
-        los_level: Optional[Vec3] = None
         # a frame waits out the latency as its inputs, captured at t (the
         # gimbal bias too, which a recovery may clear while the frame waits):
         # the mode that consumes it decides what of it to compute
@@ -656,7 +648,7 @@ class MissionSimulator:
                 frame = None
                 while frame_queue and frame_queue[0][0] <= t - latency:
                     frame = frame_queue.popleft()
-                los_level, los_world, los_valid = None, None, False
+                los_level, los_world, los_valid = None, None, False  # held until the next perception tick
                 # nothing reads a frame during a recovery
                 if frame is not None and state.mode != MissionMode.RECOVER:
                     _, pose, targets, bias = frame
@@ -679,8 +671,7 @@ class MissionSimulator:
                     if state.mode == MissionMode.RECOVER and task.track.index >= task.rejoin_index:
                         state.transition(MissionMode.GLOBAL_PLAN, t)
                 else:
-                    stale = (t - state.last_seen) > (2.5 / rates.perception_hz)
-                    v_cmd = task.step(state, None if stale else los_level, uav, t)
+                    v_cmd = task.step(state, los_level, uav, t)
                     self.result.command_log.append((t, state.mode.value, v_cmd.velocity_world, uav.pz))
                     pilot.velocity(v_cmd.velocity_world, v_cmd.yaw_rate, uav)
 

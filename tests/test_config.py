@@ -238,12 +238,21 @@ TASK2 = {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}}
         ({**TASK2, "arena": {"length": 11.0}}, "fit in the arena"),
         ({**TASK2, "ball": {**TASK2["ball"], "speed": 0}}, "ball speed"),
         ({**TASK2, "ball": {**TASK2["ball"], "speed": -6}}, "ball speed"),
+        ({**SCENARIO, "faults": [{"kind": "gimbal_offset", "yaw_deg": 30.0, "delay": 0.2}]}, "does not read delay"),
+        ({**SCENARIO, "faults": [{"kind": "camera_latency", "pitch_deg": -4.0}]}, "does not read pitch_deg"),
+        ({**SCENARIO, "faults": [{"kind": "downdraft", "yaw_deg": 10.0}]}, "does not read yaw_deg"),
+        ({**SCENARIO, "faults": [{"kind": "camera_latency", "impulse": 2.0}]}, "does not read impulse"),
+        ({**TASK2, "faults": [{"kind": "downdraft"}]}, "no downdraft fault"),
+        ({**SCENARIO, "ball": TASK2["ball"]}, "Task 1 scenario reads none"),
+        ({**TASK2, "balloons": SCENARIO["balloons"]}, "reads no balloons"),
     ],
     ids=["zero-balloon-radius", "negative-balloon-radius", "zero-ball-radius", "zero-square-side",
          "negative-square-side", "negative-pop-contact", "zero-attack-speed", "zero-adjust-timeout",
          "negative-hold-after-loss", "zero-wait-timeout", "task-1-above-ceiling", "task-1-at-ground",
          "task-1-below-ground", "task-1-under-low-ceiling", "square-wider-than-arena",
-         "arena-shorter-than-square", "zero-ball-speed", "negative-ball-speed"],
+         "arena-shorter-than-square", "zero-ball-speed", "negative-ball-speed", "gimbal-fault-with-delay",
+         "latency-fault-with-pitch", "downdraft-fault-with-yaw", "latency-fault-with-impulse",
+         "task-2-downdraft", "task-1-ball", "task-2-balloons"],
 )
 def test_invalid_scenario_rejected_at_load(data, match):
     # the base scenario loads; each case changes one value in it to an invalid one

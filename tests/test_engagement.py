@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -12,6 +13,7 @@ from pursuitsim.config import SimConfig
 from pursuitsim.engagement import (
     DirectGuide,
     FailureReason,
+    Flight,
     HitMonitor,
     PerceptionPipeline,
     TracePoint,
@@ -22,10 +24,10 @@ from pursuitsim.engagement import (
 )
 from pursuitsim.geometry import CAMERA, CameraIntrinsics, Pose, Vec3, ZERO3, camera_to_world
 from pursuitsim.guidance import GuidanceCommand, GuidanceMethod
-from pursuitsim.harness import ExperimentConfig, run_trial
+from pursuitsim.harness import ExperimentConfig, run_trial, trial_seed
 from pursuitsim.mission import ValidityGate, validate_detection
 from pursuitsim.perception import estimate_depth
-from pursuitsim.targets import PathKind, StationaryPath, TargetState
+from pursuitsim.targets import PathKind, StationaryPath, TargetPathSpec, TargetState, build_path
 from pursuitsim.vehicle import at_rest
 
 MOUNT_PITCH = 0.1
@@ -358,3 +360,50 @@ def test_perfbench_tracer_wraps_the_engagement():
     for name in ("engagement.run", "perception.render", "perception.observe", "trajectory.cursor",
                  "trajectory.replan", "vehicle.dynamics", "vehicle.control", "engagement.monitor"):
         assert calls.get(name, 0) > 0, name
+
+
+def _finish(flight, ticks):
+    """`run_engagement`'s loop from wherever `flight` stands: the judged
+    result with the trace, and the LOS-rate record the summary reads, as
+    they are when the trial ends."""
+    for k, t, perception_due, control_due in ticks:
+        flight.tick(k, t, perception_due, control_due)
+        result = flight.step(k)
+        if result is not None:
+            break
+    else:
+        result = flight.monitor.timeout()
+    return dataclasses.replace(result, trace=list(flight.trace)), flight.phi_handoff, list(flight.phi_log)
+
+
+@pytest.mark.parametrize("ideal", [False, True], ids=["dynamics", "ideal-dynamics"])
+@pytest.mark.parametrize("method", list(GuidanceMethod), ids=lambda m: m.value)
+def test_flight_copied_at_handoff_finishes_as_the_original(method, ideal):
+    """A `Flight` holds all of a trial's state: a deep copy taken after the
+    handoff tick ends exactly as the original, and both end as
+    `run_engagement` does, although before each finishes another trial runs
+    that never sees its target."""
+    sim = SimConfig()
+    cfg = ExperimentConfig(method, 3.0, PathKind.KNOT, 0.5, ideal_dynamics=ideal)
+    behind = StationaryPath(Vec3(-10.0, 0.0, 0.0), 0.5)
+    for index in (0, 1):
+        seed = trial_seed(1, cfg, index)
+        path = build_path(TargetPathSpec(cfg.path_kind, cfg.target_fraction * cfg.uav_speed, seed=seed))
+        whole = run_engagement(method, cfg.uav_speed, path, sim, ideal, record_trace=True)
+        flight = Flight(method, cfg.uav_speed, path, sim, ideal, record_trace=True)
+        ticks = sim.rates.ticks(flight.horizon)
+        for k, t, perception_due, control_due in ticks:
+            flight.tick(k, t, perception_due, control_due)
+            assert flight.step(k) is None, "the trial must outlast the handoff tick"
+            if t >= flight.handoff:
+                break
+        copied = copy.deepcopy(flight)
+        rest = list(ticks)
+        ends = []
+        for f in (copied, flight):
+            assert run_engagement(method, cfg.uav_speed, behind, sim, ideal).failure_reason == FailureReason.FOV_LOSS
+            ends.append(_finish(f, rest))
+        assert ends[0] == ends[1]
+        result, phi_handoff, _ = ends[1]
+        assert whole.phi_dot_handoff == (0.0 if phi_handoff is None else phi_handoff)
+        assert dataclasses.replace(whole, phi_dot_handoff=0.0, phi_dot_final=0.0) == result

@@ -78,8 +78,10 @@ class TestLawnmower:
         assert len(legs) == 1
 
     def test_invalid_sweep(self):
-        with pytest.raises(ValueError):
-            lawnmower_plan(Arena(), 0.0, 2.4, 2.0)
+        # checked once, at load: the planner trusts a validated scenario
+        for sweep_width in (0.0, 40.5):
+            with pytest.raises(ValueError, match="sweep width"):
+                Scenario(task=1, sweep_width=sweep_width).validate()
 
 
 class TestSquareSearch:
