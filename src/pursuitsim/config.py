@@ -2,10 +2,11 @@
 
 Every settable parameter lives in exactly one dataclass with its default,
 and `tests/test_config.py::test_every_leaf_is_live` proves that each one
-changes a trial's record; the guidance and vehicle sections are the runtime
-parameter types themselves. Fixed values (the camera `geometry.CAMERA`, the
-cascade's gains, the path shapes, the ideal model's time constant, the
-planner's `trajectory.HORIZON`, `WAYPOINT_DT`, `REPLAN_HZ` and
+changes a trial's record; the guidance section is the runtime parameter
+type itself. Fixed values (the camera `geometry.CAMERA`, the airframe's
+`vehicle.TAU_ATTITUDE`, `DRAG`, `TILT_LIMIT`, `HOVER_THRUST` and
+`MAX_YAW_RATE`, the cascade's gains, the path shapes, the ideal model's time
+constant, the planner's `trajectory.HORIZON`, `WAYPOINT_DT`, `REPLAN_HZ` and
 `LOOKAHEAD_BUFFER`, and the smoothing window `engagement.FILTER_WINDOW`) are
 module constants next to the code that reads them, not keys here.
 `from_dict` builds any of these dataclasses, and the mission scenario, from
@@ -25,7 +26,7 @@ from typing import Any, Iterator, Union, get_args, get_origin, get_type_hints
 
 from .geometry import Vec3
 from .guidance import GuidanceParams
-from .vehicle import MAX_DYNAMICS_DT, VehicleParams
+from .vehicle import MAX_DYNAMICS_DT
 
 
 @dataclass
@@ -92,7 +93,6 @@ class RulesConfig:
 @dataclass
 class SimConfig:
     guidance: GuidanceParams = field(default_factory=GuidanceParams)
-    vehicle: VehicleParams = field(default_factory=VehicleParams)
     rates: RatesConfig = field(default_factory=RatesConfig)
     rules: RulesConfig = field(default_factory=RulesConfig)
 

@@ -67,6 +67,7 @@ from .trajectory import (
 )
 from .vehicle import (
     GRAVITY,
+    HOVER_THRUST,
     YAW_KP,
     AttitudeCommand,
     PoseController,
@@ -75,6 +76,7 @@ from .vehicle import (
     at_rest,
     dynamics_step,
     ideal_dynamics_step,
+    mount_pitch,
 )
 
 
@@ -306,13 +308,12 @@ class Pilot:
     """
 
     def __init__(self, cfg: SimConfig):
-        self.params = cfg.vehicle
-        self.step = StepConstants.of(self.params, cfg.rates.dt)
+        self.step = StepConstants.of(cfg.rates.dt)
         self.dt_ctrl = cfg.rates.control_dt
         self.pose_ctl = PoseController()
-        self.vel_ctl = VelocityController(self.params)
+        self.vel_ctl = VelocityController()
         self.v_ref = ZERO3
-        self.cmd = AttitudeCommand(0.0, 0.0, 0.0, self.params.hover_thrust)
+        self.cmd = AttitudeCommand(0.0, 0.0, 0.0, HOVER_THRUST)
 
     def velocity(self, v: Vec3, yaw_rate: float, uav: Pose) -> None:
         self.v_ref = v
@@ -342,7 +343,7 @@ class IdealPilot:
     VELOCITY_TAU = 0.3  # s, first-order tracking of a velocity setpoint
 
     def __init__(self, cfg: SimConfig):
-        self.step = StepConstants.of(cfg.vehicle, cfg.rates.dt)
+        self.step = StepConstants.of(cfg.rates.dt)
         self.max_accel = cfg.guidance.max_accel
         self.a_world = ZERO3
         self.yaw_rate = 0.0
@@ -548,13 +549,13 @@ class Flight:
         self.uav_speed = uav_speed
         self.path = path
         self.radius = path.radius
-        self.mount_pitch = mount_pitch = cfg.vehicle.mount_pitch(uav_speed)
-        self.pipeline = PerceptionPipeline(mount_pitch, 2.0 * path.radius)
+        self.mount_pitch = pitch = mount_pitch(uav_speed)
+        self.pipeline = PerceptionPipeline(pitch, 2.0 * path.radius)
         self.pilot = IdealPilot(cfg) if ideal_dynamics else Pilot(cfg)
         if method.is_trajectory:
-            self.guide: Union[DirectGuide, TrajectoryGuide] = TrajectoryGuide(cfg, method, mount_pitch)
+            self.guide: Union[DirectGuide, TrajectoryGuide] = TrajectoryGuide(cfg, method, pitch)
         else:
-            self.guide = DirectGuide(cfg, method, mount_pitch, uav_speed)
+            self.guide = DirectGuide(cfg, method, pitch, uav_speed)
         self.dt = cfg.rates.dt
         self.handoff = gp.init_duration
         self.horizon = self.handoff + cfg.rules.pursuit_timeout + 0.25

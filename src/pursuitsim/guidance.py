@@ -52,7 +52,7 @@ class GuidanceParams:
 
 class GuidanceCommand(NamedTuple):
     accel_body: Vec3               # m/s^2, x forward / y left / z up
-    yaw_rate: float                # rad/s, limited only by vehicle.max_yaw_rate
+    yaw_rate: float                # rad/s, limited only by vehicle.MAX_YAW_RATE
 
 
 def closing_velocity(uav_vel_world: Vec3, los_world_unit: Vec3) -> float:

@@ -15,6 +15,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import IO, Optional
 
 from .config import SimConfig, from_dict
@@ -33,7 +34,7 @@ from .engagement import Pilot, PlanTrack, largest_blob
 from .engagement import cursor_step, dynamics_step  # noqa: F401  unused; perfbench/tracer.py wraps them by name here
 from .targets import PeriodicCurvePath, TargetState, fig8_shape
 from .trajectory import Trajectory, Waypoint
-from .vehicle import at_rest
+from .vehicle import at_rest, mount_pitch
 
 
 @dataclass
@@ -372,6 +373,12 @@ class Scenario:
     square_altitude: float = 11.0
     square_speed: float = 1.0
     square_side: float = 12.0
+    # the inputs that only the other task reads; a task's scenario leaves them at their defaults
+    UNREAD = {
+        1: ("square_altitude", "square_speed", "square_side", "gate.bottom_exclusion_fraction", "params.wait_timeout"),
+        2: ("sweep_width", "search_altitude", "search_speed", "params.adjust_timeout", "params.attack_speed",
+            "params.hold_after_loss", "params.pop_contact"),
+    }
 
     def validate(self) -> None:
         if self.arena.length <= 0.0 or self.arena.width <= 0.0:
@@ -384,6 +391,10 @@ class Scenario:
             raise ValueError("a Task 2 scenario needs a ball, and a Task 1 scenario reads none")
         if self.task == 2 and (self.balloons or any(f.kind == "downdraft" for f in self.faults)):
             raise ValueError("a Task 2 scenario reads no balloons and no downdraft fault")
+        default = Scenario(self.task)
+        for name in self.UNREAD[self.task]:
+            if attrgetter(name)(self) != attrgetter(name)(default):
+                raise ValueError(f"a Task {self.task} scenario does not read {name}")
         for fault in self.faults:
             fault.validate()
         if len({f.kind for f in self.faults}) < len(self.faults):
@@ -502,7 +513,7 @@ class BalloonTask:
         self.mission = mission
         self.params = sc.params
         self.dt = mission.sim.rates.dt
-        self.mount_pitch = mission.sim.vehicle.mount_pitch(sc.search_speed)
+        self.mount_pitch = mount_pitch(sc.search_speed)
         plan = lawnmower_plan(sc.arena, sc.sweep_width, sc.search_altitude, sc.search_speed, TASK1_START)
         self.track = PlanTrack(plan, 0.0)
         self.rejoin_index = 0  # first resumed-plan waypoint of the recovery plan
@@ -576,7 +587,7 @@ class BallTask:
         sc = mission.sc
         self.mission = mission
         self.params = sc.params
-        self.mount_pitch = mission.sim.vehicle.mount_pitch(sc.square_speed)
+        self.mount_pitch = mount_pitch(sc.square_speed)
         plan = square_search_plan(sc.arena, sc.square_altitude, sc.square_speed, sc.square_side)
         self.track = PlanTrack(plan, 0.0)
         self.ball = BallPath(sc.ball)

@@ -237,11 +237,7 @@ def _build_straight(spec: TargetPathSpec, rng: random.Random) -> TargetPath:
         return StationaryPath(start, DEFAULT_TARGET_RADIUS)
     aim = Vec3(rrange * aim_frac, 0.0, z0)
     flat = aim - start
-    flat_n = flat.norm()
-    if flat_n < 1e-9:
-        flat = Vec3(0.0, -side, 0.0)
-        flat_n = 1.0
-    horiz = flat.scale(1.0 / flat_n)
+    horiz = flat.scale(1.0 / flat.norm())
     direction = Vec3(horiz.x * math.cos(slope), horiz.y * math.cos(slope), math.sin(slope))
     return StraightPath(start, direction.scale(spec.speed), DEFAULT_TARGET_RADIUS)
 

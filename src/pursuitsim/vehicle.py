@@ -3,14 +3,13 @@
 The dynamics model is a point mass with a first-order attitude lag and a
 yaw-rate integrator: enough to reproduce the failure mechanism that matters
 for pursuit (lag between a commanded lateral acceleration and the airframe
-actually achieving it) without a rotor-level model. The lag time constant is
-the single knob controlling that fidelity.
+actually achieving it) without a rotor-level model. The lag time constant,
+`TAU_ATTITUDE`, sets that fidelity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .geometry import Pose, Vec3, body_z_axis, wrap_angle
@@ -40,40 +39,20 @@ INTEGRATOR_LIMIT = 2.0   # m, per-axis clamp of the velocity-error integral
 YAW_KP = 1.5             # 1/s, trajectory yaw tracking
 
 
-@dataclass
-class VehicleParams:
-    tau_attitude: float = 0.15   # s, first-order roll/pitch lag
-    drag: float = 0.3            # 1/s linear drag coefficient
-    tilt_limit_deg: float = 35.0
-    hover_thrust: float = 0.5    # normalized thrust that balances gravity
-    max_yaw_rate: float = 2.0    # rad/s actuation limit
+# The airframe: the paper varies the UAV's speed, never the vehicle itself.
+TAU_ATTITUDE = 0.15   # s, first-order roll/pitch lag
+DRAG = 0.3            # 1/s linear drag coefficient
+TILT_LIMIT = math.radians(35.0)  # rad, roll/pitch command clamp
+HOVER_THRUST = 0.5    # normalized thrust that balances gravity
+THRUST_SCALE = GRAVITY / HOVER_THRUST  # m/s^2 per unit of normalized thrust
+MAX_YAW_RATE = 2.0    # rad/s actuation limit
 
-    @property
-    def tilt_limit(self) -> float:
-        return math.radians(self.tilt_limit_deg)
 
-    @property
-    def thrust_scale(self) -> float:
-        """Mass-normalized thrust acceleration per unit of normalized thrust."""
-        return GRAVITY / self.hover_thrust
-
-    def mount_pitch(self, speed: float) -> float:
-        """Camera mount tilt up, rad, for a UAV cruising at `speed`: the one
-        canceling the steady-state nose-down pitch at that speed, so a level
-        target stays near the image center."""
-        return math.atan2(self.drag * speed, GRAVITY)
-
-    def validate(self) -> None:
-        if not self.tau_attitude > 0.0:
-            raise ValueError("vehicle.tau_attitude must be positive")
-        if not 0.0 < self.hover_thrust <= 1.0:
-            raise ValueError("vehicle.hover_thrust must be in (0, 1]")
-        if not 0.0 < self.tilt_limit_deg < 90.0:
-            raise ValueError("vehicle.tilt_limit_deg must be in (0, 90)")
-        if not self.drag >= 0.0:
-            raise ValueError("vehicle.drag must be >= 0")
-        if not self.max_yaw_rate > 0.0:
-            raise ValueError("vehicle.max_yaw_rate must be positive")
+def mount_pitch(speed: float) -> float:
+    """Camera mount tilt up, rad, for a UAV cruising at `speed`: the one
+    canceling the steady-state nose-down pitch at that speed, so a level
+    target stays near the image center."""
+    return math.atan2(DRAG * speed, GRAVITY)
 
 
 class VectorPid:
@@ -110,11 +89,11 @@ class VelocityController:
     vertical balance is preserved.
     """
 
-    def __init__(self, params: VehicleParams):
+    def __init__(self):
         self.pid = VectorPid(VELOCITY_KP, VELOCITY_KI, INTEGRATOR_LIMIT)
-        # computed once: they depend only on the config
-        self.sin_tilt_limit = math.sin(params.tilt_limit)
-        self.thrust_scale = params.thrust_scale
+        # computed once: they depend only on the airframe
+        self.sin_tilt_limit = math.sin(TILT_LIMIT)
+        self.thrust_scale = THRUST_SCALE
 
     def step(
         self, v_ref: Vec3, a_ff: Vec3, yaw_rate: float, pose: Pose, dt: float
@@ -144,8 +123,8 @@ MAX_DYNAMICS_DT = 0.02
 
 
 class StepConstants(NamedTuple):
-    """What the step functions read of the config, computed once per vehicle
-    and step size by `of`."""
+    """What the step functions read of the airframe, computed once per step
+    size by `of`; a test may `_replace` any of them."""
 
     dt: float
     alpha: float         # the attitude lag's blend per step, 1 - exp(-dt / tau)
@@ -154,11 +133,11 @@ class StepConstants(NamedTuple):
     max_yaw_rate: float
 
     @classmethod
-    def of(cls, params: VehicleParams, dt: float) -> "StepConstants":
+    def of(cls, dt: float) -> "StepConstants":
         if not (0.0 < dt <= MAX_DYNAMICS_DT):
             raise ValueError(f"dt must be in (0, {MAX_DYNAMICS_DT}]")
-        alpha = 1.0 - math.exp(-dt / params.tau_attitude)
-        return cls(dt, alpha, params.thrust_scale, params.drag, params.max_yaw_rate)
+        alpha = 1.0 - math.exp(-dt / TAU_ATTITUDE)
+        return cls(dt, alpha, THRUST_SCALE, DRAG, MAX_YAW_RATE)
 
 
 def dynamics_step(s: Pose, cmd: AttitudeCommand, k: StepConstants) -> Pose:

@@ -41,6 +41,8 @@ from pursuitsim.perception import centroid, estimate_depth, render_sphere
 from pursuitsim.targets import PathKind
 from pursuitsim.trajectory import forecast_target
 from pursuitsim.vehicle import (
+    HOVER_THRUST,
+    TAU_ATTITUDE,
     AttitudeCommand,
     PoseController,
     StepConstants,
@@ -373,17 +375,15 @@ def test_criterion_9_matrix_determinism(tmp_path):
 
 
 def test_criterion_10_controller_sanity():
-    params = SIM.vehicle
-
     # hover convergence from a 1 m offset
     pose_ctl = PoseController()
-    vel_ctl = VelocityController(params)
+    vel_ctl = VelocityController()
     target = Waypoint(Vec3(0, 0, 5.0), 0.0)
     state = at_rest(Vec3(1.0, 0.0, 4.5))
     dt = 1.0 / SIM.rates.dynamics_hz
     every = SIM.rates.dynamics_hz // SIM.rates.control_hz
-    step_constants = StepConstants.of(params, dt)
-    att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
+    step_constants = StepConstants.of(dt)
+    att = AttitudeCommand(0.0, 0.0, 0.0, HOVER_THRUST)
     for k in range(int(3.0 / dt)):
         if k % every == 0:
             v_ref = pose_ctl.step(target, ZERO3, state)
@@ -393,9 +393,9 @@ def test_criterion_10_controller_sanity():
     hover_ok = hover_err < 0.05
 
     # first-order attitude step response at tau, 2tau, 3tau
-    tau = params.tau_attitude
+    tau = TAU_ATTITUDE
     target_roll = math.radians(10.0)
-    cmd = AttitudeCommand(target_roll, 0.0, 0.0, params.hover_thrust)
+    cmd = AttitudeCommand(target_roll, 0.0, 0.0, HOVER_THRUST)
     st = at_rest(ZERO3)
     step_ok = True
     details = []

@@ -76,6 +76,7 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
         (load_config, {"trajectory": {"horizon": 2.0}}),
         (load_config, {"guidance": {"max_yaw_rate": 1.5}}),
         (load_config, {"rates": {"control_hz": 60}}),
+        (load_config, {"vehicle": {"drag": 0.3}}),
         (load_scenario, {**SCENARIO, "search_speed": 1.0, "search": {"speed": 3.0}}),
         (load_scenario, {**SCENARIO, "sweep_width": 6.0}),
         (load_scenario, {**SCENARIO, "search_altitude": 2.4}),
@@ -98,7 +99,7 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infin
          "negative-dropout-hold", "negative-dropout-decay", "negative-drag", "negative-lookahead-buffer",
          "negative-max-yaw-rate", "zero-max-yaw-rate", "removed-ideal-velocity-tau", "removed-gains",
          "removed-mount-pitch", "removed-camera", "removed-perception", "removed-trajectory",
-         "removed-max-yaw-rate", "control-rate-not-a-divisor", "flat-and-grouped-search-speed",
+         "removed-max-yaw-rate", "control-rate-not-a-divisor", "removed-vehicle", "flat-and-grouped-search-speed",
          "flat-sweep-width", "flat-search-altitude", "flat-search-speed", "flat-square-altitude",
          "flat-square-speed", "flat-square-side", "task-1-above-ceiling", "square-past-arena"],
 )
@@ -111,19 +112,17 @@ def test_bad_file_rejected_at_load(tmp_path, loader, data):
 
 def test_nested_override_keeps_field_defaults(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"vehicle": {"tilt_limit_deg": 30}}))
+    path.write_text(json.dumps({"rules": {"bounds_x": 30}}))
     cfg = load_config(str(path))
     default = SimConfig()
-    assert type(cfg.vehicle.tilt_limit_deg) is float
-    assert cfg.vehicle == dataclasses.replace(default.vehicle, tilt_limit_deg=30.0)
-    assert cfg == dataclasses.replace(default, vehicle=cfg.vehicle)
+    assert type(cfg.rules.bounds_x) is float
+    assert cfg.rules == dataclasses.replace(default.rules, bounds_x=30.0)
+    assert cfg == dataclasses.replace(default, rules=cfg.rules)
 
 
 LEAVES = [
     "guidance.pn_gain", "guidance.kp_yaw", "guidance.k_heading", "guidance.suppression",
     "guidance.init_duration", "guidance.max_accel", "guidance.dropout_hold", "guidance.dropout_decay",
-    "vehicle.tau_attitude", "vehicle.drag", "vehicle.tilt_limit_deg", "vehicle.hover_thrust",
-    "vehicle.max_yaw_rate",
     "rates.dynamics_hz", "rates.control_hz", "rates.perception_hz",
     "rules.hit_radius", "rules.pursuit_timeout", "rules.bounds_x", "rules.bounds_y", "rules.bounds_z",
     "rules.fov_loss_timeout", "rules.crash_accel_g", "rules.crash_sustain",
@@ -157,11 +156,6 @@ LIVE = {
     "guidance.max_accel": ("pn-heading", "straight", False, 1000, {}),
     "guidance.dropout_hold": ("forecast-traj", "knot", True, 1001, {}),
     "guidance.dropout_decay": ("pn-heading", "knot", False, 1002, {}),
-    "vehicle.tau_attitude": ("tpn", "straight", False, 1000, {}),
-    "vehicle.drag": ("tpn", "straight", False, 1000, {}),
-    "vehicle.tilt_limit_deg": ("tpn", "straight", False, 1000, {}),
-    "vehicle.hover_thrust": ("pn-heading", "straight", False, 1000, {}),
-    "vehicle.max_yaw_rate": ("forecast-traj", "straight", False, 1000, {}),
     "rates.dynamics_hz": ("tpn", "straight", False, 1000, {}),
     "rates.control_hz": ("tpn", "straight", False, 1000, {}),
     "rates.perception_hz": ("tpn", "straight", False, 1000, {}),
@@ -245,6 +239,18 @@ TASK2 = {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}}
         ({**TASK2, "faults": [{"kind": "downdraft"}]}, "no downdraft fault"),
         ({**SCENARIO, "ball": TASK2["ball"]}, "Task 1 scenario reads none"),
         ({**TASK2, "balloons": SCENARIO["balloons"]}, "reads no balloons"),
+        ({**SCENARIO, "square_altitude": 12.0}, "Task 1 scenario does not read square_altitude"),
+        ({**SCENARIO, "square_speed": 2.0}, "Task 1 scenario does not read square_speed"),
+        ({**SCENARIO, "square_side": 30.0}, "Task 1 scenario does not read square_side"),
+        ({**SCENARIO, "gate": {"bottom_exclusion_fraction": 0.9}}, "does not read gate.bottom_exclusion_fraction"),
+        ({**SCENARIO, "params": {"wait_timeout": 5.0}}, "Task 1 scenario does not read params.wait_timeout"),
+        ({**TASK2, "sweep_width": 1.0}, "Task 2 scenario does not read sweep_width"),
+        ({**TASK2, "search_altitude": 4.0}, "Task 2 scenario does not read search_altitude"),
+        ({**TASK2, "search_speed": 3.0}, "Task 2 scenario does not read search_speed"),
+        ({**TASK2, "params": {"adjust_timeout": 2.0}}, "Task 2 scenario does not read params.adjust_timeout"),
+        ({**TASK2, "params": {"attack_speed": 9.0}}, "Task 2 scenario does not read params.attack_speed"),
+        ({**TASK2, "params": {"hold_after_loss": 2.0}}, "Task 2 scenario does not read params.hold_after_loss"),
+        ({**TASK2, "params": {"pop_contact": 3.0}}, "Task 2 scenario does not read params.pop_contact"),
     ],
     ids=["zero-balloon-radius", "negative-balloon-radius", "zero-ball-radius", "zero-square-side",
          "negative-square-side", "negative-pop-contact", "zero-attack-speed", "zero-adjust-timeout",
@@ -252,7 +258,10 @@ TASK2 = {"task": 2, "ball": {"center": [50.0, 20.0, 12.5]}}
          "task-1-below-ground", "task-1-under-low-ceiling", "square-wider-than-arena",
          "arena-shorter-than-square", "zero-ball-speed", "negative-ball-speed", "gimbal-fault-with-delay",
          "latency-fault-with-pitch", "downdraft-fault-with-yaw", "latency-fault-with-impulse",
-         "task-2-downdraft", "task-1-ball", "task-2-balloons"],
+         "task-2-downdraft", "task-1-ball", "task-2-balloons", "task-1-square-altitude", "task-1-square-speed",
+         "task-1-square-side", "task-1-bottom-exclusion", "task-1-wait-timeout", "task-2-sweep-width",
+         "task-2-search-altitude", "task-2-search-speed", "task-2-adjust-timeout", "task-2-attack-speed",
+         "task-2-hold-after-loss", "task-2-pop-contact"],
 )
 def test_invalid_scenario_rejected_at_load(data, match):
     # the base scenario loads; each case changes one value in it to an invalid one

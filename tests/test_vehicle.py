@@ -9,29 +9,29 @@ from pursuitsim.engagement import IdealPilot, Pilot
 from pursuitsim.geometry import Pose, Vec3, ZERO3, attitude_rotation, rot_z, wrap_angle
 from pursuitsim.trajectory import Waypoint
 from pursuitsim.vehicle import (
+    DRAG,
     GRAVITY,
+    HOVER_THRUST,
     INTEGRATOR_LIMIT,
+    MAX_YAW_RATE,
     POSITION_KP,
     VELOCITY_KI,
     VELOCITY_KP,
     AttitudeCommand,
     PoseController,
+    TAU_ATTITUDE,
+    THRUST_SCALE,
+    TILT_LIMIT,
     StepConstants,
     VectorPid,
-    VehicleParams,
     VelocityController,
     at_rest,
     dynamics_step,
     ideal_dynamics_step,
+    mount_pitch,
 )
 
-
-def default_params() -> VehicleParams:
-    return SimConfig().vehicle
-
-
-def hover_cmd(params: VehicleParams) -> AttitudeCommand:
-    return AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
+HOVER_CMD = AttitudeCommand(0.0, 0.0, 0.0, HOVER_THRUST)
 
 
 class TestPoseController:
@@ -75,34 +75,31 @@ class TestPoseController:
 
 class TestVelocityController:
     def test_hover_equilibrium(self):
-        params = default_params()
-        ctl = VelocityController(params)
+        ctl = VelocityController()
         state = at_rest(ZERO3)
         cmd = ctl.step(ZERO3, ZERO3, 0.0, state, 0.02)
         assert cmd.roll == 0.0 and cmd.pitch == 0.0
-        assert abs(cmd.thrust - params.hover_thrust) < 1e-9
+        assert abs(cmd.thrust - HOVER_THRUST) < 1e-9
 
     def test_forward_accel_pitches_forward(self):
-        params = default_params()
-        ctl = VelocityController(params)
+        ctl = VelocityController()
         state = at_rest(ZERO3)
         cmd = ctl.step(ZERO3, Vec3(3.0, 0, 0), 0.0, state, 0.02)
         assert cmd.pitch < 0.0  # nose down to accelerate +x
         assert cmd.roll == 0.0
 
     def test_tilt_clamp_preserves_vertical_balance(self):
-        params = default_params()
-        ctl = VelocityController(params)
+        ctl = VelocityController()
         state = at_rest(ZERO3)
         # huge lateral demand: tilt saturates at the limit, thrust keeps the
         # vertical channel balanced (analytic clamped-tilt model)
         cmd = ctl.step(ZERO3, Vec3(50.0, 0, 0), 0.0, state, 0.02)
-        assert abs(cmd.pitch) <= params.tilt_limit + 1e-9
-        vertical = cmd.thrust * params.thrust_scale * math.cos(cmd.pitch) * math.cos(cmd.roll)
+        assert abs(cmd.pitch) <= TILT_LIMIT + 1e-9
+        vertical = cmd.thrust * THRUST_SCALE * math.cos(cmd.pitch) * math.cos(cmd.roll)
         assert abs(vertical - GRAVITY) / GRAVITY < 0.05
 
     def test_yaw_rate_passthrough(self):
-        ctl = VelocityController(default_params())
+        ctl = VelocityController()
         cmd = ctl.step(ZERO3, ZERO3, 0.7, at_rest(ZERO3), 0.02)
         assert cmd.yaw_rate == 0.7
 
@@ -111,14 +108,13 @@ class TestVelocityController:
     def test_step_matches_the_vector_formula(self, rx, ry, rz, fx, fy, fz, vx, vy, vz, yaw):
         """Two ticks on floats equal, bit for bit, the loop written with
         `Vec3`, a per-axis integral and `rot_z(yaw).apply_inverse`."""
-        params = default_params()
-        ctl = VelocityController(params)
+        ctl = VelocityController()
         v_ref, a_ff = Vec3(rx, ry, rz), Vec3(fx, fy, fz)
         pose = Pose(*ZERO3, vx, vy, vz, 0.1, -0.2, yaw)
         dt = 0.02
         integral = [0.0, 0.0, 0.0]
         lim = INTEGRATOR_LIMIT
-        s_lim = math.sin(math.radians(params.tilt_limit_deg))
+        s_lim = math.sin(TILT_LIMIT)
         for _ in range(2):
             error = v_ref - pose.velocity
             for i in range(3):
@@ -130,28 +126,25 @@ class TestVelocityController:
             mag = math.sqrt(ax * ax + ay * ay + az * az)
             roll = -math.asin(min(s_lim, max(-s_lim, ay / mag)))
             pitch = -math.asin(min(s_lim, max(-s_lim, ax / (mag * math.cos(roll)))))
-            thrust = min(1.0, max(0.0, az / (math.cos(pitch) * math.cos(roll)) / (GRAVITY / params.hover_thrust)))
+            thrust = min(1.0, max(0.0, az / (math.cos(pitch) * math.cos(roll)) / (GRAVITY / HOVER_THRUST)))
             assert ctl.step(v_ref, a_ff, 0.3, pose, dt) == AttitudeCommand(roll, pitch, 0.3, thrust)
 
 
 class TestDynamics:
     def test_hover_hold_has_no_drift(self):
-        params = default_params()
         state = at_rest(Vec3(0, 0, 5.0))
-        cmd = hover_cmd(params)
-        k = StepConstants.of(params, 0.005)
+        k = StepConstants.of(0.005)
         for _ in range(2000):  # 10 s at 200 Hz
-            state = dynamics_step(state, cmd, k)
+            state = dynamics_step(state, HOVER_CMD, k)
         assert (state.position - Vec3(0, 0, 5.0)).norm() < 1e-3
 
     def test_attitude_step_response_is_first_order(self):
-        params = default_params()
-        tau = params.tau_attitude
+        tau = TAU_ATTITUDE
         target = math.radians(10.0)
-        cmd = AttitudeCommand(target, 0.0, 0.0, params.hover_thrust)
+        cmd = AttitudeCommand(target, 0.0, 0.0, HOVER_THRUST)
         dt = 0.005
         state = at_rest(ZERO3)
-        constants = StepConstants.of(params, dt)
+        constants = StepConstants.of(dt)
         checkpoints = {round(k * tau / dt): k for k in (1, 2, 3)}
         step = 0
         while step <= max(checkpoints):
@@ -163,44 +156,39 @@ class TestDynamics:
                 assert abs(state.roll - expected) / expected < 0.02
 
     def test_zero_thrust_free_fall(self):
-        params = VehicleParams(drag=0.0)
         state = at_rest(Vec3(0, 0, 50.0))
         cmd = AttitudeCommand(0.0, 0.0, 0.0, 0.0)
-        k = StepConstants.of(params, 0.005)
+        k = StepConstants.of(0.005)._replace(drag=0.0)
         for _ in range(200):  # 1 s
             state = dynamics_step(state, cmd, k)
         assert abs(state.vz + GRAVITY * 1.0) < 1e-9
 
     def test_vertical_velocity_conserved_without_drag(self):
-        params = VehicleParams(drag=0.0)
         state = Pose(0.0, 0.0, 5.0, 0.0, 0.0, 1.5, 0.0, 0.0, 0.0)
-        cmd = hover_cmd(params)
-        k = StepConstants.of(params, 0.005)
+        k = StepConstants.of(0.005)._replace(drag=0.0)
         for _ in range(400):
-            state = dynamics_step(state, cmd, k)
+            state = dynamics_step(state, HOVER_CMD, k)
         assert abs(state.vz - 1.5) < 1e-9
 
     def test_yaw_rate_limit(self):
-        params = default_params()
         # starts next to +pi, so the step wraps round to -pi
         state = at_rest(ZERO3, yaw=3.14)
-        cmd = AttitudeCommand(0.0, 0.0, 100.0, params.hover_thrust)
+        cmd = AttitudeCommand(0.0, 0.0, 100.0, HOVER_THRUST)
         dt = 0.005
-        after = dynamics_step(state, cmd, StepConstants.of(params, dt))
+        after = dynamics_step(state, cmd, StepConstants.of(dt))
         assert after.yaw < 0.0
         step = abs(wrap_angle(after.yaw - state.yaw))
-        assert 0.99 * params.max_yaw_rate * dt < step <= params.max_yaw_rate * dt + 1e-12
+        assert 0.99 * MAX_YAW_RATE * dt < step <= MAX_YAW_RATE * dt + 1e-12
 
     def test_dt_bounds(self):
         with pytest.raises(ValueError):
-            StepConstants.of(default_params(), 0.05)
+            StepConstants.of(0.05)
 
     def test_determinism(self):
-        params = default_params()
         cmds = [
             AttitudeCommand(0.01 * i, -0.005 * i, 0.1, 0.55) for i in range(50)
         ]
-        k = StepConstants.of(params, 0.005)
+        k = StepConstants.of(0.005)
         runs = []
         for _ in range(2):
             state = at_rest(ZERO3)
@@ -217,20 +205,19 @@ class TestDynamics:
         functions, both pilots' `fly` and `at_rest` return a `Pose`, whose
         `position` and `velocity` are the `Vec3`s of its fields."""
         sim = SimConfig()
-        params = sim.vehicle
         pose = Pose(x, -0.5 * x, 3.0, vx, vy, vz, 0.3 * roll, 0.3 * pitch, yaw)
         cmd = AttitudeCommand(roll, pitch, yaw_rate, thrust)
         dt = 0.005
-        alpha = 1.0 - math.exp(-dt / params.tau_attitude)
+        alpha = 1.0 - math.exp(-dt / TAU_ATTITUDE)
         r = pose.roll + (cmd.roll - pose.roll) * alpha
         p = pose.pitch + (cmd.pitch - pose.pitch) * alpha
-        y = wrap_angle(pose.yaw + min(params.max_yaw_rate, max(-params.max_yaw_rate, yaw_rate)) * dt)
+        y = wrap_angle(pose.yaw + min(MAX_YAW_RATE, max(-MAX_YAW_RATE, yaw_rate)) * dt)
         rot = attitude_rotation(r, p, y)
-        t = thrust * params.thrust_scale
-        k = params.drag
+        t = thrust * THRUST_SCALE
+        k = DRAG
         a = Vec3(t * rot.m02 - k * vx, t * rot.m12 - k * vy, t * rot.m22 - GRAVITY - k * vz)
         v = Vec3(vx + a.x * dt, vy + a.y * dt, vz + a.z * dt)
-        constants = StepConstants.of(params, dt)
+        constants = StepConstants.of(dt)
         got = dynamics_step(pose, cmd, constants)
         assert got == Pose(*(pose.position + v.scale(dt)), *v, r, p, y)
 
@@ -253,14 +240,13 @@ HOVER = Waypoint(Vec3(0, 0, 5.0), 0.0)
 class TestClosedLoop:
     def hover_states(self, offset: Vec3, seconds: float) -> list[Pose]:
         sim = SimConfig()
-        params = sim.vehicle
         pose_ctl = PoseController()
-        vel_ctl = VelocityController(params)
+        vel_ctl = VelocityController()
         state = at_rest(HOVER.position + offset)
         dt = 1.0 / sim.rates.dynamics_hz
-        constants = StepConstants.of(params, dt)
+        constants = StepConstants.of(dt)
         ctrl_every = sim.rates.dynamics_hz // sim.rates.control_hz
-        att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
+        att = HOVER_CMD
         n = int(seconds / dt)
         states = []
         for k in range(n):
@@ -273,13 +259,12 @@ class TestClosedLoop:
 
     def velocity_step_states(self, target: Vec3, seconds: float) -> list[Pose]:
         sim = SimConfig()
-        params = sim.vehicle
-        vel_ctl = VelocityController(params)
+        vel_ctl = VelocityController()
         state = at_rest(Vec3(0, 0, 5.0))
         dt = 1.0 / sim.rates.dynamics_hz
-        constants = StepConstants.of(params, dt)
+        constants = StepConstants.of(dt)
         ctrl_every = sim.rates.dynamics_hz // sim.rates.control_hz
-        att = AttitudeCommand(0.0, 0.0, 0.0, params.hover_thrust)
+        att = HOVER_CMD
         states = []
         for k in range(int(seconds / dt)):
             if k % ctrl_every == 0:
@@ -337,7 +322,7 @@ class TestPilot:
         sim = SimConfig()
         dt_ctrl = sim.rates.control_dt
         pilot = Pilot(sim)
-        vel_ctl = VelocityController(sim.vehicle)
+        vel_ctl = VelocityController()
         state = at_rest(ZERO3)
         pilot.velocity(Vec3(1.0, 0.0, 0.0), 0.0, state)
         vel_ctl.step(Vec3(1.0, 0.0, 0.0), ZERO3, 0.0, state, dt_ctrl)
@@ -378,35 +363,32 @@ class TestIdealPilot:
         state = Pose(1.0, 2.0, 3.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.2)
         a = Vec3(30.0, 0.0, 0.0)  # accelerations pass through unclamped
         pilot.accel(a, 0.4, 6.0, state)
-        assert pilot.fly(state) == ideal_dynamics_step(state, a, 0.4, StepConstants.of(sim.vehicle, sim.rates.dt))
+        assert pilot.fly(state) == ideal_dynamics_step(state, a, 0.4, StepConstants.of(sim.rates.dt))
 
 
 class TestIdealDynamics:
     def test_double_integrator(self):
-        params = default_params()
         state = at_rest(ZERO3)
         a = Vec3(1.0, 0.0, 0.0)
-        k = StepConstants.of(params, 0.005)
+        k = StepConstants.of(0.005)
         for _ in range(200):
             state = ideal_dynamics_step(state, a, 0.0, k)
         assert abs(state.vx - 1.0) < 1e-9
         assert state.roll == 0.0 and state.pitch == 0.0
 
     def test_yaw_rate_limit(self):
-        params = default_params()
         # starts next to +pi, so the step wraps round to -pi
         state = at_rest(ZERO3, yaw=3.14)
         dt = 0.005
-        after = ideal_dynamics_step(state, ZERO3, 100.0, StepConstants.of(params, dt))
+        after = ideal_dynamics_step(state, ZERO3, 100.0, StepConstants.of(dt))
         assert after.yaw < 0.0
         step = abs(wrap_angle(after.yaw - state.yaw))
-        assert 0.99 * params.max_yaw_rate * dt < step <= params.max_yaw_rate * dt + 1e-12
+        assert 0.99 * MAX_YAW_RATE * dt < step <= MAX_YAW_RATE * dt + 1e-12
 
 
 class TestMountPitch:
     def test_compensates_steady_state_tilt(self):
-        params = default_params()
-        assert params.mount_pitch(0.0) == 0.0
-        m5 = params.mount_pitch(5.0)
-        assert abs(m5 - math.atan2(params.drag * 5.0, GRAVITY)) < 1e-12
-        assert m5 > params.mount_pitch(2.0) > 0.0
+        assert mount_pitch(0.0) == 0.0
+        m5 = mount_pitch(5.0)
+        assert abs(m5 - math.atan2(DRAG * 5.0, GRAVITY)) < 1e-12
+        assert m5 > mount_pitch(2.0) > 0.0
